@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import BalancedFamily, Capacity, Measure
-from .errors import ConfigOutOfRange, CoreEmpty, EmptySubset, InternalInconsistency
-from .ground import ONE, ZERO, subset_indices
-from .lp import EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG
-from .lp.solver import solve, solve_dualized
+from .errors import ConfigOutOfRange, EmptySubset, InternalInconsistency
+from .ground import ONE, ZERO, check_subset, subset_indices
+from .lp import EQ, GE, LE, INFEASIBLE, OPTIMAL, CoreSystem, Row, LinearProgram, NONNEG
+# solve_dualized stays importable here for tools that hook LP solves per module
+from .lp.solver import solve, solve_dualized  # noqa: F401
 
 DEFAULT_MAX_POINTS = 8
 HARD_MAX_POINTS = 10
@@ -191,6 +192,7 @@ def _cover_value(nu: Capacity, bound_mask: int, max_cells):
 
 def bondareva_value(nu: Capacity, bound_mask: int, *, allow_large: bool = False) -> Fraction:
     """Best weighted cover of B by subsets of B; always >= v(B)."""
+    check_subset(bound_mask, nu.ground)
     if bound_mask == 0:
         raise EmptySubset("weighted-cover value needs a nonempty subset")
     _check_size(nu, allow_large)
@@ -265,33 +267,26 @@ def is_balanced(nu: Capacity, *, allow_large: bool = False):
 
 
 def _core_min_lp(nu: Capacity, subset: int) -> LinearProgram:
+    """min mu(subset) over the core as a general LP; `CoreSystem` solves the
+    same program without building it."""
     n = nu.ground.n
     objective = tuple(ONE if subset >> i & 1 else ZERO for i in range(n))
     return LinearProgram("min", objective, _core_system_rows(nu), (NONNEG,) * n)
 
 
-def _core_min(nu: Capacity, subset: int, max_cells):
-    """(value, attaining core measure, ExactnessGap-style certificate parts)."""
-    out = solve_dualized(_core_min_lp(nu, subset), max_cells=max_cells)
-    if out.status == INFEASIBLE:
-        raise CoreEmpty("capacity is unbalanced: the core polytope is empty")
-    shift = out.dual[0]
-    coeffs = tuple(
-        (a, w)
-        for a, w in zip(nu.ground.proper_nonempty_subsets(), out.dual[1:])
-        if w != 0
-    )
-    return out.value, Measure(nu.ground, out.primal), shift, coeffs
+def _core_system(nu: Capacity) -> CoreSystem:
+    """The core of nu: one bound per nonempty proper subset, in code order."""
+    masks = nu.ground.proper_nonempty_subsets()
+    return CoreSystem(nu.ground.n, masks, (nu[a] for a in masks))
 
 
 def min_core_value(nu: Capacity, subset: int, *, allow_large: bool = False) -> Fraction:
     """Minimum of mu(B) over the core; raises CoreEmpty when unbalanced."""
+    check_subset(subset, nu.ground)
     _check_size(nu, allow_large)
-    max_cells = None if nu.ground.n > DEFAULT_MAX_POINTS else 5000
     if subset == 0:
         return ZERO
-    value, _, _, _ = _core_min(nu, subset, max_cells)
-    return value
+    return _core_system(nu).minimum(subset).value
 
 
 def is_exact(nu: Capacity, *, allow_large: bool = False):
@@ -307,10 +302,12 @@ def is_exact(nu: Capacity, *, allow_large: bool = False):
     value, family = _cover_value(nu, nu.ground.full, max_cells)
     if value != ONE:
         return False, family
+    system = _core_system(nu)
     for subset in nu.ground.proper_nonempty_subsets():
-        mn, _, shift, coeffs = _core_min(nu, subset, max_cells)
-        if mn != nu[subset]:
-            return False, ExactnessGap(subset, mn, shift, coeffs)
+        best = system.minimum(subset)
+        if best.value != nu[subset]:
+            coeffs = tuple((a, w) for a, w in zip(system.masks, best.multipliers) if w != 0)
+            return False, ExactnessGap(subset, best.value, best.shift, coeffs)
     return True, None
 
 

@@ -18,9 +18,12 @@ from fractions import Fraction
 from .capacity import Capacity, Measure, measure_pushforward, pushforward
 from .classify import is_exact
 from .errors import CoreEmpty, GroundMismatch, InfeasibleCredal, NotExact
-from .ground import ONE, ZERO, GroundSet, PointMap
-from .lp import EQ, GE, INFEASIBLE, NONNEG, LinearProgram, Row
-from .lp.solver import solve_dualized
+from .ground import ONE, ZERO, GroundSet, PointMap, check_subset
+from .lp import CoreMinimum, CoreSystem
+# LinearProgram, Row and solve_dualized stay importable here for tools that
+# hook LP construction and solves per module
+from .lp import LinearProgram, Row  # noqa: F401
+from .lp.solver import solve_dualized  # noqa: F401
 
 VERTICES = "vertices"
 CONSTRAINTS = "constraints"
@@ -30,7 +33,8 @@ PUSHED = "pushed"
 class CredalSet:
     """Nonempty closed convex set of probability measures on a finite ground set."""
 
-    __slots__ = ("ground", "kind", "vertices", "bounds", "base_map", "base_set", "_cache")
+    __slots__ = ("ground", "kind", "vertices", "bounds", "base_map", "base_set", "_cache",
+                 "_system")
 
     def __init__(self, ground: GroundSet, kind: str, *, vertices=None, bounds=None,
                  base_map=None, base_set=None):
@@ -40,7 +44,9 @@ class CredalSet:
         self.bounds = bounds
         self.base_map = base_map
         self.base_set = base_set
+        # (mask, lowest) -> min or max mass of mask over the set
         self._cache: dict[tuple[int, bool], Fraction] = {}
+        self._system: CoreSystem | None = None  # constraint form, built on first use
 
     # --- constructors ---
 
@@ -69,14 +75,10 @@ class CredalSet:
         for mask, value in bounds.items():
             if mask == 0:
                 raise ValueError("the empty set cannot carry a lower bound")
-            if not ground.contains_subset(mask):
-                raise GroundMismatch(f"subset code {mask:#b} not valid over {ground.n} points")
+            check_subset(mask, ground)
             clean[mask] = Fraction(value)
         alpha = cls(ground, CONSTRAINTS, bounds=clean)
-        try:
-            alpha.min_mass(ground.full)  # feasibility probe
-        except InfeasibleCredal:
-            raise
+        alpha.min_mass(ground.full)  # feasibility probe
         return alpha
 
     # --- support-function evaluation ---
@@ -88,35 +90,33 @@ class CredalSet:
         return self._mass(mask, lowest=False)
 
     def _mass(self, mask: int, lowest: bool) -> Fraction:
-        if not self.ground.contains_subset(mask):
-            raise GroundMismatch(f"subset code {mask:#b} not valid over {self.ground.n} points")
+        check_subset(mask, self.ground)
         if mask == 0:
             return ZERO
         key = (mask, lowest)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if self.kind == VERTICES:
-            masses = [mu.mass(mask) for mu in self.vertices]
-            value = min(masses) if lowest else max(masses)
+        if not lowest:
+            # every member has total mass 1, so max mu(B) = 1 - min mu(X - B)
+            value = ONE - self._mass(self.ground.full & ~mask, True)
+        elif self.kind == VERTICES:
+            value = min(mu.mass(mask) for mu in self.vertices)
         elif self.kind == PUSHED:
-            value = self.base_set._mass(self.base_map.preimage(mask), lowest)
+            value = self.base_set._mass(self.base_map.preimage(mask), True)
         else:
-            value = self._constraint_mass(mask, lowest)
+            value = self._core_minimum(mask).value
         self._cache[key] = value
         return value
 
-    def _constraint_mass(self, mask: int, lowest: bool) -> Fraction:
-        n = self.ground.n
-        rows = [Row((ONE,) * n, EQ, ONE)]
-        for a, bound in sorted(self.bounds.items()):
-            rows.append(Row(tuple(ONE if a >> i & 1 else ZERO for i in range(n)), GE, bound))
-        objective = tuple(ONE if mask >> i & 1 else ZERO for i in range(n))
-        lp = LinearProgram("min" if lowest else "max", objective, tuple(rows), (NONNEG,) * n)
-        out = solve_dualized(lp, max_cells=None)
-        if out.status == INFEASIBLE:
-            raise InfeasibleCredal("constraint system admits no probability measure")
-        return out.value
+    def _core_minimum(self, mask: int) -> CoreMinimum:
+        if self._system is None:
+            masks = sorted(self.bounds)
+            self._system = CoreSystem(self.ground.n, masks, (self.bounds[a] for a in masks))
+        try:
+            return self._system.minimum(mask)
+        except CoreEmpty:
+            raise InfeasibleCredal("constraint system admits no probability measure") from None
 
     def some_member(self) -> Measure:
         """Any measure in the set (a vertex, or an LP-feasible point)."""
@@ -124,15 +124,7 @@ class CredalSet:
             return self.vertices[0]
         if self.kind == PUSHED:
             return measure_pushforward(self.base_map, self.base_set.some_member())
-        n = self.ground.n
-        rows = [Row((ONE,) * n, EQ, ONE)]
-        for a, bound in sorted(self.bounds.items()):
-            rows.append(Row(tuple(ONE if a >> i & 1 else ZERO for i in range(n)), GE, bound))
-        lp = LinearProgram("min", (ZERO,) * n, tuple(rows), (NONNEG,) * n)
-        out = solve_dualized(lp, max_cells=None)
-        if out.status == INFEASIBLE:
-            raise InfeasibleCredal("constraint system admits no probability measure")
-        return Measure(self.ground, out.primal)
+        return Measure(self.ground, self._core_minimum(0).point)
 
 
 def core_polytope(nu: Capacity) -> CredalSet:

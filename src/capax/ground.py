@@ -130,11 +130,12 @@ def parse_subset(text: str) -> int:
 
 def char_vector(mask: int, ground: GroundSet) -> tuple[Fraction, ...]:
     """Characteristic vector of a subset: entry i is 1 if i is in the subset."""
-    _check_subset(mask, ground)
+    check_subset(mask, ground)
     return tuple(ONE if mask >> i & 1 else ZERO for i in ground.points())
 
 
-def _check_subset(mask: int, ground: GroundSet):
+def check_subset(mask: int, ground: GroundSet):
+    """Raise GroundMismatch unless `mask` is a subset code over `ground`."""
     if not ground.contains_subset(mask):
         raise GroundMismatch(f"subset code {mask:#b} not valid over {ground.n} points")
 
@@ -160,7 +161,7 @@ class PointMap:
 
     def preimage(self, mask: int) -> int:
         """Subset of the domain mapping into the given codomain subset."""
-        _check_subset(mask, self.codomain)
+        check_subset(mask, self.codomain)
         out = 0
         for x, y in enumerate(self.image):
             if mask >> y & 1:
@@ -168,7 +169,7 @@ class PointMap:
         return out
 
     def forward_image(self, mask: int) -> int:
-        _check_subset(mask, self.domain)
+        check_subset(mask, self.domain)
         out = 0
         for x, y in enumerate(self.image):
             if mask >> x & 1:

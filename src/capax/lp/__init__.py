@@ -1,6 +1,7 @@
 """Exact rational linear programming with verifiable certificates."""
 
 from ._backend import DEFAULT_BACKEND, backend_names
+from .core import CoreMinimum, CoreSystem
 from .model import (
     EQ,
     FREE,
@@ -24,6 +25,8 @@ from .solver import DEFAULT_MAX_CELLS, solve, solve_dualized
 __all__ = [
     "DEFAULT_BACKEND",
     "DEFAULT_MAX_CELLS",
+    "CoreMinimum",
+    "CoreSystem",
     "EQ",
     "FREE",
     "GE",

@@ -1,8 +1,10 @@
 """Independent oracles used by the tests.
 
 Kept deliberately separate from the package: brute-force vertex enumeration
-of core polytopes (no LP) and the candidate-scan computation of the monad
-multiplication.  These re-derive the quantities the package computes through
+of core polytopes (no LP), the candidate-scan computation of the monad
+multiplication, and the core minimum through the general LP layer
+(`solve_dualized` of an explicitly built program, as capax computed it before
+`CoreSystem`).  These re-derive the quantities the package computes through
 simplex pivots or breakpoint walks, by slower but structurally unrelated
 means.
 """
@@ -11,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from capax.capacity import Capacity
+from capax.classify import ExactnessGap
+from capax.lp import EQ, GE, INFEASIBLE, NONNEG, LinearProgram, Row, solve_dualized
 
 
 def gauss_solve(rows, n):
@@ -89,3 +93,35 @@ def mul_candidate_scan(c2) -> Capacity:
                 best = t
         values[mask] = best
     return Capacity(ground, values)
+
+
+def core_lp(n, masks, bounds, subset, sense="min") -> LinearProgram:
+    """min (or max) x(subset) over {x >= 0, x(X) = 1, x(A) >= b_A} as a general LP."""
+    def char(mask):
+        return tuple(Fraction(mask >> i & 1) for i in range(n))
+
+    rows = [Row((Fraction(1),) * n, EQ, Fraction(1))]
+    rows.extend(Row(char(a), GE, b) for a, b in zip(masks, bounds))
+    return LinearProgram(sense, char(subset), tuple(rows), (NONNEG,) * n)
+
+
+def dualized_core_min(n, masks, bounds, subset, sense="min"):
+    """(value, x, y0, y_A) of the core LP through `solve_dualized`; None if the
+    core is empty.  y0 and y_A are the multipliers of x(X) = 1 and of the
+    mask rows, in mask order."""
+    out = solve_dualized(core_lp(n, masks, bounds, subset, sense), max_cells=None)
+    if out.status == INFEASIBLE:
+        return None
+    return out.value, out.primal, out.dual[0], out.dual[1:]
+
+
+def reference_is_exact(nu: Capacity):
+    """`is_exact` of a balanced capacity by one `solve_dualized` per subset."""
+    masks = list(nu.ground.proper_nonempty_subsets())
+    bounds = [nu[a] for a in masks]
+    for subset in masks:
+        value, _, shift, ys = dualized_core_min(nu.ground.n, masks, bounds, subset)
+        if value != nu[subset]:
+            coeffs = tuple((a, w) for a, w in zip(masks, ys) if w != 0)
+            return False, ExactnessGap(subset, value, shift, coeffs)
+    return True, None

@@ -24,7 +24,7 @@ from capax.classify import (
     verify_report,
 )
 from capax.credal import lower_envelope, random_credal
-from capax.errors import ConfigOutOfRange, CoreEmpty, EmptySubset
+from capax.errors import ConfigOutOfRange, CoreEmpty, EmptySubset, GroundMismatch
 from capax.ground import GroundSet
 from capax.rng import SplitMix64
 
@@ -95,6 +95,11 @@ class TestBondarevaValue:
         with pytest.raises(EmptySubset):
             bondareva_value(dirac(0, g2), 0)
 
+    def test_subset_code_outside_the_ground_set_rejected(self):
+        for mask in (0b1000, 0b1011, -1):
+            with pytest.raises(GroundMismatch):
+                bondareva_value(unanimity(0b011, g3), mask)
+
 
 class TestBalanced:
     def test_nine_tenths_unbalanced_with_family(self):
@@ -144,6 +149,11 @@ class TestMinCoreValue:
     def test_core_empty(self):
         with pytest.raises(CoreEmpty):
             min_core_value(nine_tenths(), 1)
+
+    def test_subset_code_outside_the_ground_set_rejected(self):
+        for mask in (0b1000, 0b1011, -1):
+            with pytest.raises(GroundMismatch):
+                min_core_value(unanimity(0b011, g3), mask)
 
     def test_agrees_with_vertex_enumeration(self):
         from oracles import brute_min_core
