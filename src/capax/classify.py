@@ -248,7 +248,12 @@ def is_balanced(nu: Capacity, *, allow_large: bool = False):
     Returns (True, core Measure) or (False, violating BalancedFamily).
     """
     _check_size(nu, allow_large)
-    value, family = _cover_value(nu, nu.ground.full)
+    return _balanced(nu, _cover_value(nu, nu.ground.full), allow_large)
+
+
+def _balanced(nu: Capacity, full_cover, allow_large: bool):
+    """is_balanced with the full set's weighted-cover result already solved."""
+    value, family = full_cover
     feasible, witness = core_lp_feasible(nu, allow_large=allow_large)
     if (value == ONE) != feasible:
         raise InternalInconsistency(
@@ -284,7 +289,8 @@ def min_core_value(nu: Capacity, subset: int, *, allow_large: bool = False) -> F
     _check_size(nu, allow_large)
     if subset == 0:
         return ZERO
-    return _core_system(nu).minimum(subset).value
+    system = _core_system(nu)
+    return nu[subset] if system.attains(subset) else system.minimum(subset).value
 
 
 def is_exact(nu: Capacity, *, allow_large: bool = False):
@@ -296,11 +302,21 @@ def is_exact(nu: Capacity, *, allow_large: bool = False):
     full sets are automatically attained and skipped.
     """
     _check_size(nu, allow_large)
-    value, family = _cover_value(nu, nu.ground.full)
+    return _exact(nu, _cover_value(nu, nu.ground.full))
+
+
+def _exact(nu: Capacity, full_cover):
+    """is_exact with the full set's weighted-cover result already solved.
+
+    A subset whose bound some certified core point attains needs no LP; the
+    rest get a cold `minimum`, whose certificate becomes the witness."""
+    value, family = full_cover
     if value != ONE:
         return False, family
     system = _core_system(nu)
     for subset in nu.ground.proper_nonempty_subsets():
+        if system.attains(subset):
+            continue
         best = system.minimum(subset)
         if best.value != nu[subset]:
             coeffs = tuple((a, w) for a, w in zip(system.masks, best.multipliers) if w != 0)
@@ -315,8 +331,18 @@ def is_totally_balanced(nu: Capacity, *, allow_large: bool = False):
     failing subset in subset-code order.
     """
     _check_size(nu, allow_large)
+    return _totally_balanced(nu)
+
+
+def _totally_balanced(nu: Capacity, full_cover=None):
+    """is_totally_balanced; the full set comes last in code order, so its
+    weighted-cover result, when already solved, is used only if reached."""
+    full = nu.ground.full
     for subset in nu.ground.nonempty_subsets():
-        value, family = _cover_value(nu, subset)
+        if subset == full and full_cover is not None:
+            value, family = full_cover
+        else:
+            value, family = _cover_value(nu, subset)
         if value != nu[subset]:
             return False, TotalBalanceFailure(subset, family)
     return True, None
@@ -333,9 +359,11 @@ def classify_full(nu: Capacity, *, allow_large: bool = False) -> ClassReport:
     conflicting witnesses.
     """
     convex, convex_w = is_convex(nu)
-    balanced, balanced_w = is_balanced(nu, allow_large=allow_large)
-    tb, tb_w = is_totally_balanced(nu, allow_large=allow_large)
-    exact, exact_w = is_exact(nu, allow_large=allow_large)
+    _check_size(nu, allow_large)
+    full_cover = _cover_value(nu, nu.ground.full)  # one solve serves all three
+    balanced, balanced_w = _balanced(nu, full_cover, allow_large)
+    tb, tb_w = _totally_balanced(nu, full_cover)
+    exact, exact_w = _exact(nu, full_cover)
     chain = (convex, exact, tb, balanced)
     for name, (stronger, weaker) in {
         "convex => exact": (convex, exact),

@@ -104,17 +104,22 @@ class CredalSet:
             value = min(mu.mass(mask) for mu in self.vertices)
         elif self.kind == PUSHED:
             value = self.base_set._mass(self.base_map.preimage(mask), True)
+        elif self._core().attains(mask):
+            value = self.bounds[mask]
         else:
             value = self._core_minimum(mask).value
         self._cache[key] = value
         return value
 
-    def _core_minimum(self, mask: int) -> CoreMinimum:
+    def _core(self) -> CoreSystem:
         if self._system is None:
             masks = sorted(self.bounds)
             self._system = CoreSystem(self.ground.n, masks, (self.bounds[a] for a in masks))
+        return self._system
+
+    def _core_minimum(self, mask: int) -> CoreMinimum:
         try:
-            return self._system.minimum(mask)
+            return self._core().minimum(mask)
         except CoreEmpty:
             raise InfeasibleCredal("constraint system admits no probability measure") from None
 

@@ -18,6 +18,14 @@ Each outcome is checked once, by integer arithmetic over subset masks, before
 it leaves; a failed check raises `InternalInconsistency` (a solver bug, never
 data).  An unbounded dual means an empty core; its ray is checked as a Farkas
 certificate before `CoreEmpty` is raised.
+
+`attains(B)` answers the common question "is min x(B) equal to the bound of
+B?" without an LP whenever it can: one core point x with x(B) = b_B proves it,
+since every core point has x(B) >= b_B.  The points it looks at are those
+`minimum` has certified and, for the core of a capacity, the marginal vector
+of the ordering that starts with B's points, which lies in the core of every
+convex capacity (Shapley, "Cores of convex games", IJGT 1971).  A point
+counts only after it passes the same integer core check as `minimum`'s.
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ class CoreMinimum:
 class CoreSystem:
     """{x >= 0, x(X) = 1, x(A) >= bounds[i] for A = masks[i]} over n points."""
 
-    __slots__ = ("n", "masks", "bounds", "_rows", "_costs")
+    __slots__ = ("n", "masks", "bounds", "_rows", "_costs", "_top", "_complete",
+                 "_pool")
 
     def __init__(self, n: int, masks, bounds):
         masks = tuple(masks)
@@ -64,6 +73,15 @@ class CoreSystem:
         self._rows = [[1, -1, *(a >> j & 1 for a in masks), *(int(i == j) for i in range(n))]
                       for j in range(n)]
         self._costs = [ONE, -ONE, *bounds, *(ZERO,) * n]
+        # largest bound per mask: the only one a core point can meet with equality
+        top = self._top = {}
+        for a, b in zip(masks, bounds):
+            if a not in top or b > top[a]:
+                top[a] = b
+        # every proper nonempty subset bounded: the core of a capacity
+        self._complete = sum(a != (1 << n) - 1 for a in top) == (1 << n) - 2
+        # (den, mass) of every certified core point, mass[S] = den * x(S)
+        self._pool: list[tuple[int, list[int]]] = []
 
     def minimum(self, subset: int) -> CoreMinimum:
         """Minimise x(subset); raises CoreEmpty when the system has no solution."""
@@ -85,42 +103,104 @@ class CoreSystem:
             shift=sol[0] - sol[1],
             multipliers=tuple(sol[2:2 + k]),
         )
-        if not self.certifies(subset, best):
+        table = self._certified(subset, best)
+        if table is None:
             raise InternalInconsistency(
                 f"core minimum of subset {subset:#b} has a failing certificate", best
             )
+        self._pool.append(table)
         return best
 
-    def certifies(self, subset: int, best: CoreMinimum) -> bool:
-        """Exact check that `best` is optimal for x(subset); never solves.
+    def attains(self, subset: int) -> bool:
+        """True when some certified core point x has x(subset) = b, the
+        largest bound on subset, so that min x(subset) = b; never solves.
 
-        Primal side over the common denominator of x: masses of all 2^n
-        subsets by one prefix walk, then x >= 0, x(X) = 1, every bound, and
-        x(subset) = value.  Dual side over the nonzero y_A only: y_A >= 0,
-        each point's load y0 + sum_{A contains j} y_A at most [j in subset],
-        and y0 + sum_A b_A y_A = value.
+        False only means no such point is known (or subset carries no bound):
+        ask `minimum`.  Tries the certified points first, then, when every
+        proper nonempty subset is bounded, the marginal vector of the
+        ordering "subset's points ascending, then the rest", which joins the
+        certified points once it passes the core check.
         """
-        n, x, value = self.n, best.point, best.value
-        if len(x) != n or len(best.multipliers) != len(self.masks):
+        b = self._top.get(subset)
+        if b is None:
+            return False
+        num, bden = b.numerator, b.denominator
+        for den, mass in self._pool:
+            if mass[subset] * bden == num * den:
+                return True
+        if not self._complete:
+            return False
+        table = self._core_mass(self._marginal(subset))
+        if table is None:
+            return False
+        self._pool.append(table)
+        den, mass = table
+        return mass[subset] * bden == num * den
+
+    def _marginal(self, subset: int) -> list[Fraction]:
+        """x_j = b(S + j) - b(S) along the ordering "subset's points ascending,
+        then the rest", with b(empty) = 0 and b(X) = 1; so x(subset) = b(subset)."""
+        n = self.n
+        full = (1 << n) - 1
+        order = [j for j in range(n) if subset >> j & 1] + \
+                [j for j in range(n) if not subset >> j & 1]
+        x = [ZERO] * n
+        prefix, before = 0, ZERO
+        for j in order:
+            prefix |= 1 << j
+            after = ONE if prefix == full else self._top[prefix]
+            x[j] = after - before
+            before = after
+        return x
+
+    def certifies(self, subset: int, best: CoreMinimum) -> bool:
+        """Exact check that `best` is optimal for x(subset); never solves."""
+        return self._certified(subset, best) is not None
+
+    def _certified(self, subset: int, best: CoreMinimum):
+        """The core mass table of `best.point` when `best` is a certificate
+        for x(subset), else None.
+
+        Primal side: `_core_mass`, then x(subset) = value.  Dual side over the
+        nonzero y_A only: y_A >= 0, each point's load y0 + sum_{A contains j}
+        y_A at most [j in subset], and y0 + sum_A b_A y_A = value.
+        """
+        n, value = self.n, best.value
+        if len(best.point) != n or len(best.multipliers) != len(self.masks):
             raise ShapeMismatch("core certificate length mismatch")
+        table = self._core_mass(best.point)
+        if table is None:
+            return None
+        den, mass = table
+        if mass[subset] * value.denominator != value.numerator * den:
+            return None
+        dual = self._dual_side(best.shift, best.multipliers)
+        if dual is None:
+            return None
+        load, attained = dual
+        if attained != value or any(load[j] > (subset >> j & 1) for j in range(n)):
+            return None
+        return table
+
+    def _core_mass(self, x):
+        """(den, mass) with mass[S] = den * x(S) for all 2^n subsets S, den the
+        common denominator of x, when x is a core point: x >= 0, x(X) = 1 and
+        every bound holds.  None otherwise.  Masses come from one prefix walk."""
+        n = self.n
         den = lcm(*(q.denominator for q in x))
         ints = [q.numerator * (den // q.denominator) for q in x]
         if any(v < 0 for v in ints):
-            return False
+            return None
         mass = [0] * (1 << n)
         for s in range(1, 1 << n):
             low = s & -s
             mass[s] = mass[s ^ low] + ints[low.bit_length() - 1]
-        if mass[-1] != den or mass[subset] * value.denominator != value.numerator * den:
-            return False
+        if mass[-1] != den:
+            return None
         for a, b in zip(self.masks, self.bounds):
             if mass[a] * b.denominator < b.numerator * den:
-                return False
-        dual = self._dual_side(best.shift, best.multipliers)
-        if dual is None:
-            return False
-        load, attained = dual
-        return attained == value and all(load[j] <= (subset >> j & 1) for j in range(n))
+                return None
+        return den, mass
 
     def refutes(self, shift: Fraction, multipliers) -> bool:
         """Exact Farkas check that the system has no solution; never solves.

@@ -11,6 +11,7 @@ from capax.capacity import (
     random_monotone,
     unanimity,
 )
+from capax import classify
 from capax.classify import (
     ExactnessGap,
     bondareva_value,
@@ -226,6 +227,27 @@ class TestClassifyFull:
             c, e, t, b = report.flags()
             assert (not c or e) and (not e or t) and (not t or b)
             assert verify_report(nu, report), trial
+
+    def test_full_set_cover_solved_once(self, nustar, monkeypatch):
+        solved = []
+        original = classify._cover_value
+
+        def counted(nu, bound_mask):
+            solved.append(bound_mask)
+            return original(nu, bound_mask)
+
+        monkeypatch.setattr(classify, "_cover_value", counted)
+        rng = SplitMix64(5)
+        for nu in (dirac(0, g3), nine_tenths(), nustar, random_exact(g4, rng),
+                   random_convex_mixture(g4, 9, 5)):
+            solved.clear()
+            report = classify_full(nu)
+            assert solved.count(nu.ground.full) == 1
+            balanced, balanced_w = is_balanced(nu)
+            assert (report.balanced, report.core_witness or report.unbalanced_witness) == \
+                (balanced, balanced_w)
+            assert (report.totally_balanced, report.tb_witness) == is_totally_balanced(nu)
+            assert (report.exact, report.exact_witness) == is_exact(nu)
 
     def test_size_limits(self):
         with pytest.raises(ConfigOutOfRange):

@@ -13,9 +13,10 @@ from capax.capacity import (
     Measure,
     dirac,
     random_convex_mixture,
+    random_monotone,
     unanimity,
 )
-from capax.classify import is_exact, min_core_value
+from capax.classify import ExactnessGap, is_exact, min_core_value
 from capax.credal import CredalSet, core_polytope, lower_envelope, random_credal
 from capax.errors import CoreEmpty, GroundMismatch, InternalInconsistency
 from capax.ground import GroundSet
@@ -55,6 +56,18 @@ def seeded_capacities(n, count, seed):
         if n >= 3:
             out.append(lowered(exact, rng))
     return out
+
+
+def random_monotones(n, count, seed):
+    """Random monotone capacities on n points: at n >= 4 mostly unbalanced."""
+    return [random_monotone(GroundSet(n), seed * 1000 + i, 6) for i in range(count)]
+
+
+def damped(nu):
+    """nu / n on proper subsets: still monotone, and balanced, since a
+    balanced family has sum lam_A |A| = n, so sum lam_A <= n."""
+    g = nu.ground
+    return Capacity(g, [v if a == g.full else v / g.n for a, v in enumerate(nu.values)])
 
 
 def assert_same_as_reference(system, subset):
@@ -251,3 +264,111 @@ class TestEdges:
         for mask in (0, 0b1000):
             with pytest.raises(GroundMismatch):
                 CoreSystem(3, [mask], [F(0)])
+
+
+class TestAttains:
+    """`attains(B)` claims min x(B) = b_B only on a certified core point."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_agrees_with_minimum(self, n):
+        monotone = random_monotones(n, 3, n)
+        capacities = seeded_capacities(n, 2, 50 + n) + monotone + [damped(monotone[0])]
+        outcomes = set()
+        for nu in capacities:
+            system = core_of(nu)
+            for subset in system.masks:
+                claimed = system.attains(subset)
+                try:
+                    best = system.minimum(subset)
+                except CoreEmpty:
+                    assert not claimed and not system.attains(subset)
+                    outcomes.add("empty")
+                    continue
+                attained = best.value == nu[subset]
+                assert claimed <= attained, (nu, subset)  # never a false True
+                # the minimiser is pooled now, so the answer is exact
+                assert system.attains(subset) == attained, (nu, subset)
+                outcomes.add(attained)
+        # every kind was exercised; on two points every balanced capacity is exact
+        assert outcomes == ({True, False, "empty"} if n >= 3 else {True, "empty"})
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_marginal_vectors_decide_convex_capacities(self, n):
+        for seed in range(3):
+            nu = random_convex_mixture(GroundSet(n), seed, 4)
+            for subset in nu.ground.proper_nonempty_subsets():
+                assert core_of(nu).attains(subset)  # a fresh system: no LP point yet
+
+    def test_marginal_vector_outside_the_core_is_not_pooled(self):
+        # at a gap B the marginal vector still has x(B) = v(B); only the core
+        # check keeps it out
+        for nu in seeded_capacities(4, 4, 3):
+            exact, gap = is_exact(nu)
+            if exact:
+                continue
+            assert isinstance(gap, ExactnessGap)
+            system = core_of(nu)
+            x = system._marginal(gap.subset)
+            assert sum(x[j] for j in range(4) if gap.subset >> j & 1) == nu[gap.subset]
+            assert not system.attains(gap.subset)
+            assert system._pool == []
+            return
+        pytest.fail("no non-exact capacity among the seeds")
+
+    @pytest.mark.parametrize("bounds", [[F(1, 4), F(1, 2)], [F(1, 2), F(1, 4)]])
+    def test_duplicated_mask_uses_its_larger_bound(self, bounds):
+        # pooled LP point: the system is not a capacity core, so no marginal vector
+        system = CoreSystem(3, [0b001, 0b001], bounds)
+        assert not system.attains(0b001)
+        assert system.minimum(0b001).value == F(1, 2)
+        assert system.attains(0b001)
+        # marginal vector: the system bounds every proper nonempty subset
+        masks = [0b001, 0b010, 0b001, 0b011]
+        complete = CoreSystem(2, masks, [bounds[0], F(0), bounds[1], F(1)])
+        assert complete.attains(0b001)
+        assert complete.minimum(0b001).value == F(1, 2)
+
+    def test_unbounded_and_invalid_subsets_are_not_attained(self):
+        system = core_of(unanimity(0b011, GroundSet(3)))
+        for subset in (0, 0b111, -1, 0b1000):
+            assert not system.attains(subset)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_envelopes_of_random_monotone_capacities(self, n):
+        verdicts = set()
+        for nu in map(damped, random_monotones(n, 4, 10 + n)):
+            masks = list(nu.ground.proper_nonempty_subsets())
+            bounds = [nu[a] for a in masks]
+            got = is_exact(nu)
+            assert got == reference_is_exact(nu), nu
+            verdicts.add(got[0])
+            envelope = lower_envelope(core_polytope(nu))
+            for subset in masks:
+                assert envelope[subset] == dualized_core_min(n, masks, bounds, subset)[0]
+        assert False in verdicts
+
+
+class TestLpCounts:
+    """On convex capacities every subset is decided by a marginal vector."""
+
+    def count_minima(self, monkeypatch):
+        calls = []
+        original = CoreSystem.minimum
+
+        def counted(self, subset):
+            calls.append(subset)
+            return original(self, subset)
+
+        monkeypatch.setattr(CoreSystem, "minimum", counted)
+        return calls
+
+    def test_convex_n8_runs_no_sweep(self, monkeypatch):
+        g = GroundSet(8)
+        calls = self.count_minima(monkeypatch)
+        for seed in range(2):
+            nu = random_convex_mixture(g, seed, 3)
+            assert is_exact(nu) == (True, None)
+            assert calls == []
+            assert lower_envelope(core_polytope(nu)) == nu
+            assert calls == [g.full]  # the feasibility probe of from_constraints
+            calls.clear()
