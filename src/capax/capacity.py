@@ -104,20 +104,25 @@ def new_capacity(ground: GroundSet, assignments: Mapping[int, Fraction],
             if table[mask] is None:
                 raise MissingSubset(f"no value for subset {mask:#b} in strict mode")
     else:
-        closure: list[Fraction] = [ZERO] * ground.table_size
-        for mask in ground.nonempty_subsets():
-            best = table[mask] if table[mask] is not None else ZERO
-            for i in range(ground.n):
-                bit = 1 << i
-                if mask & bit:
-                    prev = closure[mask & ~bit]
-                    if prev > best:
-                        best = prev
-            closure[mask] = best
+        closure = _monotone_closure(ground, [ZERO if v is None else v for v in table])
         for mask in ground.proper_nonempty_subsets():
             if table[mask] is None:
                 table[mask] = closure[mask]
     return Capacity(ground, table)  # full validation happens here
+
+
+def _monotone_closure(ground: GroundSet, raw: list[Fraction]) -> list[Fraction]:
+    """v(A) = max(raw(A), v(A - i) for i in A): the largest raw value over
+    subsets of A, computed in ascending subset-code order; v(empty) = 0."""
+    values = [ZERO] * ground.table_size
+    for mask in ground.nonempty_subsets():
+        best = raw[mask]
+        for i in range(ground.n):
+            bit = 1 << i
+            if mask & bit and values[mask & ~bit] > best:
+                best = values[mask & ~bit]
+        values[mask] = best
+    return values
 
 
 def dirac(x: int, ground: GroundSet) -> Capacity:
@@ -274,15 +279,7 @@ def random_monotone(ground: GroundSet, seed: int, grid: int) -> Capacity:
     for mask in ground.proper_nonempty_subsets():
         raw[mask] = rng.next_grid_fraction(grid)
     raw[ground.full] = ONE
-    values = [ZERO] * ground.table_size
-    for mask in ground.nonempty_subsets():
-        best = raw[mask]
-        for i in range(ground.n):
-            bit = 1 << i
-            if mask & bit and values[mask & ~bit] > best:
-                best = values[mask & ~bit]
-        values[mask] = best
-    return Capacity(ground, values)
+    return Capacity(ground, _monotone_closure(ground, raw))
 
 
 def random_convex_mixture(ground: GroundSet, seed: int, grid: int) -> Capacity:

@@ -37,7 +37,7 @@ HARD_MAX_POINTS = 10
 def _check_size(nu: Capacity, allow_large: bool):
     n = nu.ground.n
     if n <= DEFAULT_MAX_POINTS:
-        return None
+        return
     if n > HARD_MAX_POINTS:
         raise ConfigOutOfRange(f"classification supports at most {HARD_MAX_POINTS} points, got {n}")
     if not allow_large:
@@ -50,7 +50,6 @@ def _check_size(nu: Capacity, allow_large: bool):
         RuntimeWarning,
         stacklevel=3,
     )
-    return None  # callers lift the LP cell guard in this mode
 
 
 @dataclass(frozen=True)
@@ -124,25 +123,16 @@ class ClassReport:
 # --- convexity -----------------------------------------------------------------
 
 
-def is_convex(nu: Capacity, method: str = "local"):
+def is_convex(nu: Capacity):
     """Supermodularity test.
 
-    The default `local` method checks v(A+{i,j}) + v(A) >= v(A+{i}) + v(A+{j})
-    over all A and pairs i != j outside A, which is equivalent to the all-pairs
-    inequality; `pairs` runs the all-pairs definition directly (the oracle the
-    local path is tested against).  Witnesses from both methods are plain
-    violating pairs.
+    Checks v(A+{i,j}) + v(A) >= v(A+{i}) + v(A+{j}) over all A and pairs
+    i != j outside A, which is equivalent to the all-pairs inequality (the
+    tests compare it with the all-pairs scan).  The witness is a plain
+    violating pair.
     """
     values = nu.values
     n = nu.ground.n
-    if method == "pairs":
-        for a in nu.ground.subsets():
-            for b in nu.ground.subsets():
-                if values[a | b] + values[a & b] < values[a] + values[b]:
-                    return False, ConvexityViolation(a, b)
-        return True, None
-    if method != "local":
-        raise ValueError(f"unknown convexity method {method!r}")
     for a in nu.ground.subsets():
         for i in range(n):
             bi = 1 << i
@@ -177,9 +167,8 @@ def _cover_lp(nu: Capacity, bound_mask: int) -> tuple[LinearProgram, list[int]]:
 
 
 def _cover_value(nu: Capacity, bound_mask: int):
-    # no cell guard here or in core_lp_feasible: _check_size is the size policy
     lp, members = _cover_lp(nu, bound_mask)
-    out = solve(lp, max_cells=None)
+    out = solve(lp)
     if out.status != OPTIMAL:
         raise InternalInconsistency("weighted-cover LP is always feasible and bounded")
     family_sets = []
@@ -204,13 +193,18 @@ def bondareva_value(nu: Capacity, bound_mask: int, *, allow_large: bool = False)
 # --- balancedness ----------------------------------------------------------------
 
 
-def _core_system_rows(nu: Capacity) -> tuple[Row, ...]:
+def _core_min_lp(nu: Capacity, subset: int) -> LinearProgram:
+    """min mu(subset) over the core as a general LP: the mass-one row, then one
+    row per nonempty proper subset in code order.  Subset 0 gives the
+    feasibility program of `core_lp_feasible`; `CoreSystem` solves the same
+    program without building it."""
     n = nu.ground.n
     rows = [Row((ONE,) * n, EQ, ONE)]
     for a in nu.ground.proper_nonempty_subsets():
         coeffs = tuple(ONE if a >> i & 1 else ZERO for i in range(n))
         rows.append(Row(coeffs, GE, nu[a]))
-    return tuple(rows)
+    objective = tuple(ONE if subset >> i & 1 else ZERO for i in range(n))
+    return LinearProgram("min", objective, tuple(rows), (NONNEG,) * n)
 
 
 def core_lp_feasible(nu: Capacity, *, allow_large: bool = False):
@@ -222,9 +216,12 @@ def core_lp_feasible(nu: Capacity, *, allow_large: bool = False):
     going through the weighted-cover side.
     """
     _check_size(nu, allow_large)
-    n = nu.ground.n
-    lp = LinearProgram("min", (ZERO,) * n, _core_system_rows(nu), (NONNEG,) * n)
-    out = solve(lp, max_cells=None)
+    return _core_feasible(nu)
+
+
+def _core_feasible(nu: Capacity):
+    """core_lp_feasible without the size check."""
+    out = solve(_core_min_lp(nu, 0))
     if out.status == OPTIMAL:
         return True, Measure(nu.ground, out.primal)
     if out.status != INFEASIBLE:
@@ -248,13 +245,13 @@ def is_balanced(nu: Capacity, *, allow_large: bool = False):
     Returns (True, core Measure) or (False, violating BalancedFamily).
     """
     _check_size(nu, allow_large)
-    return _balanced(nu, _cover_value(nu, nu.ground.full), allow_large)
+    return _balanced(nu, _cover_value(nu, nu.ground.full))
 
 
-def _balanced(nu: Capacity, full_cover, allow_large: bool):
+def _balanced(nu: Capacity, full_cover):
     """is_balanced with the full set's weighted-cover result already solved."""
     value, family = full_cover
-    feasible, witness = core_lp_feasible(nu, allow_large=allow_large)
+    feasible, witness = _core_feasible(nu)
     if (value == ONE) != feasible:
         raise InternalInconsistency(
             f"weighted-cover value {value} disagrees with core feasibility {feasible}",
@@ -267,14 +264,6 @@ def _balanced(nu: Capacity, full_cover, allow_large: bool):
 
 
 # --- exactness -------------------------------------------------------------------
-
-
-def _core_min_lp(nu: Capacity, subset: int) -> LinearProgram:
-    """min mu(subset) over the core as a general LP; `CoreSystem` solves the
-    same program without building it."""
-    n = nu.ground.n
-    objective = tuple(ONE if subset >> i & 1 else ZERO for i in range(n))
-    return LinearProgram("min", objective, _core_system_rows(nu), (NONNEG,) * n)
 
 
 def _core_system(nu: Capacity) -> CoreSystem:
@@ -361,7 +350,7 @@ def classify_full(nu: Capacity, *, allow_large: bool = False) -> ClassReport:
     convex, convex_w = is_convex(nu)
     _check_size(nu, allow_large)
     full_cover = _cover_value(nu, nu.ground.full)  # one solve serves all three
-    balanced, balanced_w = _balanced(nu, full_cover, allow_large)
+    balanced, balanced_w = _balanced(nu, full_cover)
     tb, tb_w = _totally_balanced(nu, full_cover)
     exact, exact_w = _exact(nu, full_cover)
     chain = (convex, exact, tb, balanced)

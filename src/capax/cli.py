@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .capacity import BalancedFamily, pushforward
-from .classify import ClassReport, ExactnessGap, classify_full
+from .classify import ClassReport, ExactnessGap, classify_full, is_balanced
 from .credal import lower_envelope
 from .errors import (
     CapaxError,
@@ -97,12 +97,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_core(args) -> int:
     nu = parse_game(Path(args.file).read_text(), strict=not args.lenient)
-    report = classify_full(nu)
-    if report.balanced:
-        sys.stdout.write(emit_measure(report.core_witness))
+    balanced, witness = is_balanced(nu)
+    if balanced:
+        sys.stdout.write(emit_measure(witness))
     else:
         print("core empty")
-        print(f"witness unbalanced-family {_family_text(report.unbalanced_witness)}")
+        print(f"witness unbalanced-family {_family_text(witness)}")
     return EXIT_OK
 
 

@@ -52,10 +52,6 @@ class ShapeMismatch(CapaxError):
     """LP instance and outcome (or rows and objective) disagree on dimensions."""
 
 
-class ProblemTooLarge(CapaxError):
-    """Dense LP instance exceeds the cell guard."""
-
-
 # --- classification / credal -------------------------------------------------
 
 

@@ -19,10 +19,9 @@ from .model import (
     linear_program,
     verify_outcome,
 )
-from .solver import DEFAULT_MAX_CELLS, solve, solve_dualized
+from .solver import solve, solve_dualized
 
 __all__ = [
-    "DEFAULT_MAX_CELLS",
     "CoreMinimum",
     "CoreSystem",
     "EQ",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import InternalInconsistency, ProblemTooLarge
+from ..errors import InternalInconsistency
 from ..ground import ONE, ZERO
 from . import _tableau_py
 from .model import (
@@ -29,26 +29,14 @@ from .model import (
     verify_outcome,
 )
 
-DEFAULT_MAX_CELLS = 5000
-
 _MINUS_ONE = Fraction(-1)
 
 
-def solve(lp: LinearProgram, *, max_cells: int | None = DEFAULT_MAX_CELLS) -> LpOutcome:
-    """Solve an exact LP; returns optimal/infeasible/unbounded with certificate.
-
-    `max_cells` guards against accidentally huge dense instances (rows times
-    variables of the instance as given); pass None to lift the guard for the
-    documented oversize-classification path.
-    """
+def solve(lp: LinearProgram) -> LpOutcome:
+    """Solve an exact LP; returns optimal/infeasible/unbounded with certificate."""
     n, m = lp.num_vars, lp.num_rows
     if n == 0:
         raise ValueError("LP needs at least one variable")
-    if max_cells is not None and n * max(m, 1) > max_cells:
-        raise ProblemTooLarge(
-            f"dense instance has {n * m} cells, above the guard of {max_cells}; "
-            "pass max_cells=None to override"
-        )
 
     maximizing = lp.sense == MAX_SENSE
     obj = list(lp.objective) if maximizing else [-c for c in lp.objective]
@@ -201,7 +189,7 @@ def _checked(lp: LinearProgram, outcome: LpOutcome) -> LpOutcome:
     return outcome
 
 
-def solve_dualized(lp: LinearProgram, *, max_cells: int | None = DEFAULT_MAX_CELLS) -> LpOutcome:
+def solve_dualized(lp: LinearProgram) -> LpOutcome:
     """Solve an LP through its dual: useful when the dual has far fewer rows.
 
     Requires the dual to be feasible (true whenever the primal is bounded in
@@ -211,7 +199,7 @@ def solve_dualized(lp: LinearProgram, *, max_cells: int | None = DEFAULT_MAX_CEL
     """
     _, flips = canonical_relations(lp)
     dual = dual_of(lp)
-    out = solve(dual, max_cells=max_cells)
+    out = solve(dual)
     if out.status == OPTIMAL:
         primal = out.dual
         dual_vals = tuple(f * y for f, y in zip(flips, out.primal))

@@ -1,6 +1,7 @@
 """Independent oracles used by the tests.
 
-Kept deliberately separate from the package: brute-force vertex enumeration
+Kept deliberately separate from the package: the all-pairs supermodularity
+scan (the definition `is_convex` shortcuts), brute-force vertex enumeration
 of core polytopes (no LP), the candidate-scan computation of the monad
 multiplication, and the core minimum through the general LP layer
 (`solve_dualized` of an explicitly built program, as capax computed it before
@@ -13,8 +14,19 @@ from fractions import Fraction
 from itertools import combinations
 
 from capax.capacity import Capacity
-from capax.classify import ExactnessGap
+from capax.classify import ConvexityViolation, ExactnessGap
 from capax.lp import EQ, GE, INFEASIBLE, NONNEG, LinearProgram, Row, solve_dualized
+
+
+def convex_all_pairs(nu: Capacity):
+    """Supermodularity by its definition: v(A|B) + v(A&B) >= v(A) + v(B) over
+    all pairs (A, B); returns (True, None) or (False, the first violating pair)."""
+    values = nu.values
+    for a in nu.ground.subsets():
+        for b in nu.ground.subsets():
+            if values[a | b] + values[a & b] < values[a] + values[b]:
+                return False, ConvexityViolation(a, b)
+    return True, None
 
 
 def gauss_solve(rows, n):
@@ -109,7 +121,7 @@ def dualized_core_min(n, masks, bounds, subset, sense="min"):
     """(value, x, y0, y_A) of the core LP through `solve_dualized`; None if the
     core is empty.  y0 and y_A are the multipliers of x(X) = 1 and of the
     mask rows, in mask order."""
-    out = solve_dualized(core_lp(n, masks, bounds, subset, sense), max_cells=None)
+    out = solve_dualized(core_lp(n, masks, bounds, subset, sense))
     if out.status == INFEASIBLE:
         return None
     return out.value, out.primal, out.dual[0], out.dual[1:]

@@ -1,6 +1,8 @@
+import warnings
 from fractions import Fraction as F
 
 import pytest
+from oracles import convex_all_pairs
 
 from capax.capacity import (
     Measure,
@@ -60,15 +62,11 @@ class TestConvex:
         for trial in range(500):
             n = 2 + trial % 5  # up to n = 6
             nu = random_monotone(GroundSet(n), rng.next_u64(), 4)
-            fast = is_convex(nu, method="local")
-            oracle = is_convex(nu, method="pairs")
+            fast = is_convex(nu)
+            oracle = convex_all_pairs(nu)
             assert fast[0] == oracle[0], trial
             if not fast[0]:
                 assert fast[1].verify(nu) and oracle[1].verify(nu)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            is_convex(dirac(0, g2), method="magic")
 
 
 class TestBondarevaValue:
@@ -258,6 +256,15 @@ class TestClassifyFull:
     def test_allow_large_warns(self):
         with pytest.warns(RuntimeWarning):
             assert is_balanced(dirac(0, GroundSet(9)), allow_large=True)[0]
+
+    @pytest.mark.parametrize("call", [is_balanced, classify_full, core_lp_feasible])
+    def test_allow_large_warns_once_at_the_caller(self, call):
+        vacuous = new_capacity(GroundSet(9), {}, strict=False)  # cheap LPs at n = 9
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(vacuous, allow_large=True)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert caught[0].filename == __file__
 
 
 class TestMixtureClosure:

@@ -2,14 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from capax import search
+from capax import classify, search
 from capax.capacity import Measure, new_capacity
-from capax.cli import main
+from capax.cli import _family_text, main
 from capax.credal import CredalSet
 from capax.gamefiles import (
     emit_credal,
     emit_game,
     emit_map,
+    emit_measure,
     emit_second,
     parse_game,
     parse_measure,
@@ -97,6 +98,30 @@ class TestCoreCommand:
         assert code == 0
         assert out.splitlines()[0] == "core empty"
         assert "unbalanced-family" in out
+
+    def test_prints_the_is_balanced_witness_from_one_cover_lp(
+            self, capsys, tmp_path, monkeypatch, nustar_file):
+        unbalanced = tmp_path / "unbal.game"
+        unbalanced.write_text("ground 2\nv {0} = 9/10\nv {1} = 9/10\n")
+        solved = []
+        original = classify._cover_value
+
+        def counted(nu, bound_mask):
+            solved.append(bound_mask)
+            return original(nu, bound_mask)
+
+        for path in (nustar_file, unbalanced):
+            nu = parse_game(path.read_text())
+            balanced, witness = classify.is_balanced(nu)
+            expected = (emit_measure(witness) if balanced else
+                        f"core empty\nwitness unbalanced-family {_family_text(witness)}\n")
+            monkeypatch.setattr(classify, "_cover_value", counted)
+            solved.clear()
+            code, out, _ = run(capsys, "core", path)
+            monkeypatch.undo()
+            assert code == 0
+            assert solved == [nu.ground.full]
+            assert out == expected
 
 
 class TestEnvelopeCommand:
