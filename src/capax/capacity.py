@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -111,12 +112,14 @@ def new_capacity(ground: GroundSet, assignments: Mapping[int, Fraction],
     return Capacity(ground, table)  # full validation happens here
 
 
-def _monotone_closure(ground: GroundSet, raw: list[Fraction]) -> list[Fraction]:
+def _monotone_closure(ground: GroundSet, raw: list) -> list:
     """v(A) = max(raw(A), v(A - i) for i in A): the largest raw value over
-    subsets of A, computed in ascending subset-code order; v(empty) = 0."""
-    values = [ZERO] * ground.table_size
+    subsets of A, computed in ascending subset-code order; v(empty) =
+    raw(empty), which callers set to 0.  Any ordered values serve: Fractions,
+    or the integer grid numerators of `grid_table`."""
+    values = list(raw)
     for mask in ground.nonempty_subsets():
-        best = raw[mask]
+        best = values[mask]
         for i in range(ground.n):
             bit = 1 << i
             if mask & bit and values[mask & ~bit] > best:
@@ -219,7 +222,7 @@ def measure_pushforward(f: PointMap, mu: Measure) -> Measure:
     return Measure(f.codomain, weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BalancedFamily:
     """Weighted family of subsets with nonnegative weights.
 
@@ -265,21 +268,40 @@ class BalancedFamily:
 
 
 def random_monotone(ground: GroundSet, seed: int, grid: int) -> Capacity:
-    """Deterministic random capacity.
+    """Deterministic random capacity: `grid_table` over `grid`.
 
-    Draws one raw value from {0, 1/grid, ..., 1} per nonempty proper subset in
-    ascending subset-code order (the full set is pinned to 1 and consumes no
-    draw), then takes the monotone closure v(A) = max of raw values over
-    subsets of A.  Same (seed, n, grid) always yields the same table.
+    Same (seed, n, grid) always yields the same table.  Values are shared
+    Fractions from one tuple per grid, so many capacities drawn on one grid
+    hold only grid + 1 distinct value objects between them.
+    """
+    table = grid_table(ground, seed, grid)
+    fractions = _grid_fractions(grid)
+    return Capacity(ground, [fractions[k] for k in table])
+
+
+def grid_table(ground: GroundSet, seed: int, grid: int) -> list[int]:
+    """The table of `random_monotone` as numerators over `grid`.
+
+    Draws one raw numerator from 0..grid per nonempty proper subset in
+    ascending subset-code order (the full set is pinned to grid and consumes
+    no draw), then takes the monotone closure v(A) = max of raw values over
+    subsets of A.  Integers only, so a caller can screen a draw before any
+    Fraction exists.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
     rng = SplitMix64(seed)
-    raw = [ZERO] * ground.table_size
+    raw = [0] * ground.table_size
     for mask in ground.proper_nonempty_subsets():
-        raw[mask] = rng.next_grid_fraction(grid)
-    raw[ground.full] = ONE
-    return Capacity(ground, _monotone_closure(ground, raw))
+        raw[mask] = rng.next_below(grid + 1)
+    raw[ground.full] = grid
+    return _monotone_closure(ground, raw)
+
+
+@lru_cache(maxsize=None)
+def _grid_fractions(grid: int) -> tuple[Fraction, ...]:
+    """0, 1/grid, ..., 1: the values of every capacity drawn on this grid."""
+    return tuple(Fraction(k, grid) for k in range(grid + 1))
 
 
 def random_convex_mixture(ground: GroundSet, seed: int, grid: int) -> Capacity:

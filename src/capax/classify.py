@@ -26,7 +26,8 @@ from fractions import Fraction
 from .capacity import BalancedFamily, Capacity, Measure
 from .errors import ConfigOutOfRange, EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, subset_indices
-from .lp import EQ, GE, LE, INFEASIBLE, OPTIMAL, CoreSystem, Row, LinearProgram, NONNEG
+from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, CoreSystem, Row, LinearProgram, NONNEG,
+                 cover_maximum)
 # solve_dualized stays importable here for tools that hook LP solves per module
 from .lp.solver import solve, solve_dualized  # noqa: F401
 
@@ -52,7 +53,7 @@ def _check_size(nu: Capacity, allow_large: bool):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvexityViolation:
     """Pair with v(A|B) + v(A&B) < v(A) + v(B)."""
 
@@ -64,7 +65,7 @@ class ConvexityViolation:
         return nu[a | b] + nu[a & b] < nu[a] + nu[b]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactnessGap:
     """Certificate that min { mu(B) : mu in core } > v(B).
 
@@ -90,7 +91,7 @@ class ExactnessGap:
         return attained == self.bound and self.bound > nu[self.subset]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TotalBalanceFailure:
     subset: int
     family: BalancedFamily
@@ -99,7 +100,7 @@ class TotalBalanceFailure:
         return self.family.violates(nu, self.subset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassReport:
     convex: bool
     exact: bool
@@ -153,7 +154,8 @@ def is_convex(nu: Capacity):
 def _cover_lp(nu: Capacity, bound_mask: int) -> tuple[LinearProgram, list[int]]:
     """max sum lam_A v(A) over lam >= 0 with sum lam_A char(A) <= char(B),
     A ranging over nonempty subsets of B; coordinates outside B are vacuous
-    and dropped."""
+    and dropped.  The weighted cover as a general LP: `_cover_value` solves
+    the same program from masks, and the tests compare the two."""
     members = [mask for mask in nu.ground.nonempty_subsets()
                if mask & ~bound_mask == 0]
     points = subset_indices(bound_mask)
@@ -167,17 +169,9 @@ def _cover_lp(nu: Capacity, bound_mask: int) -> tuple[LinearProgram, list[int]]:
 
 
 def _cover_value(nu: Capacity, bound_mask: int):
-    lp, members = _cover_lp(nu, bound_mask)
-    out = solve(lp)
-    if out.status != OPTIMAL:
-        raise InternalInconsistency("weighted-cover LP is always feasible and bounded")
-    family_sets = []
-    family_weights = []
-    for a, lam in zip(members, out.primal):
-        if lam != 0:
-            family_sets.append(a)
-            family_weights.append(lam)
-    return out.value, BalancedFamily(tuple(family_sets), tuple(family_weights))
+    """The weighted-cover value of B and a family attaining it."""
+    best = cover_maximum(nu.values, bound_mask)
+    return best.value, BalancedFamily(best.sets, best.weights)
 
 
 def bondareva_value(nu: Capacity, bound_mask: int, *, allow_large: bool = False) -> Fraction:

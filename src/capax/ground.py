@@ -46,7 +46,7 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundSet:
     """Finite ground set with points 0..n-1."""
 

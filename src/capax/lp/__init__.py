@@ -1,6 +1,6 @@
 """Exact rational linear programming with verifiable certificates."""
 
-from .core import CoreMinimum, CoreSystem
+from .core import CoreMinimum, CoreSystem, CoverMaximum, cover_certifies, cover_maximum
 from .model import (
     EQ,
     FREE,
@@ -24,6 +24,7 @@ from .solver import solve, solve_dualized
 __all__ = [
     "CoreMinimum",
     "CoreSystem",
+    "CoverMaximum",
     "EQ",
     "FREE",
     "GE",
@@ -37,6 +38,8 @@ __all__ = [
     "LinearProgram",
     "LpOutcome",
     "Row",
+    "cover_certifies",
+    "cover_maximum",
     "dual_of",
     "linear_program",
     "solve",

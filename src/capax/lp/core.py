@@ -1,23 +1,39 @@
-"""The core system {x >= 0, x(X) = 1, x(A) >= b_A} as one checked oracle.
+"""The two LP shapes capax solves, each from subset masks with one integer check.
 
-Every core computation in capax minimises a subset mass x(B) over such a
-system: exactness tests, lower envelopes of the core, constraint-form credal
-sets.  `CoreSystem` holds the system once, as subset masks, and answers
-`minimum(B)` by solving the dual
+Every LP in capax is a 0/1 set system over n points: a weight per subset, a
+row per point, right-hand sides 0 or 1.  It comes in two shapes.
 
-    max y0 + sum_A b_A y_A   s.t.  y0 + sum_{A contains j} y_A <= [j in B]
-                                   for every point j;  y0 free, y_A >= 0,
+* The **core system** {x >= 0, x(X) = 1, x(A) >= b_A}.  Exactness tests,
+  lower envelopes of the core and constraint-form credal sets all minimise a
+  subset mass x(B) over it.  `CoreSystem.minimum(B)` solves the dual
 
-whose tableau has one row per point.  The right-hand sides are 0 or 1, so the
-slack basis is feasible and no phase 1 runs.  Columns are y0+, y0-, the y_A
-in mask order and the slacks: the very tableau `solve(dual_of(lp))` builds
-for the same system, so Bland's rule takes the same pivots and every value,
-point and multiplier equals what `solve_dualized` returns.
+      max y0 + sum_A b_A y_A   s.t.  y0 + sum_{A contains j} y_A <= [j in B]
+                                     for every point j;  y0 free, y_A >= 0.
 
-Each outcome is checked once, by integer arithmetic over subset masks, before
-it leaves; a failed check raises `InternalInconsistency` (a solver bug, never
-data).  An unbounded dual means an empty core; its ray is checked as a Farkas
-certificate before `CoreEmpty` is raised.
+* The **weighted cover** of a subset B (Bondareva's LP, the balancedness of
+  the subgame on B).  `cover_maximum(values, B)` solves
+
+      max sum_A lam_A v(A)   s.t.  sum_{A contains j} lam_A <= 1
+                                   for every point j of B;  lam_A >= 0,
+
+  A ranging over the nonempty subsets of B: the core-system dual without the
+  y0 columns, with every right-hand side 1.
+
+Both tableaux have one row per point and a feasible slack basis, so no
+phase 1 runs.  Columns are the structural ones (y0+, y0-, the y_A in mask
+order; or the lam_A in subset-code order), then the slacks: the very tableau
+the generic `solve` builds for the same program, so Bland's rule takes the
+same pivots and every value, point and multiplier equals what `solve` (of
+the dual, for the core system) returns.
+
+Each outcome is checked once, by integer arithmetic over subset masks,
+before it leaves: the primal weights are nonnegative and load no point
+beyond its right-hand side, the point read from the slack reduced costs meets
+every bound, checked on all subset masses at once by one prefix walk, and the
+two objective values agree.  A failed check raises `InternalInconsistency`
+(a solver bug, never data).  An unbounded core-system dual means an empty
+core; its ray is checked as a Farkas certificate before `CoreEmpty` is
+raised.  The weighted cover is always feasible and bounded.
 
 `attains(B)` answers the common question "is min x(B) equal to the bound of
 B?" without an LP whenever it can: one core point x with x(B) = b_B proves it,
@@ -37,6 +53,45 @@ from math import lcm
 from ..errors import CoreEmpty, GroundMismatch, InternalInconsistency, ShapeMismatch
 from ..ground import ONE, ZERO, subset_indices
 from . import _tableau_py
+
+
+def _slack_tableau(rows, rhs, costs) -> _tableau_py.Tableau:
+    """max costs . z over z >= 0 with rows . z <= rhs (rhs >= 0), a slack
+    appended per row and basic, the objective installed."""
+    m = len(rows)
+    width = len(costs)
+    matrix = [[*row, *(int(i == j) for i in range(m)), r]
+              for j, (row, r) in enumerate(zip(rows, rhs))]
+    tab = _tableau_py.Tableau(matrix, range(width, width + m), width + m)
+    tab.set_objective([*costs, *(ZERO,) * m])
+    return tab
+
+
+def _mass_table(x, within: int):
+    """(den, mass) with mass[S] = den * x(S) for every subset S of `within`,
+    den the common denominator of x, from one prefix walk over the submasks
+    in ascending order; None when some x_j is negative."""
+    den = lcm(*(q.denominator for q in x))
+    ints = [q.numerator * (den // q.denominator) for q in x]
+    if any(v < 0 for v in ints):
+        return None
+    mass = [0] * (within + 1)
+    s = 0
+    while s != within:
+        s = (s - within) & within
+        low = s & -s
+        mass[s] = mass[s ^ low] + ints[low.bit_length() - 1]
+    return den, mass
+
+
+def _submasks(bound: int) -> list[int]:
+    """The nonempty subsets of `bound`, in ascending subset-code order."""
+    out = []
+    s = 0
+    while s != bound:
+        s = (s - bound) & bound
+        out.append(s)
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,10 +124,9 @@ class CoreSystem:
         self.n = n
         self.masks = masks
         self.bounds = bounds
-        # dual rows without their right-hand side, in columns y0+, y0-, y_A, slacks
-        self._rows = [[1, -1, *(a >> j & 1 for a in masks), *(int(i == j) for i in range(n))]
-                      for j in range(n)]
-        self._costs = [ONE, -ONE, *bounds, *(ZERO,) * n]
+        # structural dual columns y0+, y0-, y_A of each point's row
+        self._rows = [[1, -1, *(a >> j & 1 for a in masks)] for j in range(n)]
+        self._costs = [ONE, -ONE, *bounds]
         # largest bound per mask: the only one a core point can meet with equality
         top = self._top = {}
         for a, b in zip(masks, bounds):
@@ -88,11 +142,8 @@ class CoreSystem:
         n, k = self.n, len(self.masks)
         if not 0 <= subset < 1 << n:
             raise GroundMismatch(f"subset code {subset:#b} not valid over {n} points")
-        ncols = 2 + k + n
-        matrix = [row + [subset >> j & 1] for j, row in enumerate(self._rows)]
-        tab = _tableau_py.Tableau(matrix, range(2 + k, ncols), ncols)
-        tab.set_objective(self._costs)
-        status, enter = tab.run([1] * ncols)
+        tab = _slack_tableau(self._rows, [subset >> j & 1 for j in range(n)], self._costs)
+        status, enter = tab.run([1] * tab.ncols)
         if status == _tableau_py.UNBOUNDED:
             self._raise_empty(tab, enter)
         sol = tab.solution()
@@ -186,15 +237,10 @@ class CoreSystem:
         """(den, mass) with mass[S] = den * x(S) for all 2^n subsets S, den the
         common denominator of x, when x is a core point: x >= 0, x(X) = 1 and
         every bound holds.  None otherwise.  Masses come from one prefix walk."""
-        n = self.n
-        den = lcm(*(q.denominator for q in x))
-        ints = [q.numerator * (den // q.denominator) for q in x]
-        if any(v < 0 for v in ints):
+        table = _mass_table(x, (1 << self.n) - 1)
+        if table is None:
             return None
-        mass = [0] * (1 << n)
-        for s in range(1, 1 << n):
-            low = s & -s
-            mass[s] = mass[s ^ low] + ints[low.bit_length() - 1]
+        den, mass = table
         if mass[-1] != den:
             return None
         for a, b in zip(self.masks, self.bounds):
@@ -244,3 +290,88 @@ class CoreSystem:
         if not self.refutes(shift, multipliers):
             raise InternalInconsistency("empty-core ray fails its Farkas check", shift, multipliers)
         raise CoreEmpty("the core system has no solution")
+
+
+@dataclass(frozen=True)
+class CoverMaximum:
+    """The weighted-cover value of a subset B with both halves of its
+    certificate."""
+
+    value: Fraction
+    sets: tuple[int, ...]  # the A with lam_A > 0, in subset-code order
+    weights: tuple[Fraction, ...]  # their lam_A
+    point: tuple[Fraction, ...]  # a dual y, one weight per point, 0 off B
+
+
+def cover_maximum(values, bound: int) -> CoverMaximum:
+    """The weighted-cover LP of `bound` for the set function `values`, a
+    table indexed by subset code over n points (2^n entries)."""
+    n = len(values).bit_length() - 1
+    if not 0 < bound < 1 << n:
+        raise GroundMismatch(f"subset code {bound:#b} not a nonempty subset of {n} points")
+    members = _submasks(bound)
+    points = subset_indices(bound)
+    tab = _slack_tableau([[a >> j & 1 for a in members] for j in points],
+                         [1] * len(points), [values[a] for a in members])
+    status, _ = tab.run([1] * tab.ncols)
+    if status != _tableau_py.OPTIMAL:
+        raise InternalInconsistency("weighted-cover LP is always feasible and bounded")
+    k = len(members)
+    lam = tab.solution()[:k]
+    reduced = tab.reduced_costs()
+    point = [ZERO] * n
+    for i, j in enumerate(points):
+        point[j] = -reduced[k + i]
+    best = CoverMaximum(
+        value=tab.value(),
+        sets=tuple(a for a, w in zip(members, lam) if w),
+        weights=tuple(w for w in lam if w),
+        point=tuple(point),
+    )
+    if not cover_certifies(values, bound, best):
+        raise InternalInconsistency(
+            f"weighted cover of subset {bound:#b} has a failing certificate", best
+        )
+    return best
+
+
+def cover_certifies(values, bound: int, best: CoverMaximum) -> bool:
+    """Exact check that `best` is optimal for the weighted cover of `bound`;
+    never solves.
+
+    Primal side: every set a nonempty subset of `bound`, every weight
+    positive, and each point's load sum_{A contains j} lam_A at most 1.
+    Dual side: y >= 0 and 0 off `bound`, and y(A) >= values[A] for every
+    nonempty subset A of `bound`, by one prefix walk.  Both objectives,
+    sum_A lam_A values[A] and y(bound), equal the value.
+    """
+    n = len(values).bit_length() - 1
+    value = best.value
+    if len(best.sets) != len(best.weights) or len(best.point) != n:
+        raise ShapeMismatch("cover certificate length mismatch")
+    if any(w <= 0 for w in best.weights) or \
+            any(a == 0 or a & ~bound for a in best.sets):
+        return False
+    den = lcm(*(w.denominator for w in best.weights))
+    load = [0] * n
+    for a, w in zip(best.sets, best.weights):
+        share = w.numerator * (den // w.denominator)
+        for j in subset_indices(a):
+            load[j] += share
+    if any(v > den for v in load):
+        return False
+    if sum((w * values[a] for a, w in zip(best.sets, best.weights)), ZERO) != value:
+        return False
+    if any(q for j, q in enumerate(best.point) if not bound >> j & 1):
+        return False
+    table = _mass_table(best.point, bound)
+    if table is None:
+        return False
+    den, mass = table
+    if mass[bound] * value.denominator != value.numerator * den:
+        return False
+    for a in _submasks(bound):
+        b = values[a]
+        if mass[a] * b.denominator < b.numerator * den:
+            return False
+    return True

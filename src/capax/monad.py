@@ -30,7 +30,7 @@ from .errors import GroundMismatch
 from .ground import ONE, ZERO, GroundSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecondOrderCapacity:
     """Finitely supported capacity on the space of capacities over `ground`.
 

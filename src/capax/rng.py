@@ -16,8 +16,6 @@ irrelevant at fixture scale and keeps the contract one line long.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -44,12 +42,6 @@ class SplitMix64:
         if bound <= 0:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
-
-    def next_grid_fraction(self, grid: int) -> Fraction:
-        """Draw from {0, 1/grid, 2/grid, ..., 1}."""
-        if grid < 1:
-            raise ValueError("grid must be >= 1")
-        return Fraction(self.next_below(grid + 1), grid)
 
     def spawn(self) -> "SplitMix64":
         """Child stream seeded by the next output (the splittable-RNG idiom)."""

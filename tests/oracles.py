@@ -3,11 +3,12 @@
 Kept deliberately separate from the package: the all-pairs supermodularity
 scan (the definition `is_convex` shortcuts), brute-force vertex enumeration
 of core polytopes (no LP), the candidate-scan computation of the monad
-multiplication, and the core minimum through the general LP layer
+multiplication, the core minimum through the general LP layer
 (`solve_dualized` of an explicitly built program, as capax computed it before
-`CoreSystem`).  These re-derive the quantities the package computes through
-simplex pivots or breakpoint walks, by slower but structurally unrelated
-means.
+`CoreSystem`), and `random_monotone` drawn as Fractions, as capax drew it
+before it drew grid numerators.  These re-derive the quantities the package
+computes through simplex pivots or breakpoint walks, by slower but
+structurally unrelated means.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from itertools import combinations
 from capax.capacity import Capacity
 from capax.classify import ConvexityViolation, ExactnessGap
 from capax.lp import EQ, GE, INFEASIBLE, NONNEG, LinearProgram, Row, solve_dualized
+from capax.rng import SplitMix64
 
 
 def convex_all_pairs(nu: Capacity):
@@ -137,3 +139,17 @@ def reference_is_exact(nu: Capacity):
             coeffs = tuple((a, w) for a, w in zip(masks, ys) if w != 0)
             return False, ExactnessGap(subset, value, shift, coeffs)
     return True, None
+
+
+def random_monotone_fractions(ground, seed: int, grid: int) -> list[Fraction]:
+    """The table of `random_monotone(ground, seed, grid)`: one draw k/grid per
+    nonempty proper subset in ascending code order from the same splitmix64
+    stream, the full set 1, then v(A) = the largest raw value over all
+    subsets of A, by brute force."""
+    rng = SplitMix64(seed)
+    raw = [Fraction(0)] * ground.table_size
+    for mask in ground.proper_nonempty_subsets():
+        raw[mask] = Fraction(rng.next_u64() % (grid + 1), grid)
+    raw[ground.full] = Fraction(1)
+    return [max(raw[s] for s in ground.subsets() if s & ~mask == 0)
+            for mask in ground.subsets()]

@@ -1,0 +1,174 @@
+"""cover_maximum, the weighted-cover LP behind balancedness and total
+balancedness, against the general LP it replaced, and its certificate check."""
+
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from capax import classify
+from capax.capacity import (
+    BalancedFamily,
+    Capacity,
+    random_convex_mixture,
+    random_monotone,
+)
+from capax.classify import _cover_lp, _cover_value, is_totally_balanced
+from capax.credal import lower_envelope, random_credal
+from capax.errors import GroundMismatch, InternalInconsistency, ShapeMismatch
+from capax.ground import GroundSet, subset_indices
+from capax.lp import OPTIMAL, cover_certifies, cover_maximum, solve
+from capax.lp import core as core_module
+from capax.lp import solver
+from capax.lp._tableau_py import Tableau
+from capax.rng import SplitMix64
+
+
+def capacities(n, seed):
+    """A random monotone, a convex and an exact capacity on n points."""
+    g = GroundSet(n)
+    rng = SplitMix64(seed)
+    return [random_monotone(g, rng.next_u64(), 6),
+            random_convex_mixture(g, rng.next_u64(), 6),
+            lower_envelope(random_credal(g, rng, n + 1, 8))]
+
+
+def table(*values):
+    return [F(v) for v in values]
+
+
+class TestAgainstGeneralLp:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_subset(self, n):
+        for seed in range(2 if n < 6 else 1):
+            for nu in capacities(n, 10 * n + seed):
+                for bound in nu.ground.nonempty_subsets():
+                    lp, members = _cover_lp(nu, bound)
+                    out = solve(lp)
+                    assert out.status == OPTIMAL
+                    best = cover_maximum(nu.values, bound)
+                    assert best.value == out.value
+                    assert tuple(best.point[j] for j in subset_indices(bound)) == out.dual
+                    family = BalancedFamily(
+                        tuple(a for a, w in zip(members, out.primal) if w),
+                        tuple(w for w in out.primal if w),
+                    )
+                    assert _cover_value(nu, bound) == (out.value, family)
+
+
+class TestCertificates:
+    # an additive game: the only optimal dual point is the measure itself
+    additive = table(0, F(1, 2), F(1, 2), 1)
+    # point 0 alone is worth nothing, so weight on {0} leaves the objective
+    null_point = table(0, 0, F(1, 2), 1)
+
+    def test_genuine_certificates_pass(self):
+        for values in (self.additive, self.null_point):
+            for bound in (1, 2, 3):
+                assert cover_certifies(values, bound, cover_maximum(values, bound))
+
+    def test_dual_point_below_a_bound_fails(self):
+        best = cover_maximum(self.additive, 0b11)
+        assert best.point == (F(1, 2), F(1, 2))
+        # y(B) and y >= 0 still hold; y({0}) = 1/4 < 1/2 does not
+        assert not cover_certifies(self.additive, 0b11,
+                                   replace(best, point=(F(1, 4), F(3, 4))))
+
+    def test_negative_dual_point_fails(self):
+        best = cover_maximum(self.additive, 0b11)
+        assert not cover_certifies(self.additive, 0b11,
+                                   replace(best, point=(F(-1, 2), F(3, 2))))
+
+    def test_dual_point_off_the_bound_fails(self):
+        best = cover_maximum(self.additive, 0b01)
+        assert best.point == (F(1, 2), 0)
+        assert not cover_certifies(self.additive, 0b01,
+                                   replace(best, point=(F(1, 2), F(1, 4))))
+
+    def test_overloaded_point_fails(self):
+        best = cover_maximum(self.null_point, 0b11)
+        assert 0b01 not in best.sets
+        # one more unit on {0}: same objective, but point 0 carries load 2
+        loaded = replace(best, sets=(*best.sets, 0b01), weights=(*best.weights, F(1)))
+        assert not cover_certifies(self.null_point, 0b11, loaded)
+
+    def test_negative_weight_fails(self):
+        best = cover_maximum(self.null_point, 0b11)
+        negative = replace(best, sets=(*best.sets, 0b01), weights=(*best.weights, F(-1)))
+        assert not cover_certifies(self.null_point, 0b11, negative)
+
+    def test_set_outside_the_bound_fails(self):
+        values = table(0, F(1, 2), 0, 1)
+        best = cover_maximum(values, 0b01)
+        outside = replace(best, sets=(*best.sets, 0b10), weights=(*best.weights, F(1)))
+        assert not cover_certifies(values, 0b01, outside)
+
+    def test_tampered_weight_fails(self):
+        best = cover_maximum(self.additive, 0b11)
+        assert best.sets == (0b01, 0b10)
+        lighter = replace(best, weights=(best.weights[0] - F(1, 3), *best.weights[1:]))
+        assert not cover_certifies(self.additive, 0b11, lighter)
+
+    def test_tampered_value_fails(self):
+        best = cover_maximum(self.additive, 0b11)
+        assert not cover_certifies(self.additive, 0b11, replace(best, value=best.value + F(1, 9)))
+
+    def test_length_mismatch_raises(self):
+        best = cover_maximum(self.additive, 0b11)
+        with pytest.raises(ShapeMismatch):
+            cover_certifies(self.additive, 0b11, replace(best, point=(F(1),)))
+        with pytest.raises(ShapeMismatch):
+            cover_certifies(self.additive, 0b11, replace(best, weights=(F(1),)))
+
+    def test_invalid_bound_raises(self):
+        for bound in (0, 4, -1):
+            with pytest.raises(GroundMismatch):
+                cover_maximum(self.additive, bound)
+
+    def test_raises_on_a_tampered_dual(self, monkeypatch):
+        class Skewed(Tableau):
+            __slots__ = ()
+
+            def reduced_costs(self):
+                costs = super().reduced_costs()
+                costs[-1] -= F(1, 3)  # the last point's dual weight grows by 1/3
+                return costs
+
+        monkeypatch.setattr(core_module._tableau_py, "Tableau", Skewed)
+        with pytest.raises(InternalInconsistency):
+            cover_maximum(random_monotone(GroundSet(3), 5, 6).values, 0b111)
+
+    def test_raises_on_a_tampered_primal(self, monkeypatch):
+        class Skewed(Tableau):
+            __slots__ = ()
+
+            def solution(self):
+                sol = super().solution()
+                sol[0] += F(1, 5)  # lam of the first member grows by 1/5
+                return sol
+
+        monkeypatch.setattr(core_module._tableau_py, "Tableau", Skewed)
+        with pytest.raises(InternalInconsistency):
+            cover_maximum(random_monotone(GroundSet(3), 5, 6).values, 0b111)
+
+
+class TestLpCounts:
+    def test_totally_balanced_runs_no_generic_solve(self, monkeypatch):
+        calls = []
+        original = solver.solve
+
+        def counted(lp):
+            calls.append(lp)
+            return original(lp)
+
+        monkeypatch.setattr(solver, "solve", counted)
+        monkeypatch.setattr(classify, "solve", counted)
+        verdicts = set()
+        for n in range(2, 7):
+            for nu in capacities(n, n):
+                verdicts.add(is_totally_balanced(nu)[0])
+        assert verdicts == {True, False}
+        assert calls == []
+        nu = Capacity(GroundSet(2), table(0, F(1, 2), F(1, 2), 1))
+        classify.classify_full(nu)
+        assert len(calls) == 1  # core_lp_feasible, the balancedness cross-check

@@ -1,7 +1,9 @@
 """Byte-identity pins for outputs that refactors of the LP layer must not move.
 
-The hashes were recorded on the commit before the core-system oracle replaced
-the dualized core LPs.  A change that alters any pinned output (a different
+The first three hashes were recorded on the commit before the core-system
+oracle replaced the dualized core LPs, the totally balanced search pin on the
+commit before the generator's superadditivity screen and the mask-native
+weighted-cover LP.  A change that alters any pinned output (a different
 vertex of the core, other dual multipliers, another failing subset) shows up
 here; such a change has to bump the report version and re-record the pins
 on purpose.
@@ -20,6 +22,7 @@ from capax.ground import GroundSet
 from capax.search import SearchConfig, machine_report, problem1_search
 
 SEARCH_SHA256 = "229d26072f075fddfb9c83c96d3d0b8f47213c01a186bbfbfdb5f2a4be2e16da"
+TB_SEARCH_SHA256 = "8240550dbd2dd05ca244b7c61032ff2379cf7ff5ec5b7e657e62e78f86e69aa8"
 SELFTEST_SHA256 = "110455ba5c36cc70cf2730798aa2414e3c16adfcab4dbb342846a8840bb78f19"
 CORE_SHA256 = "ba9b6c3dc992bde14b327b45f20742cb9faa64244afde5f315a97929faa37f72"
 
@@ -31,6 +34,12 @@ def _sha256(text: str) -> str:
 def search_text() -> str:
     config = SearchConfig(n=4, support_size=4, target_class="exact",
                           seed_start=0, seed_end=9)
+    return machine_report(problem1_search(config))
+
+
+def tb_search_text() -> str:
+    config = SearchConfig(n=3, support_size=3, target_class="totally_balanced",
+                          seed_start=0, seed_end=19)
     return machine_report(problem1_search(config))
 
 
@@ -64,6 +73,10 @@ def core_text() -> str:
 
 def test_search_machine_report_is_pinned():
     assert _sha256(search_text()) == SEARCH_SHA256
+
+
+def test_totally_balanced_search_machine_report_is_pinned():
+    assert _sha256(tb_search_text()) == TB_SEARCH_SHA256
 
 
 def test_selftest_output_is_pinned():

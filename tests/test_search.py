@@ -1,9 +1,17 @@
+from fractions import Fraction
+
 import pytest
 
+from oracles import random_monotone_fractions
+
+from capax import search
+from capax.capacity import Capacity, grid_table, random_convex_mixture, random_monotone
 from capax.classify import is_exact, is_totally_balanced
 from capax.errors import ConfigOutOfRange
 from capax.gamefiles import emit_second
+from capax.ground import GroundSet, subset_indices
 from capax.monad import monad_mul
+from capax.rng import SplitMix64
 from capax.search import (
     SearchConfig,
     build_second_order,
@@ -59,6 +67,79 @@ class TestGeneration:
         c2tb = build_second_order(cfg_tb, 2)
         assert all(is_totally_balanced(nu)[0] for nu in c2tb.support)
         assert is_totally_balanced(c2tb.game)[0]
+
+
+def market_game(ground, rng, games, grid):
+    """The minimum of `games` nonnegative additive games, normalised: a
+    totally balanced capacity (Shapley & Shubik, JET 1969)."""
+    while True:
+        weights = [[rng.next_below(grid + 1) for _ in ground.points()] for _ in range(games)]
+        top = min(sum(w) for w in weights)
+        if top:
+            break
+    return Capacity(ground, [
+        Fraction(min(sum(w[j] for j in subset_indices(a)) for w in weights), top)
+        for a in ground.subsets()
+    ])
+
+
+class TestSuperadditivityScreen:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_never_rejects_a_totally_balanced_capacity(self, n):
+        g = GroundSet(n)
+        rng = SplitMix64(100 + n)
+        accepted = {"monotone": 0, "convex": 0, "market": 0}
+        for i in range(40 if n <= 3 else 12):
+            seed = rng.next_u64()
+            assert search._superadditive(grid_table(g, seed, 6)) == \
+                search._superadditive(random_monotone(g, seed, 6).values)
+            market = market_game(g, rng, 1 + i % 3, 6)
+            assert is_totally_balanced(market)[0]
+            for kind, nu in (("monotone", random_monotone(g, seed, 6)),
+                             ("convex", random_convex_mixture(g, seed, 6)),
+                             ("market", market)):
+                if is_totally_balanced(nu)[0]:
+                    accepted[kind] += 1
+                    assert search._superadditive(nu.values), nu
+        assert accepted["convex"] and accepted["market"]
+        if n <= 3:
+            assert accepted["monotone"]
+
+    def test_rejects_a_subadditive_table(self):
+        assert not search._superadditive([0, 2, 2, 3])
+        assert search._superadditive([0, 1, 2, 3])
+        assert search._superadditive([0, 1])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_grid_table_is_the_fraction_draw(self, n):
+        g = GroundSet(n)
+        for grid in range(1, 17):
+            for seed in (grid, 7919 * n + grid):
+                expected = random_monotone_fractions(g, seed, grid)
+                assert [Fraction(k, grid) for k in grid_table(g, seed, grid)] == expected
+                assert list(random_monotone(g, seed, grid).values) == expected
+
+    def test_generator_solves_only_screened_draws(self, monkeypatch):
+        screened, tested = [], []
+        screen, predicate = search._superadditive, search.is_totally_balanced
+
+        def counted_screen(values):
+            screened.append(screen(values))
+            return screened[-1]
+
+        def counted_predicate(nu, **kwargs):
+            tested.append(nu)
+            return predicate(nu, **kwargs)
+
+        monkeypatch.setattr(search, "_superadditive", counted_screen)
+        monkeypatch.setattr(search, "is_totally_balanced", counted_predicate)
+        cfg = SearchConfig(n=3, support_size=3, target_class="totally_balanced",
+                           seed_start=0, seed_end=19)
+        for seed in cfg.seeds:
+            build_second_order(cfg, seed)
+        assert len(tested) == sum(screened)
+        assert all(screen(nu.values) for nu in tested)
+        assert len(screened) > 10 * len(tested)  # the screen rejects most draws
 
 
 class TestUnitSizeSearch:
