@@ -15,6 +15,14 @@ Balancedness is decided through two independent routes (the weighted-cover
 LP value at the full set, and direct feasibility of the core system) which
 must agree; disagreement raises InternalInconsistency since it can only be a
 solver bug.
+
+Exactness and total balancedness share one `CoreSystem` in `classify_full`.
+Its pool of certified core points has three sources: the dual point of the
+full set's weighted cover (a core point when the cover value is 1), the
+minimisers `is_exact` certifies, and greedy marginal vectors.  A pooled x
+with x(B) = v(B) settles B for both: min mu(B) over the core is v(B), and x
+restricted to B is in the core of the subgame on B, so B's cover value is
+v(B) and B needs no LP.
 """
 
 from __future__ import annotations
@@ -169,9 +177,10 @@ def _cover_lp(nu: Capacity, bound_mask: int) -> tuple[LinearProgram, list[int]]:
 
 
 def _cover_value(nu: Capacity, bound_mask: int):
-    """The weighted-cover value of B and a family attaining it."""
+    """The weighted-cover value of B, a family attaining it and an optimal
+    dual point y: y >= 0, 0 off B, y(A) >= v(A) for A within B, y(B) = value."""
     best = cover_maximum(nu.values, bound_mask)
-    return best.value, BalancedFamily(best.sets, best.weights)
+    return best.value, BalancedFamily(best.sets, best.weights), best.point
 
 
 def bondareva_value(nu: Capacity, bound_mask: int, *, allow_large: bool = False) -> Fraction:
@@ -180,8 +189,7 @@ def bondareva_value(nu: Capacity, bound_mask: int, *, allow_large: bool = False)
     if bound_mask == 0:
         raise EmptySubset("weighted-cover value needs a nonempty subset")
     _check_size(nu, allow_large)
-    value, _ = _cover_value(nu, bound_mask)
-    return value
+    return _cover_value(nu, bound_mask)[0]
 
 
 # --- balancedness ----------------------------------------------------------------
@@ -244,7 +252,7 @@ def is_balanced(nu: Capacity, *, allow_large: bool = False):
 
 def _balanced(nu: Capacity, full_cover):
     """is_balanced with the full set's weighted-cover result already solved."""
-    value, family = full_cover
+    value, family, _ = full_cover
     feasible, witness = _core_feasible(nu)
     if (value == ONE) != feasible:
         raise InternalInconsistency(
@@ -266,6 +274,22 @@ def _core_system(nu: Capacity) -> CoreSystem:
     return CoreSystem(nu.ground.n, masks, (nu[a] for a in masks))
 
 
+def _certified_core(nu: Capacity, full_cover) -> CoreSystem | None:
+    """The core system of nu with the full set's cover dual pooled as a
+    certified point, or None when the core is empty (cover value above 1).
+
+    At value 1 the dual y has y >= 0, y(A) >= v(A) and y(X) = 1: a core
+    point, admitted after the same integer core check as every pooled point.
+    """
+    value, _, point = full_cover
+    if value != ONE:
+        return None
+    system = _core_system(nu)
+    if not system.admit(point):
+        raise InternalInconsistency("the full-set cover dual is not a core point", point)
+    return system
+
+
 def min_core_value(nu: Capacity, subset: int, *, allow_large: bool = False) -> Fraction:
     """Minimum of mu(B) over the core; raises CoreEmpty when unbalanced."""
     check_subset(subset, nu.ground)
@@ -285,18 +309,19 @@ def is_exact(nu: Capacity, *, allow_large: bool = False):
     full sets are automatically attained and skipped.
     """
     _check_size(nu, allow_large)
-    return _exact(nu, _cover_value(nu, nu.ground.full))
+    full_cover = _cover_value(nu, nu.ground.full)
+    return _exact(nu, full_cover, _certified_core(nu, full_cover))
 
 
-def _exact(nu: Capacity, full_cover):
-    """is_exact with the full set's weighted-cover result already solved.
+def _exact(nu: Capacity, full_cover, system: CoreSystem | None):
+    """is_exact with the full set's weighted-cover result already solved and
+    `system`, its `_certified_core`.
 
     A subset whose bound some certified core point attains needs no LP; the
     rest get a cold `minimum`, whose certificate becomes the witness."""
-    value, family = full_cover
+    value, family, _ = full_cover
     if value != ONE:
         return False, family
-    system = _core_system(nu)
     for subset in nu.ground.proper_nonempty_subsets():
         if system.attains(subset):
             continue
@@ -314,19 +339,45 @@ def is_totally_balanced(nu: Capacity, *, allow_large: bool = False):
     failing subset in subset-code order.
     """
     _check_size(nu, allow_large)
-    return _totally_balanced(nu)
+    return _totally_balanced(nu, None, _core_system)
 
 
-def _totally_balanced(nu: Capacity, full_cover=None):
-    """is_totally_balanced; the full set comes last in code order, so its
-    weighted-cover result, when already solved, is used only if reached."""
+def _totally_balanced(nu: Capacity, full_cover, core):
+    """is_totally_balanced, solving a cover LP only for the subsets no
+    certificate settles.
+
+    The cover value of a singleton {i} is v(i), of a pair {i, j} it is
+    max(v(i) + v(j), v(ij)), so a pair with v(i) + v(j) <= v(ij) holds.  A
+    larger B below the full set holds when a certified core point x has
+    x(B) = v(B): x restricted to B is in the core of the subgame on B, so its
+    cover value is v(B).  `core(nu)` gives the core system whose `attains`
+    decides that, or None when it cannot; it is called once, when the first
+    such B comes up.  Every other subset, each failing one among them, gets
+    its LP, so the first failure and its family are the LP's.  The full set
+    comes last in code order; its result, when already solved
+    (`full_cover`), is used only if reached.
+    """
+    values = nu.values
     full = nu.ground.full
+    system = None
     for subset in nu.ground.nonempty_subsets():
+        low = subset & -subset
+        rest = subset ^ low
+        if not rest:
+            continue
+        if not rest & (rest - 1):
+            if values[low] + values[rest] <= values[subset]:
+                continue
+        elif subset != full:
+            if core is not None:
+                system, core = core(nu), None
+            if system is not None and system.attains(subset):
+                continue
         if subset == full and full_cover is not None:
-            value, family = full_cover
+            value, family, _ = full_cover
         else:
-            value, family = _cover_value(nu, subset)
-        if value != nu[subset]:
+            value, family, _ = _cover_value(nu, subset)
+        if value != values[subset]:
             return False, TotalBalanceFailure(subset, family)
     return True, None
 
@@ -345,8 +396,9 @@ def classify_full(nu: Capacity, *, allow_large: bool = False) -> ClassReport:
     _check_size(nu, allow_large)
     full_cover = _cover_value(nu, nu.ground.full)  # one solve serves all three
     balanced, balanced_w = _balanced(nu, full_cover)
-    tb, tb_w = _totally_balanced(nu, full_cover)
-    exact, exact_w = _exact(nu, full_cover)
+    system = _certified_core(nu, full_cover)  # the points _exact certifies settle TB subsets
+    exact, exact_w = _exact(nu, full_cover, system)
+    tb, tb_w = _totally_balanced(nu, full_cover, lambda _: system)
     chain = (convex, exact, tb, balanced)
     for name, (stronger, weaker) in {
         "convex => exact": (convex, exact),

@@ -37,11 +37,14 @@ raised.  The weighted cover is always feasible and bounded.
 
 `attains(B)` answers the common question "is min x(B) equal to the bound of
 B?" without an LP whenever it can: one core point x with x(B) = b_B proves it,
-since every core point has x(B) >= b_B.  The points it looks at are those
-`minimum` has certified and, for the core of a capacity, the marginal vector
-of the ordering that starts with B's points, which lies in the core of every
-convex capacity (Shapley, "Cores of convex games", IJGT 1971).  A point
-counts only after it passes the same integer core check as `minimum`'s.
+since every core point has x(B) >= b_B.  The points it looks at come from
+three sources: those `minimum` has certified; for the core of a capacity,
+the marginal vector of the ordering that starts with B's points, which lies
+in the core of every convex capacity (Shapley, "Cores of convex games", IJGT
+1971); and those a caller hands to `admit`, such as the dual point y of the
+full set's weighted cover, a core point when the cover value is 1 (y >= 0,
+y(A) >= v(A), y(X) = 1).  A point counts only after it passes the same
+integer core check as `minimum`'s.
 """
 
 from __future__ import annotations
@@ -161,6 +164,17 @@ class CoreSystem:
             )
         self._pool.append(table)
         return best
+
+    def admit(self, point) -> bool:
+        """Pool `point`, a weight per point, as a certified core point when it
+        passes the same integer core check as `minimum`'s; True if it did."""
+        if len(point) != self.n:
+            raise ShapeMismatch("core point length mismatch")
+        table = self._core_mass(point)
+        if table is None:
+            return False
+        self._pool.append(table)
+        return True
 
     def attains(self, subset: int) -> bool:
         """True when some certified core point x has x(subset) = b, the

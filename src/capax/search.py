@@ -348,7 +348,8 @@ def reverify_report_text(text: str) -> bool:
         raise ValueError("report has no config record")
     for seed in flagged:
         entry = tables.get(seed)
-        if entry is None or "game" not in entry:
+        if entry is None or "game" not in entry or \
+                any(i not in entry["support"] for i in range(config.support_size)):
             return False
         ground = GroundSet(config.n)
         support = tuple(_parse_table(ground, entry["support"][i])

@@ -5,8 +5,9 @@ scan (the definition `is_convex` shortcuts), brute-force vertex enumeration
 of core polytopes (no LP), the candidate-scan computation of the monad
 multiplication, the core minimum through the general LP layer
 (`solve_dualized` of an explicitly built program, as capax computed it before
-`CoreSystem`), and `random_monotone` drawn as Fractions, as capax drew it
-before it drew grid numerators.  These re-derive the quantities the package
+`CoreSystem`), total balancedness by one weighted-cover LP per subset (as
+capax decided it before certificates settled subsets), and `random_monotone`
+drawn as Fractions, as capax drew it before it drew grid numerators.  These re-derive the quantities the package
 computes through simplex pivots or breakpoint walks, by slower but
 structurally unrelated means.
 """
@@ -14,9 +15,10 @@ structurally unrelated means.
 from fractions import Fraction
 from itertools import combinations
 
-from capax.capacity import Capacity
-from capax.classify import ConvexityViolation, ExactnessGap
-from capax.lp import EQ, GE, INFEASIBLE, NONNEG, LinearProgram, Row, solve_dualized
+from capax.capacity import BalancedFamily, Capacity
+from capax.classify import ConvexityViolation, ExactnessGap, TotalBalanceFailure
+from capax.lp import (EQ, GE, INFEASIBLE, NONNEG, LinearProgram, Row, cover_maximum,
+                      solve_dualized)
 from capax.rng import SplitMix64
 
 
@@ -138,6 +140,16 @@ def reference_is_exact(nu: Capacity):
         if value != nu[subset]:
             coeffs = tuple((a, w) for a, w in zip(masks, ys) if w != 0)
             return False, ExactnessGap(subset, value, shift, coeffs)
+    return True, None
+
+
+def totally_balanced_every_subset(nu: Capacity):
+    """`is_totally_balanced` by one `cover_maximum` per nonempty subset in
+    code order; the first subset whose cover value exceeds v(B) fails."""
+    for subset in nu.ground.nonempty_subsets():
+        best = cover_maximum(nu.values, subset)
+        if best.value != nu[subset]:
+            return False, TotalBalanceFailure(subset, BalancedFamily(best.sets, best.weights))
     return True, None
 
 

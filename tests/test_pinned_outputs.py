@@ -3,28 +3,32 @@
 The first three hashes were recorded on the commit before the core-system
 oracle replaced the dualized core LPs, the totally balanced search pin on the
 commit before the generator's superadditivity screen and the mask-native
-weighted-cover LP.  A change that alters any pinned output (a different
-vertex of the core, other dual multipliers, another failing subset) shows up
-here; such a change has to bump the report version and re-record the pins
-on purpose.
+weighted-cover LP, and the total balancedness pin at n = 5 and 6 on the
+commit before certified core points settled subsets without a cover LP.  A
+change that alters any pinned output (a different vertex of the core, other
+dual multipliers, another failing subset) shows up here; such a change has
+to bump the report version and re-record the pins on purpose.
 """
 
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 
-from capax.capacity import random_convex_mixture, random_monotone
-from capax.classify import classify_full, is_exact
+from capax.capacity import Capacity, random_convex_mixture, random_monotone
+from capax.classify import classify_full, is_exact, is_totally_balanced
 from capax.cli import main
-from capax.credal import core_polytope, lower_envelope
+from capax.credal import core_polytope, lower_envelope, random_credal
 from capax.errors import CoreEmpty
-from capax.ground import GroundSet
+from capax.ground import GroundSet, subset_indices
+from capax.rng import SplitMix64
 from capax.search import SearchConfig, machine_report, problem1_search
 
 SEARCH_SHA256 = "229d26072f075fddfb9c83c96d3d0b8f47213c01a186bbfbfdb5f2a4be2e16da"
 TB_SEARCH_SHA256 = "8240550dbd2dd05ca244b7c61032ff2379cf7ff5ec5b7e657e62e78f86e69aa8"
 SELFTEST_SHA256 = "110455ba5c36cc70cf2730798aa2414e3c16adfcab4dbb342846a8840bb78f19"
 CORE_SHA256 = "ba9b6c3dc992bde14b327b45f20742cb9faa64244afde5f315a97929faa37f72"
+TB_SHA256 = "953c00ff1a8a15d982312e82e07a39d7f1a851fb12cec916ba401d8301d2936d"
 
 
 def _sha256(text: str) -> str:
@@ -71,6 +75,41 @@ def core_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def tb_text() -> str:
+    """Total balancedness verdicts and full reports at n = 5 and 6, where
+    most subsets have three or more points: random monotone capacities
+    (mostly unbalanced), the same scaled by 1/n below the full set
+    (balanced, seldom totally balanced), convex mixtures, envelopes of
+    vertex sets, those envelopes with one set of two or more points lowered
+    to its largest maximal proper subset's value, and market games (the
+    minimum of two or three additive games, normalised: totally balanced,
+    seldom exact)."""
+    lines = []
+    for n, seeds in ((5, range(6)), (6, range(3))):
+        g = GroundSet(n)
+        pairs_up = [a for a in g.proper_nonempty_subsets() if bin(a).count("1") >= 2]
+        for seed in seeds:
+            rng = SplitMix64(1000 * n + seed)
+            monotone = random_monotone(g, rng.next_u64(), 6)
+            damped = Capacity(g, [v if a == g.full else v / n
+                                  for a, v in enumerate(monotone.values)])
+            envelope = lower_envelope(random_credal(g, rng, n + 1, 8))
+            a = pairs_up[rng.next_below(len(pairs_up))]
+            values = list(envelope.values)
+            values[a] = max(envelope[a & ~(1 << i)] for i in g.points() if a >> i & 1)
+            weights = [[1 + rng.next_below(8) for _ in g.points()]
+                       for _ in range(2 + seed % 2)]
+            top = min(map(sum, weights))
+            market = Capacity(g, [Fraction(min(sum(w[j] for j in subset_indices(m))
+                                               for w in weights), top)
+                                  for m in g.subsets()])
+            for nu in (monotone, damped, random_convex_mixture(g, rng.next_u64(), 6),
+                       envelope, Capacity(g, values), market):
+                lines.append(repr(is_totally_balanced(nu)))
+                lines.append(repr(classify_full(nu)))
+    return "\n".join(lines) + "\n"
+
+
 def test_search_machine_report_is_pinned():
     assert _sha256(search_text()) == SEARCH_SHA256
 
@@ -85,3 +124,7 @@ def test_selftest_output_is_pinned():
 
 def test_core_outputs_are_pinned():
     assert _sha256(core_text()) == CORE_SHA256
+
+
+def test_total_balancedness_outputs_are_pinned():
+    assert _sha256(tb_text()) == TB_SHA256

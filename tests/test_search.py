@@ -195,6 +195,15 @@ class TestCounterexamples:
         # so does attributing the record to a different seed
         assert not verify_counterexample(cfg, outcome.seed + 1000, good)
 
+    @pytest.mark.parametrize("record", ["cx-support seed={} index=1 ", "cx-game seed={} "])
+    def test_missing_record_fails_verification(self, found, record):
+        _, report = found
+        prefix = record.format(report.counterexamples[0].seed)
+        lines = machine_report(report).splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(prefix)]
+        assert len(kept) == len(lines) - 1
+        assert not reverify_report_text("".join(kept))
+
     def test_failing_class_really_fails(self, found):
         _, report = found
         for o in report.counterexamples:

@@ -1,0 +1,121 @@
+"""Total balancedness settled by certificates: singletons always, pairs by
+v(i) + v(j) <= v(ij), larger subsets by certified core points; every other
+subset by its cover LP, with the same verdicts and witnesses as one cover LP
+per subset."""
+
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from oracles import totally_balanced_every_subset
+from test_core_system import damped, random_monotones, seeded_capacities
+from test_search import market_game
+
+from capax import classify
+from capax.capacity import grid_table, new_capacity, random_convex_mixture, random_monotone
+from capax.classify import classify_full, is_totally_balanced
+from capax.errors import InternalInconsistency, ShapeMismatch
+from capax.ground import GroundSet
+from capax.lp import CoreSystem
+from capax.rng import SplitMix64
+from capax.search import _superadditive
+
+g3 = GroundSet(3)
+
+
+def subadditive_pair():
+    """v(0) + v(1) = 1 > v(01) = 1/2: total balancedness fails at {0, 1}."""
+    return new_capacity(g3, {0b001: F(1, 2), 0b010: F(1, 2)}, strict=False)
+
+
+class TestAgainstEverySubset:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_verdict_and_witness(self, n):
+        g = GroundSet(n)
+        monotone = random_monotones(n, 3, 30 + n)
+        rng = SplitMix64(40 + n)
+        capacities = (seeded_capacities(n, 2, 20 + n) + monotone
+                      + [damped(nu) for nu in monotone]
+                      + [market_game(g, rng, 2 + i, 8) for i in range(2)])
+        if n == 3:
+            capacities.append(subadditive_pair())
+        failed_at = set()
+        for nu in capacities:
+            expected = totally_balanced_every_subset(nu)
+            assert is_totally_balanced(nu) == expected, nu
+            report = classify_full(nu)
+            assert (report.totally_balanced, report.tb_witness) == expected, nu
+            if not expected[0]:
+                failed_at.add(bin(expected[1].subset).count("1"))
+        if n >= 4:
+            # failures at pairs and at subsets only an LP can decide
+            assert 2 in failed_at and max(failed_at) >= 3, failed_at
+
+
+class TestLpCounts:
+    def count_covers(self, monkeypatch):
+        calls = []
+        original = classify._cover_value
+
+        def counted(nu, bound_mask):
+            calls.append(bound_mask)
+            return original(nu, bound_mask)
+
+        monkeypatch.setattr(classify, "_cover_value", counted)
+        return calls
+
+    def test_screened_generator_draw_runs_one_cover(self, monkeypatch):
+        seed = next(s for s in range(10_000) if _superadditive(grid_table(g3, s, 16)))
+        calls = self.count_covers(monkeypatch)
+        is_totally_balanced(random_monotone(g3, seed, 16))
+        assert calls == [g3.full]
+
+    def test_convex_n8_runs_only_the_full_cover(self, monkeypatch):
+        g = GroundSet(8)
+        calls = self.count_covers(monkeypatch)
+        report = classify_full(random_convex_mixture(g, 0, 6))
+        assert report.flags() == (True, True, True, True)
+        assert calls == [g.full]
+
+    def test_subadditive_pair_is_solved_and_reported(self, monkeypatch):
+        nu = subadditive_pair()
+        calls = self.count_covers(monkeypatch)
+        ok, failure = is_totally_balanced(nu)
+        assert not ok and failure.subset == 0b011 and failure.verify(nu)
+        assert calls == [0b011]
+        calls.clear()
+        report = classify_full(nu)
+        assert report.tb_witness == failure
+        assert calls == [g3.full, 0b011]
+
+
+class TestCoverDual:
+    def test_is_admitted_only_as_a_core_point(self, monkeypatch):
+        # a tampered dual that passes every check but the core check: the
+        # subset masses of (1, 0, 0) at bound {1} fall short of v(1) = 1/4
+        nu = new_capacity(g3, {0b010: F(1, 4)}, strict=False)
+        original = classify.cover_maximum
+
+        def tampered(values, bound):
+            best = original(values, bound)
+            return replace(best, point=(F(1), F(0), F(0))) if bound == g3.full else best
+
+        monkeypatch.setattr(classify, "cover_maximum", tampered)
+        with pytest.raises(InternalInconsistency):
+            classify_full(nu)
+
+    def test_admit_pools_core_points_only(self):
+        # a system missing bounds, so attains uses its pool and nothing else
+        system = CoreSystem(3, [0b001, 0b011], [F(1, 4), F(1, 2)])
+        for point in ([F(1, 8), F(1, 2), F(3, 8)],  # below the bound on {0}
+                      [F(1, 4), F(1, 8), F(5, 8)],  # below the bound on {0, 1}
+                      [F(1, 4), F(1, 4), F(1, 4)],  # mass 3/4
+                      [F(-1, 4), F(3, 4), F(1, 2)]):  # negative
+            assert not system.admit(point)
+        assert not system.attains(0b001) and not system.attains(0b011)
+        with pytest.raises(ShapeMismatch):
+            system.admit([F(1, 2), F(1, 2)])
+        assert system.admit([F(1, 4), F(1, 4), F(1, 2)])
+        assert system.attains(0b001) and system.attains(0b011)
+
