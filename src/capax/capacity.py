@@ -43,9 +43,6 @@ class Capacity:
     def __getitem__(self, mask: int) -> Fraction:
         return self.values[mask]
 
-    def value(self, mask: int) -> Fraction:
-        return self.values[mask]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Capacity):
             return NotImplemented

@@ -42,7 +42,3 @@ class SplitMix64:
         if bound <= 0:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
-
-    def spawn(self) -> "SplitMix64":
-        """Child stream seeded by the next output (the splittable-RNG idiom)."""
-        return SplitMix64(self.next_u64())

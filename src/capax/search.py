@@ -10,7 +10,8 @@ Per seed, deterministically: draw support capacities of the target class
 (exact ones as lower envelopes of random vertex credal sets, totally balanced
 ones by rejection-filtering random monotone capacities), draw a weight game
 of the same class on the index set, multiply, classify the result, and fully
-re-verify any class failure from its serialized record before listing it.
+re-verify any class failure from its counterexample record before listing it:
+the very strings (tables and witness) that the machine report writes for it.
 Seeds are independent, so the worker pool splits by seed; the report is
 assembled in seed order, which makes the machine report byte-identical for
 any worker count.
@@ -38,8 +39,7 @@ from .classify import (
     verify_report,
 )
 from .credal import lower_envelope, random_credal
-from .errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
-from .gamefiles import emit_second, parse_second
+from .errors import CapaxError, ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
 from .ground import GroundSet, format_rat, format_subset, parse_rat
 from .monad import SecondOrderCapacity, monad_mul
 from .rng import SplitMix64
@@ -107,10 +107,6 @@ class SearchReport:
         return tuple(o for o in self.outcomes if not o.class_holds)
 
 
-def _class_predicate(name: str):
-    return is_exact if name == EXACT else is_totally_balanced
-
-
 def _generate_member(ground: GroundSet, target_class: str, attempt_rng: SplitMix64,
                      grid: int) -> Capacity:
     if target_class == EXACT:
@@ -170,38 +166,42 @@ def run_seed(config: SearchConfig, seed: int) -> SeedOutcome:
     mul = monad_mul(c2)
     report = classify_full(mul)
     holds = report.exact if config.target_class == EXACT else report.totally_balanced
-    verified = False
-    if not holds:
-        verified = verify_counterexample(config, seed, emit_second(c2))
-        if not verified:
-            raise InternalInconsistency(
-                f"seed {seed}: counterexample candidate failed re-verification"
-            )
-    return SeedOutcome(seed, c2, mul, report, holds, verified)
+    if not holds and not verify_counterexample(
+            config, seed, *_record(c2, mul, report, config.target_class)):
+        raise InternalInconsistency(
+            f"seed {seed}: counterexample candidate failed re-verification"
+        )
+    return SeedOutcome(seed, c2, mul, report, holds, not holds)
 
 
-def verify_counterexample(config: SearchConfig, seed: int, second_text: str) -> bool:
-    """Re-verify a counterexample candidate from its serialized record.
+def verify_counterexample(config: SearchConfig, seed: int, tables, witness: str) -> bool:
+    """Re-verify a counterexample from its record as the machine report writes it.
 
-    Rebuilds the second-order capacity from text, checks it matches the
-    deterministic regeneration for the seed, confirms every support entry and
-    the weight game belong to the target class, recomputes the multiplication
-    and reruns the classification, and re-verifies all witnesses by
-    arithmetic.
+    `tables` holds the k `cx-support` tables, the `cx-game` and the `cx-mul`
+    table; `witness` is the `witness=` text.  Parses the tables (a malformed
+    record is False), checks they match the deterministic regeneration for
+    the seed, confirms every support entry and the weight game belong to the
+    target class, recomputes the product and its classification, requires
+    the whole record to be byte for byte what the machine report writes for
+    them, and re-verifies all witnesses by arithmetic.
     """
-    c2 = parse_second(second_text)
+    ground, k = GroundSet(config.n), config.support_size
+    if len(tables) != k + 2:
+        return False
+    try:
+        c2 = SecondOrderCapacity(ground, [_parse_table(ground, t) for t in tables[:k]],
+                                 _parse_table(GroundSet(k), tables[k]))
+    except (ValueError, CapaxError):
+        return False
     if c2 != build_second_order(config, seed):
         return False
-    predicate = _class_predicate(config.target_class)
-    for member in c2.support:
-        if not predicate(member)[0]:
-            return False
-    if not predicate(c2.game)[0]:
+    predicate = is_exact if config.target_class == EXACT else is_totally_balanced
+    if not all(predicate(nu)[0] for nu in (*c2.support, c2.game)):
         return False
     mul = monad_mul(c2)
     report = classify_full(mul)
     holds = report.exact if config.target_class == EXACT else report.totally_balanced
-    if holds:
+    if holds or _record(c2, mul, report, config.target_class) != (tuple(tables), witness):
         return False
     return verify_report(mul, report)
 
@@ -227,19 +227,23 @@ def problem1_search(config: SearchConfig) -> SearchReport:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_worker, [(config, s) for s in seeds],
                                      chunksize=max(1, len(seeds) // (config.jobs * 4))))
-    outcomes.sort(key=lambda o: o.seed)  # pool.map preserves order; sort is belt and braces
     return SearchReport(config, tuple(outcomes), time.perf_counter() - started)
 
 
 # --- report serialization ---------------------------------------------------------
 
 
-def _table_text(nu: Capacity) -> str:
-    return ",".join(format_rat(v) for v in nu.values)
-
-
 def _parse_table(ground: GroundSet, text: str) -> Capacity:
     return Capacity(ground, [parse_rat(tok) for tok in text.split(",")])
+
+
+def _record(c2: SecondOrderCapacity, mul: Capacity, report: ClassReport,
+            target_class: str) -> tuple[tuple[str, ...], str]:
+    """A counterexample's record, as the machine report writes it and
+    `verify_counterexample` reads it: the k support tables, the weight game and
+    the product, and the witness text."""
+    tables = tuple(",".join(map(format_rat, nu.values)) for nu in (*c2.support, c2.game, mul))
+    return tables, _witness_text(report, target_class)
 
 
 def machine_report(report: SearchReport) -> str:
@@ -258,12 +262,13 @@ def machine_report(report: SearchReport) -> str:
             f"holds={yn(o.class_holds)}"
         )
     for o in report.counterexamples:
+        tables, witness = _record(o.second_order, o.multiplied, o.report, cfg.target_class)
         out.append(f"counterexample seed={o.seed} verified={yn(o.verified_counterexample)} "
-                   f"witness={_witness_text(o.report, report.config.target_class)}")
-        for i, nu in enumerate(o.second_order.support):
-            out.append(f"cx-support seed={o.seed} index={i} table={_table_text(nu)}")
-        out.append(f"cx-game seed={o.seed} table={_table_text(o.second_order.game)}")
-        out.append(f"cx-mul seed={o.seed} table={_table_text(o.multiplied)}")
+                   f"witness={witness}")
+        out.extend(f"cx-support seed={o.seed} index={i} table={t}"
+                   for i, t in enumerate(tables[:-2]))
+        out.append(f"cx-game seed={o.seed} table={tables[-2]}")
+        out.append(f"cx-mul seed={o.seed} table={tables[-1]}")
     cx = len(report.counterexamples)
     verdict = "counterexample-found" if cx else "inconclusive"
     out.append(f"summary seeds={len(report.outcomes)} counterexamples={cx} verdict={verdict}")
@@ -273,10 +278,7 @@ def machine_report(report: SearchReport) -> str:
 
 
 def _witness_text(report: ClassReport, target_class: str) -> str:
-    if target_class == EXACT:
-        w = report.exact_witness
-    else:
-        w = report.tb_witness
+    w = report.exact_witness if target_class == EXACT else report.tb_witness
     if w is None:
         return "none"
     if hasattr(w, "subset"):
@@ -321,12 +323,16 @@ def parse_machine_report(text: str):
 
 
 def reverify_report_text(text: str) -> bool:
-    """Re-verify every counterexample in a machine report from scratch."""
-    records = parse_machine_report(text)
+    """Re-verify a machine report from its text alone.
+
+    The report must be consistent: the seeds with a counterexample record are
+    exactly those whose result line says holds=no, in order, and the summary
+    counts them.  Each record must be whole, a witness and every table, and
+    pass `verify_counterexample`.
+    """
     config = None
-    tables: dict[int, dict] = {}
-    flagged: list[int] = []
-    for kind, fields in records:
+    failing, flagged, tables, counted = [], {}, {}, None
+    for kind, fields in parse_machine_report(text):
         if kind == "config":
             config = SearchConfig(
                 n=int(fields["n"]),
@@ -336,26 +342,22 @@ def reverify_report_text(text: str) -> bool:
                 seed_end=int(fields["seeds"].split("..")[1]),
                 grid=int(fields["grid"]),
             )
+        elif kind == "result" and fields.get("holds") == "no":
+            failing.append(int(fields["seed"]))
         elif kind == "counterexample":
-            flagged.append(int(fields["seed"]))
-        elif kind in ("cx-support", "cx-game"):
-            entry = tables.setdefault(int(fields["seed"]), {"support": {}})
-            if kind == "cx-game":
-                entry["game"] = fields["table"]
-            else:
-                entry["support"][int(fields["index"])] = fields["table"]
+            flagged[int(fields["seed"])] = fields.get("witness")
+        elif kind.startswith("cx-"):
+            tables[int(fields["seed"]), kind, fields.get("index")] = fields.get("table")
+        elif kind == "summary":
+            counted = int(fields["counterexamples"])
     if config is None:
         raise ValueError("report has no config record")
-    for seed in flagged:
-        entry = tables.get(seed)
-        if entry is None or "game" not in entry or \
-                any(i not in entry["support"] for i in range(config.support_size)):
-            return False
-        ground = GroundSet(config.n)
-        support = tuple(_parse_table(ground, entry["support"][i])
-                        for i in range(config.support_size))
-        game = _parse_table(GroundSet(config.support_size), entry["game"])
-        c2 = SecondOrderCapacity(ground, support, game)
-        if not verify_counterexample(config, seed, emit_second(c2)):
+    if list(flagged) != failing or counted != len(failing):
+        return False
+    for seed, witness in flagged.items():
+        record = [tables.get((seed, "cx-support", str(i))) for i in range(config.support_size)]
+        record += [tables.get((seed, kind, None)) for kind in ("cx-game", "cx-mul")]
+        if witness is None or None in record or \
+                not verify_counterexample(config, seed, record, witness):
             return False
     return True

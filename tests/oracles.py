@@ -14,6 +14,7 @@ structurally unrelated means.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from capax.capacity import BalancedFamily, Capacity
 from capax.classify import ConvexityViolation, ExactnessGap, TotalBalanceFailure
@@ -33,44 +34,55 @@ def convex_all_pairs(nu: Capacity):
     return True, None
 
 
-def gauss_solve(rows, n):
-    """Solve an n x n rational system given as rows [a_0 .. a_{n-1} | b]."""
+def integer_solve(rows, n):
+    """Solve an n x n integer system given as rows [a_0 .. a_{n-1} | b] by
+    fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
+    integer minor, so each division is exact.  Returns (nums, d) with
+    x_i = nums[i] / d and d > 0, or None if the system is singular."""
     a = [row[:] for row in rows]
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return None
         a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
+        p = a[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
+            if r != col:
                 f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+                a[r] = [(v * p[col] - f * w) // previous for v, w in zip(a[r], p)]
+        previous = p[col]
+    sign = 1 if previous > 0 else -1
+    return [sign * a[r][n] for r in range(n)], sign * previous
 
 
 def core_vertices(nu: Capacity):
-    """All vertices of the core polytope by enumerating tight constraint sets."""
+    """All vertices of the core polytope by enumerating tight constraint sets.
+
+    A vertex solves x(X) = 1 and x(A) = nu(A) for n - 1 proper subsets A.  The
+    rows x_i >= 0 are left out: the singleton rows x_i >= nu({i}) >= 0 imply
+    them, so the polytope is the same.  Each pick is solved in integers over
+    the common denominator of nu, and checked against every row in integers.
+    """
     n = nu.ground.n
-    constraints = []
-    for mask in nu.ground.proper_nonempty_subsets():
-        coeffs = [Fraction(1) if mask >> i & 1 else Fraction(0) for i in range(n)]
-        constraints.append((coeffs, nu[mask]))
-    for i in range(n):
-        coeffs = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        constraints.append((coeffs, Fraction(0)))
-    mass_row = ([Fraction(1)] * n, Fraction(1))
+    den = lcm(*(v.denominator for v in nu.values))
+    bound = {a: nu[a].numerator * (den // nu[a].denominator)
+             for a in nu.ground.proper_nonempty_subsets()}
     vertices = []
-    for picks in combinations(constraints, n - 1):
-        rows = [list(mass_row[0]) + [mass_row[1]]]
-        rows.extend(list(c) + [r] for c, r in picks)
-        x = gauss_solve(rows, n)
-        if x is None or any(xi < 0 for xi in x):
+    for picks in combinations(bound, n - 1):
+        rows = [[a >> i & 1 for i in range(n)] + [bound.get(a, den)]
+                for a in (nu.ground.full, *picks)]
+        solved = integer_solve(rows, n)
+        if solved is None:
             continue
-        if any(sum(c * xi for c, xi in zip(coeffs, x)) < rhs
-               for coeffs, rhs in constraints):
+        nums, d = solved
+        mass = [0] * (1 << n)  # mass[a] = d * den * x(A)
+        for a in range(1, 1 << n):
+            low = a & -a
+            mass[a] = mass[a ^ low] + nums[low.bit_length() - 1]
+        if any(mass[a] < b * d for a, b in bound.items()):
             continue
+        x = [Fraction(v, d * den) for v in nums]
         if x not in vertices:
             vertices.append(x)
     return vertices

@@ -83,10 +83,7 @@ class TestAgainstVertexEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_values(self, n):
         count = {1: 1, 2: 4, 3: 4, 4: 2, 5: 1}[n]
-        capacities = seeded_capacities(n, count, 100 + n)
-        if n == 5:
-            capacities = capacities[1:]  # enumeration takes ~15 s per capacity here
-        for nu in capacities:
+        for nu in seeded_capacities(n, count, 100 + n):
             vertices = core_vertices(nu)
             system = core_of(nu)
             for subset in nu.ground.subsets():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from capax import search
 from capax.capacity import Capacity, grid_table, random_convex_mixture, random_monotone
 from capax.classify import is_exact, is_totally_balanced
 from capax.errors import ConfigOutOfRange
-from capax.gamefiles import emit_second
 from capax.ground import GroundSet, subset_indices
 from capax.monad import monad_mul
 from capax.rng import SplitMix64
@@ -163,6 +163,48 @@ class TestDeterminism:
             machine_report(problem1_search(small_config()))
 
 
+def edit(text, prefix, pattern, repl):
+    """`text` with one substitution in the single line that starts with `prefix`."""
+    lines = text.splitlines(keepends=True)
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    lines[i], done = re.subn(pattern, repl, lines[i], count=1)
+    assert done
+    return "".join(lines)
+
+
+def table_of(text, prefix):
+    (line,) = [line for line in text.splitlines() if line.startswith(prefix)]
+    return line.partition("table=")[2]
+
+
+# Each edit leaves a report that still parses, but whose record is wrong,
+# incomplete or inconsistent with its result and summary lines.  `s` is a
+# flagged seed with a failing-subset witness, `h` a seed where the class holds.
+INCONSISTENT = {
+    "altered-cx-mul": lambda t, s, h: edit(t, f"cx-mul seed={s} ", r"table=0,[^,]+",
+                                           "table=0,1/1000"),
+    "altered-witness": lambda t, s, h: edit(t, f"counterexample seed={s} ",
+                                            r"failing-subset=\{[\d,]+\}", "failing-subset={2}"),
+    "missing-witness": lambda t, s, h: edit(t, f"counterexample seed={s} ", "witness=",
+                                            "witnes="),
+    "deleted-block": lambda t, s, h: "".join(
+        line for line in t.splitlines(keepends=True)
+        if not (line.startswith(("counterexample ", "cx-")) and f" seed={s} " in line)),
+    "summary-count": lambda t, s, h: edit(t, "summary ", r"counterexamples=(\d+)",
+                                          lambda m: f"counterexamples={int(m[1]) - 1}"),
+    "unflagged-holds-no": lambda t, s, h: edit(t, f"result seed={h} ", "holds=yes",
+                                               "holds=no"),
+    "short-table": lambda t, s, h: edit(t, f"cx-support seed={s} index=0 ", r",1$", ""),
+    "malformed-rational": lambda t, s, h: edit(t, f"cx-support seed={s} index=0 ",
+                                               "table=0,", "table=0,x"),
+    "out-of-range-value": lambda t, s, h: edit(t, f"cx-support seed={s} index=0 ",
+                                               r"table=0,[^,]+", "table=0,2"),
+    "duplicate-support": lambda t, s, h: edit(
+        t, f"cx-support seed={s} index=1 ", r"table=.*",
+        "table=" + table_of(t, f"cx-support seed={s} index=0 ")),
+}
+
+
 @pytest.fixture(scope="module")
 def found():
     cfg = SearchConfig(n=3, support_size=3, target_class="exact",
@@ -184,18 +226,18 @@ class TestCounterexamples:
     def test_tampered_record_fails_verification(self, found):
         cfg, report = found
         outcome = report.counterexamples[0]
-        good = emit_second(outcome.second_order)
-        assert verify_counterexample(cfg, outcome.seed, good)
-        # swapping two support sections keeps the file valid but no longer
-        # matches the deterministic regeneration for the seed
-        swapped = good.replace("support 0", "support @", 1)
-        swapped = swapped.replace("support 1", "support 0", 1)
-        swapped = swapped.replace("support @", "support 1", 1)
-        assert not verify_counterexample(cfg, outcome.seed, swapped)
+        tables, witness = search._record(outcome.second_order, outcome.multiplied,
+                                         outcome.report, cfg.target_class)
+        assert verify_counterexample(cfg, outcome.seed, tables, witness)
+        # swapping two support tables keeps the record well formed but no
+        # longer matches the deterministic regeneration for the seed
+        swapped = (tables[1], tables[0], *tables[2:])
+        assert not verify_counterexample(cfg, outcome.seed, swapped, witness)
         # so does attributing the record to a different seed
-        assert not verify_counterexample(cfg, outcome.seed + 1000, good)
+        assert not verify_counterexample(cfg, outcome.seed + 1000, tables, witness)
 
-    @pytest.mark.parametrize("record", ["cx-support seed={} index=1 ", "cx-game seed={} "])
+    @pytest.mark.parametrize("record", ["cx-support seed={} index=1 ", "cx-game seed={} ",
+                                        "cx-mul seed={} "])
     def test_missing_record_fails_verification(self, found, record):
         _, report = found
         prefix = record.format(report.counterexamples[0].seed)
@@ -203,6 +245,16 @@ class TestCounterexamples:
         kept = [line for line in lines if not line.startswith(prefix)]
         assert len(kept) == len(lines) - 1
         assert not reverify_report_text("".join(kept))
+
+    @pytest.mark.parametrize("tamper", INCONSISTENT.values(), ids=INCONSISTENT.keys())
+    def test_inconsistent_report_fails_verification(self, found, tamper):
+        _, report = found
+        text = machine_report(report)
+        s = re.search(r"^counterexample seed=(\d+) .*failing-subset=", text, re.M)[1]
+        h = next(o.seed for o in report.outcomes if o.class_holds)
+        tampered = tamper(text, s, h)
+        assert tampered != text
+        assert reverify_report_text(tampered) is False
 
     def test_failing_class_really_fails(self, found):
         _, report = found
