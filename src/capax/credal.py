@@ -4,6 +4,8 @@ envelopes, credal pushforward, and the retraction / naturality checks.
 A credal set is held either as a finite vertex list, as a core-style
 constraint system (lower bounds on subset masses over the probability
 simplex), or as a lazy pushforward of another credal set along a point map.
+The vertex form answers every subset at once, in integers: one mass table
+per vertex over a common denominator, then the least entry per subset.
 No vertex enumeration ever happens for constraint systems: every identity
 tested here compares lower (and upper) envelopes, which are per-subset LP
 values, so support-function evaluation is all that is needed.  Two credal
@@ -14,12 +16,15 @@ subset; deciding full polytope equality is out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 from .capacity import Capacity, Measure, measure_pushforward, pushforward
 from .classify import is_exact
 from .errors import CoreEmpty, GroundMismatch, InfeasibleCredal, NotExact
 from .ground import ONE, ZERO, GroundSet, PointMap, check_subset
 from .lp import CoreMinimum, CoreSystem
+from .lp.core import _mass_table
 # LinearProgram, Row and solve_dualized stay importable here for tools that
 # hook LP construction and solves per module
 from .lp import LinearProgram, Row  # noqa: F401
@@ -34,7 +39,7 @@ class CredalSet:
     """Nonempty closed convex set of probability measures on a finite ground set."""
 
     __slots__ = ("ground", "kind", "vertices", "bounds", "base_map", "base_set", "_cache",
-                 "_system")
+                 "_system", "_minima")
 
     def __init__(self, ground: GroundSet, kind: str, *, vertices=None, bounds=None,
                  base_map=None, base_set=None):
@@ -47,6 +52,7 @@ class CredalSet:
         # (mask, lowest) -> min or max mass of mask over the set
         self._cache: dict[tuple[int, bool], Fraction] = {}
         self._system: CoreSystem | None = None  # constraint form, built on first use
+        self._minima: list[Fraction] | None = None  # vertex form, built on first use
 
     # --- constructors ---
 
@@ -101,7 +107,7 @@ class CredalSet:
             # every member has total mass 1, so max mu(B) = 1 - min mu(X - B)
             value = ONE - self._mass(self.ground.full & ~mask, True)
         elif self.kind == VERTICES:
-            value = min(mu.mass(mask) for mu in self.vertices)
+            value = self._vertex_minima()[mask]
         elif self.kind == PUSHED:
             value = self.base_set._mass(self.base_map.preimage(mask), True)
         elif self._core().attains(mask):
@@ -110,6 +116,23 @@ class CredalSet:
             value = self._core_minimum(mask).value
         self._cache[key] = value
         return value
+
+    def _vertex_minima(self) -> list[Fraction]:
+        """min mu(S) over the vertices for every subset S, by subset code.
+
+        Each vertex gets an integer mass table from one prefix walk (as the
+        core check builds it), rescaled to the vertices' common denominator,
+        so the least mass per subset is an integer minimum.  Equal values
+        come back as one shared Fraction object (see `_shared_ratio`).
+        """
+        if self._minima is None:
+            full = self.ground.full
+            tables = [_mass_table(mu.weights, full) for mu in self.vertices]
+            den = lcm(*(d for d, _ in tables))
+            scaled = [mass if d == den else [v * (den // d) for v in mass]
+                      for d, mass in tables]
+            self._minima = [_shared_ratio(m, den) for m in map(min, zip(*scaled))]
+        return self._minima
 
     def _core(self) -> CoreSystem:
         if self._system is None:
@@ -130,6 +153,20 @@ class CredalSet:
         if self.kind == PUSHED:
             return measure_pushforward(self.base_map, self.base_set.some_member())
         return Measure(self.ground, self._core_minimum(0).point)
+
+
+def _shared_ratio(num: int, den: int) -> Fraction:
+    """num / den as the one Fraction object `_lowest_terms` holds for it, so
+    envelopes that share a value share its object."""
+    g = gcd(num, den)
+    return _lowest_terms(num // g, den // g)
+
+
+@lru_cache(maxsize=4096)
+def _lowest_terms(num: int, den: int) -> Fraction:
+    """The Fraction num / den, for coprime num and den; the cache is bounded,
+    so a value evicted and met again is a new, equal object."""
+    return Fraction(num, den)
 
 
 def core_polytope(nu: Capacity) -> CredalSet:

@@ -16,6 +16,13 @@ Seeds are independent, so the worker pool splits by seed; the report is
 assembled in seed order, which makes the machine report byte-identical for
 any worker count.
 
+Re-verification checks each claim of the record by a certificate.  An exact
+member comes with the vertices whose lower envelope it is; it is exact when
+every vertex passes the integer core check and every proper nonempty subset
+is attained by one of them, with no LP.  The product is checked by its class
+predicate alone, whose witness is the one `classify_full` reports for that
+class, and the witness is re-checked by arithmetic.
+
 The rejection filter screens each draw's integer grid table for
 superadditivity, nu(A) + nu(B) <= nu(A | B) over disjoint A and B, before it
 builds a capacity or solves an LP.  The screen is sound: the blocks of a
@@ -30,17 +37,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .capacity import Capacity, grid_table, random_monotone
-from .classify import (
-    ClassReport,
-    classify_full,
-    is_exact,
-    is_totally_balanced,
-    verify_report,
-)
+from .capacity import BalancedFamily, Capacity, grid_table, random_monotone
+from .classify import ClassReport, _core_system, classify_full, is_exact, is_totally_balanced
+# verify_report stays importable here for callers that check a search
+# outcome's report as capax.search.verify_report
+from .classify import verify_report  # noqa: F401
 from .credal import lower_envelope, random_credal
-from .errors import CapaxError, ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
-from .ground import GroundSet, format_rat, format_subset, parse_rat
+from .errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
+from .ground import GroundSet, format_rat, format_subset
 from .monad import SecondOrderCapacity, monad_mul
 from .rng import SplitMix64
 
@@ -93,7 +97,12 @@ class SeedOutcome:
     multiplied: Capacity
     report: ClassReport
     class_holds: bool
-    verified_counterexample: bool
+
+    @property
+    def verified_counterexample(self) -> bool:
+        """A failing seed is listed only once `verify_counterexample` accepts
+        its record (`run_seed` raises otherwise), so every one is verified."""
+        return not self.class_holds
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,16 +117,20 @@ class SearchReport:
 
 
 def _generate_member(ground: GroundSet, target_class: str, attempt_rng: SplitMix64,
-                     grid: int) -> Capacity:
+                     grid: int):
+    """(member, vertices): a capacity of the target class and, for an exact
+    one, the vertices of the credal set whose lower envelope it is (None for
+    a totally balanced one)."""
     if target_class == EXACT:
-        return lower_envelope(random_credal(ground, attempt_rng, ground.n + 1, grid))
+        alpha = random_credal(ground, attempt_rng, ground.n + 1, grid)
+        return lower_envelope(alpha), alpha.vertices
     for _ in range(_REJECTION_CAP):
         seed = attempt_rng.next_u64()
         if not _superadditive(grid_table(ground, seed, grid)):
             continue
         candidate = random_monotone(ground, seed, grid)
         if is_totally_balanced(candidate)[0]:
-            return candidate
+            return candidate, None
     raise GeneratorExhausted(
         f"rejection sampling found no totally balanced capacity on {ground.n} points "
         f"in {_REJECTION_CAP} draws; use a smaller ground or support size"
@@ -145,20 +158,28 @@ def build_second_order(config: SearchConfig, seed: int) -> SecondOrderCapacity:
     generation attempt; duplicate support draws are discarded and the next
     substream is used, so the construction does not depend on worker layout.
     """
+    return _second_order(config, seed)[0]
+
+
+def _second_order(config: SearchConfig, seed: int):
+    """`build_second_order` with the vertex lists of its members: one per
+    support entry, then the weight game's (all None for totally balanced)."""
     ground = GroundSet(config.n)
     base = SplitMix64(seed)
     support: list[Capacity] = []
+    vertex_lists = []
     while len(support) < config.support_size:
-        candidate = _generate_member(
+        candidate, vertices = _generate_member(
             ground, config.target_class, SplitMix64(base.next_u64()), config.grid
         )
         if candidate not in support:
             support.append(candidate)
-    game = _generate_member(
+            vertex_lists.append(vertices)
+    game, vertices = _generate_member(
         GroundSet(config.support_size), config.target_class,
         SplitMix64(base.next_u64()), config.grid,
     )
-    return SecondOrderCapacity(ground, tuple(support), game)
+    return SecondOrderCapacity(ground, tuple(support), game), (*vertex_lists, vertices)
 
 
 def run_seed(config: SearchConfig, seed: int) -> SeedOutcome:
@@ -167,43 +188,54 @@ def run_seed(config: SearchConfig, seed: int) -> SeedOutcome:
     report = classify_full(mul)
     holds = report.exact if config.target_class == EXACT else report.totally_balanced
     if not holds and not verify_counterexample(
-            config, seed, *_record(c2, mul, report, config.target_class)):
+            config, seed, *_record(c2, mul, _class_witness(report, config.target_class))):
         raise InternalInconsistency(
             f"seed {seed}: counterexample candidate failed re-verification"
         )
-    return SeedOutcome(seed, c2, mul, report, holds, not holds)
+    return SeedOutcome(seed, c2, mul, report, holds)
 
 
 def verify_counterexample(config: SearchConfig, seed: int, tables, witness: str) -> bool:
     """Re-verify a counterexample from its record as the machine report writes it.
 
     `tables` holds the k `cx-support` tables, the `cx-game` and the `cx-mul`
-    table; `witness` is the `witness=` text.  Parses the tables (a malformed
-    record is False), checks they match the deterministic regeneration for
-    the seed, confirms every support entry and the weight game belong to the
-    target class, recomputes the product and its classification, requires
-    the whole record to be byte for byte what the machine report writes for
-    them, and re-verifies all witnesses by arithmetic.
+    table; `witness` is the `witness=` text.  Regenerates the seed's
+    second-order capacity and checks each member belongs to the target
+    class: an exact one by its envelope certificate (`_envelope_certifies`,
+    on the vertices the regeneration drew), a totally balanced one by
+    `is_totally_balanced`.  Recomputes the product and runs the class
+    predicate on it (its witness is the one `classify_full` reports for that
+    class).  The record must be byte for byte what the machine report writes
+    for these, so a malformed or altered table or witness is False, and the
+    witness must pass its arithmetic check.
     """
-    ground, k = GroundSet(config.n), config.support_size
-    if len(tables) != k + 2:
-        return False
-    try:
-        c2 = SecondOrderCapacity(ground, [_parse_table(ground, t) for t in tables[:k]],
-                                 _parse_table(GroundSet(k), tables[k]))
-    except (ValueError, CapaxError):
-        return False
-    if c2 != build_second_order(config, seed):
-        return False
-    predicate = is_exact if config.target_class == EXACT else is_totally_balanced
-    if not all(predicate(nu)[0] for nu in (*c2.support, c2.game)):
-        return False
+    c2, vertex_lists = _second_order(config, seed)
+    members = (*c2.support, c2.game)
+    if config.target_class == EXACT:
+        if not all(map(_envelope_certifies, members, vertex_lists)):
+            return False
+        predicate = is_exact
+    else:
+        if not all(is_totally_balanced(nu)[0] for nu in members):
+            return False
+        predicate = is_totally_balanced
     mul = monad_mul(c2)
-    report = classify_full(mul)
-    holds = report.exact if config.target_class == EXACT else report.totally_balanced
-    if holds or _record(c2, mul, report, config.target_class) != (tuple(tables), witness):
+    holds, w = predicate(mul)
+    if holds or _record(c2, mul, w) != (tuple(tables), witness):
         return False
-    return verify_report(mul, report)
+    if isinstance(w, BalancedFamily):  # is_exact's witness of an empty core
+        return w.violates(mul, mul.ground.full)
+    return w.verify(mul)
+
+
+def _envelope_certifies(nu: Capacity, vertices) -> bool:
+    """True when `vertices` prove nu exact by arithmetic: each one passes the
+    integer core check of nu (x >= 0, x(X) = 1, x(A) >= nu(A) for every A),
+    and every proper nonempty subset A has some core point with x(A) = nu(A).
+    Then nu is the lower envelope of core points, which is exactness."""
+    system = _core_system(nu)
+    return all(system.admit(mu.weights) for mu in vertices) and \
+        all(system.attains(a) for a in nu.ground.proper_nonempty_subsets())
 
 
 def _worker(args) -> SeedOutcome:
@@ -233,17 +265,12 @@ def problem1_search(config: SearchConfig) -> SearchReport:
 # --- report serialization ---------------------------------------------------------
 
 
-def _parse_table(ground: GroundSet, text: str) -> Capacity:
-    return Capacity(ground, [parse_rat(tok) for tok in text.split(",")])
-
-
-def _record(c2: SecondOrderCapacity, mul: Capacity, report: ClassReport,
-            target_class: str) -> tuple[tuple[str, ...], str]:
+def _record(c2: SecondOrderCapacity, mul: Capacity, witness) -> tuple[tuple[str, ...], str]:
     """A counterexample's record, as the machine report writes it and
     `verify_counterexample` reads it: the k support tables, the weight game and
-    the product, and the witness text."""
+    the product, and the text of `witness`, the product's class witness."""
     tables = tuple(",".join(map(format_rat, nu.values)) for nu in (*c2.support, c2.game, mul))
-    return tables, _witness_text(report, target_class)
+    return tables, _witness_text(witness)
 
 
 def machine_report(report: SearchReport) -> str:
@@ -262,7 +289,8 @@ def machine_report(report: SearchReport) -> str:
             f"holds={yn(o.class_holds)}"
         )
     for o in report.counterexamples:
-        tables, witness = _record(o.second_order, o.multiplied, o.report, cfg.target_class)
+        tables, witness = _record(o.second_order, o.multiplied,
+                                  _class_witness(o.report, cfg.target_class))
         out.append(f"counterexample seed={o.seed} verified={yn(o.verified_counterexample)} "
                    f"witness={witness}")
         out.extend(f"cx-support seed={o.seed} index={i} table={t}"
@@ -277,8 +305,11 @@ def machine_report(report: SearchReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def _witness_text(report: ClassReport, target_class: str) -> str:
-    w = report.exact_witness if target_class == EXACT else report.tb_witness
+def _class_witness(report: ClassReport, target_class: str):
+    return report.exact_witness if target_class == EXACT else report.tb_witness
+
+
+def _witness_text(w) -> str:
     if w is None:
         return "none"
     if hasattr(w, "subset"):
@@ -328,28 +359,34 @@ def reverify_report_text(text: str) -> bool:
     The report must be consistent: the seeds with a counterexample record are
     exactly those whose result line says holds=no, in order, and the summary
     counts them.  Each record must be whole, a witness and every table, and
-    pass `verify_counterexample`.
+    pass `verify_counterexample`.  Any other defect, a missing or malformed
+    field included, gives False; only a missing header or config record
+    raises ValueError.
     """
     config = None
     failing, flagged, tables, counted = [], {}, {}, None
-    for kind, fields in parse_machine_report(text):
-        if kind == "config":
-            config = SearchConfig(
-                n=int(fields["n"]),
-                support_size=int(fields["k"]),
-                target_class=fields["class"],
-                seed_start=int(fields["seeds"].split("..")[0]),
-                seed_end=int(fields["seeds"].split("..")[1]),
-                grid=int(fields["grid"]),
-            )
-        elif kind == "result" and fields.get("holds") == "no":
-            failing.append(int(fields["seed"]))
-        elif kind == "counterexample":
-            flagged[int(fields["seed"])] = fields.get("witness")
-        elif kind.startswith("cx-"):
-            tables[int(fields["seed"]), kind, fields.get("index")] = fields.get("table")
-        elif kind == "summary":
-            counted = int(fields["counterexamples"])
+    records = parse_machine_report(text)
+    try:
+        for kind, fields in records:
+            if kind == "config":
+                config = SearchConfig(
+                    n=int(fields["n"]),
+                    support_size=int(fields["k"]),
+                    target_class=fields["class"],
+                    seed_start=int(fields["seeds"].split("..")[0]),
+                    seed_end=int(fields["seeds"].split("..")[1]),
+                    grid=int(fields["grid"]),
+                )
+            elif kind == "result" and fields.get("holds") == "no":
+                failing.append(int(fields["seed"]))
+            elif kind == "counterexample":
+                flagged[int(fields["seed"])] = fields.get("witness")
+            elif kind.startswith("cx-"):
+                tables[int(fields["seed"]), kind, fields.get("index")] = fields.get("table")
+            elif kind == "summary":
+                counted = int(fields["counterexamples"])
+    except (KeyError, IndexError, ValueError, ConfigOutOfRange):
+        return False
     if config is None:
         raise ValueError("report has no config record")
     if list(flagged) != failing or counted != len(failing):

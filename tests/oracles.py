@@ -6,8 +6,10 @@ of core polytopes (no LP), the candidate-scan computation of the monad
 multiplication, the core minimum through the general LP layer
 (`solve_dualized` of an explicitly built program, as capax computed it before
 `CoreSystem`), total balancedness by one weighted-cover LP per subset (as
-capax decided it before certificates settled subsets), and `random_monotone`
-drawn as Fractions, as capax drew it before it drew grid numerators.  These re-derive the quantities the package
+capax decided it before certificates settled subsets), `random_monotone`
+drawn as Fractions, as capax drew it before it drew grid numerators, and the
+lower envelope of a vertex list by Fraction sums per vertex and subset, as
+capax computed it before integer mass tables.  These re-derive the quantities the package
 computes through simplex pivots or breakpoint walks, by slower but
 structurally unrelated means.
 """
@@ -177,3 +179,9 @@ def random_monotone_fractions(ground, seed: int, grid: int) -> list[Fraction]:
     raw[ground.full] = Fraction(1)
     return [max(raw[s] for s in ground.subsets() if s & ~mask == 0)
             for mask in ground.subsets()]
+
+
+def vertex_envelope(ground, vertices) -> list[Fraction]:
+    """The lower envelope of a vertex list: min mu(A) over the vertices for
+    every subset A, each mass a Fraction sum of the point weights."""
+    return [min(mu.mass(a) for mu in vertices) for a in ground.subsets()]

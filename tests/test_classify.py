@@ -5,6 +5,7 @@ import pytest
 from oracles import convex_all_pairs
 
 from capax.capacity import (
+    Capacity,
     Measure,
     dirac,
     mix,
@@ -29,7 +30,9 @@ from capax.classify import (
 from capax.credal import lower_envelope, random_credal
 from capax.errors import ConfigOutOfRange, CoreEmpty, EmptySubset, GroundMismatch
 from capax.ground import GroundSet
+from capax.monad import monad_mul
 from capax.rng import SplitMix64
+from capax.search import SearchConfig, build_second_order
 
 g2, g3, g4 = GroundSet(2), GroundSet(3), GroundSet(4)
 
@@ -246,6 +249,44 @@ class TestClassifyFull:
                 (balanced, balanced_w)
             assert (report.totally_balanced, report.tb_witness) == is_totally_balanced(nu)
             assert (report.exact, report.exact_witness) == is_exact(nu)
+
+    def test_predicate_witnesses_are_the_reports_on_pinned_families(self):
+        # the search re-checks a product by one predicate and writes the
+        # report's witness, so the two must be the same object on the
+        # families the output pins draw from: random monotone and convex
+        # mixtures at n = 2..4, envelopes, damped and lowered tables at
+        # n = 5, and exact and totally balanced search products
+        def families():
+            for seed in range(24):
+                g = GroundSet(2 + seed % 3)
+                yield random_monotone(g, seed, 6)
+                yield random_convex_mixture(g, seed, 8)
+            g = GroundSet(5)
+            for seed in range(6):
+                rng = SplitMix64(5000 + seed)
+                monotone = random_monotone(g, rng.next_u64(), 6)
+                yield monotone
+                yield Capacity(g, [v if a == g.full else v / 5
+                                   for a, v in enumerate(monotone.values)])
+                envelope = random_exact(g, rng)
+                yield envelope
+                a = 0b00111 << seed % 3
+                yield Capacity(g, [max(envelope[a & ~(1 << i)] for i in range(5) if a >> i & 1)
+                                   if m == a else v for m, v in enumerate(envelope.values)])
+            for target_class, n, k, grid in (("exact", 4, 4, 16), ("totally_balanced", 3, 3, 16)):
+                cfg = SearchConfig(n=n, support_size=k, target_class=target_class,
+                                   seed_start=0, seed_end=0, grid=grid)
+                for seed in range(8):
+                    yield monad_mul(build_second_order(cfg, seed))
+
+        kinds = set()
+        for nu in families():
+            report = classify_full(nu)
+            assert is_exact(nu) == (report.exact, report.exact_witness)
+            assert is_totally_balanced(nu) == (report.totally_balanced, report.tb_witness)
+            kinds.update((type(report.exact_witness).__name__,
+                          type(report.tb_witness).__name__))
+        assert kinds == {"NoneType", "ExactnessGap", "BalancedFamily", "TotalBalanceFailure"}
 
     def test_size_limits(self):
         with pytest.raises(ConfigOutOfRange):

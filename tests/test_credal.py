@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import vertex_envelope
+
 from capax.capacity import (
     Measure,
     dirac,
@@ -89,6 +91,37 @@ class TestLowerEnvelope:
             n = 2 + trial % 3
             env = lower_envelope(random_credal(GroundSet(n), rng, 5, 7))
             assert is_exact(env)[0], trial
+
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_integer_envelope_is_the_fraction_minimum(self, n):
+        g = GroundSet(n)
+        rng = SplitMix64(700 + n)
+        for trial in range(12):
+            alpha = random_credal(g, rng, n + 2, 3 + trial * 5)
+            expected = vertex_envelope(g, alpha.vertices)
+            assert list(lower_envelope(alpha).values) == expected, trial
+            fresh = CredalSet.from_vertices(alpha.vertices)
+            assert [fresh.min_mass(a) for a in g.subsets()] == expected
+            assert [fresh.max_mass(a) for a in g.subsets()] == \
+                [1 - expected[g.full ^ a] for a in g.subsets()]
+
+    def test_large_coprime_denominators(self):
+        alpha = CredalSet.from_vertices([
+            Measure(g3, [F(1, 10**9 + 7), F(1, 3), 1 - F(1, 10**9 + 7) - F(1, 3)]),
+            Measure(g3, [F(2, 10**9 + 9), F(1, 2), 1 - F(2, 10**9 + 9) - F(1, 2)]),
+        ])
+        assert list(lower_envelope(alpha).values) == vertex_envelope(g3, alpha.vertices)
+
+    def test_equal_values_share_one_object(self):
+        # 1/3 reached over the common denominator 6 in one set and over 3 in
+        # the other: the two envelopes hold the same Fraction object
+        one_set = CredalSet.from_vertices([Measure(g2, [F(1, 3), F(2, 3)]),
+                                           Measure(g2, [F(1, 2), F(1, 2)])])
+        other = CredalSet.from_vertices([Measure(g2, [F(2, 3), F(1, 3)])])
+        a, b = lower_envelope(one_set), lower_envelope(other)
+        assert a[0b01] == b[0b10] == F(1, 3)
+        assert a[0b01] is b[0b10]
 
 
 class TestCorePolytope:

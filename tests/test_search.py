@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -6,8 +7,11 @@ import pytest
 from oracles import random_monotone_fractions
 
 from capax import search
-from capax.capacity import Capacity, grid_table, random_convex_mixture, random_monotone
-from capax.classify import is_exact, is_totally_balanced
+from capax.capacity import (BalancedFamily, Capacity, Measure, grid_table, point_mass,
+                            random_convex_mixture, random_monotone)
+from capax.classify import (ExactnessGap, TotalBalanceFailure, _core_system, is_exact,
+                            is_totally_balanced)
+from capax.credal import CredalSet, lower_envelope
 from capax.errors import ConfigOutOfRange
 from capax.ground import GroundSet, subset_indices
 from capax.monad import monad_mul
@@ -177,6 +181,12 @@ def table_of(text, prefix):
     return line.partition("table=")[2]
 
 
+def record_of(outcome, target_class):
+    """The counterexample record the machine report writes for `outcome`."""
+    return search._record(outcome.second_order, outcome.multiplied,
+                          search._class_witness(outcome.report, target_class))
+
+
 # Each edit leaves a report that still parses, but whose record is wrong,
 # incomplete or inconsistent with its result and summary lines.  `s` is a
 # flagged seed with a failing-subset witness, `h` a seed where the class holds.
@@ -205,6 +215,16 @@ INCONSISTENT = {
 }
 
 
+# Each edit leaves a field that the report reader cannot parse: a record
+# without its seed, a seed that is not an integer, a summary without a count.
+MALFORMED = {
+    "cx-game-without-seed": lambda t, s: edit(t, f"cx-game seed={s} ", r"seed=\d+ ", ""),
+    "non-integer-seed": lambda t, s: edit(t, f"counterexample seed={s} ", r"seed=\d+",
+                                          "seed=x"),
+    "summary-without-count": lambda t, s: edit(t, "summary ", r"counterexamples=\d+ ", ""),
+}
+
+
 @pytest.fixture(scope="module")
 def found():
     cfg = SearchConfig(n=3, support_size=3, target_class="exact",
@@ -226,8 +246,7 @@ class TestCounterexamples:
     def test_tampered_record_fails_verification(self, found):
         cfg, report = found
         outcome = report.counterexamples[0]
-        tables, witness = search._record(outcome.second_order, outcome.multiplied,
-                                         outcome.report, cfg.target_class)
+        tables, witness = record_of(outcome, cfg.target_class)
         assert verify_counterexample(cfg, outcome.seed, tables, witness)
         # swapping two support tables keeps the record well formed but no
         # longer matches the deterministic regeneration for the seed
@@ -256,10 +275,140 @@ class TestCounterexamples:
         assert tampered != text
         assert reverify_report_text(tampered) is False
 
+    @pytest.mark.parametrize("tamper", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_field_fails_verification(self, found, tamper):
+        _, report = found
+        text = machine_report(report)
+        tampered = tamper(text, report.counterexamples[0].seed)
+        assert tampered != text
+        assert reverify_report_text(tampered) is False
+
+    def test_missing_config_still_raises(self, found):
+        _, report = found
+        lines = machine_report(report).splitlines(keepends=True)
+        with pytest.raises(ValueError):
+            reverify_report_text("".join(l for l in lines if not l.startswith("config ")))
+
     def test_failing_class_really_fails(self, found):
         _, report = found
         for o in report.counterexamples:
             assert not is_exact(monad_mul(o.second_order))[0]
+
+
+# An exact capacity on four points, the lower envelope of these vertices, that
+# is not convex: the greedy marginal vectors do not attain every subset, so
+# the third vertex is the only certified point attaining some subset.
+ENVELOPE_VERTICES = (
+    (Fraction(1, 8), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)),
+    (0, Fraction(1, 2), 0, Fraction(1, 2)),
+    (Fraction(2, 5), 0, Fraction(1, 5), Fraction(2, 5)),
+    (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 0),
+)
+
+
+def envelope_member():
+    g = GroundSet(4)
+    vertices = tuple(Measure(g, w) for w in ENVELOPE_VERTICES)
+    return lower_envelope(CredalSet.from_vertices(vertices)), vertices
+
+
+class TestEnvelopeCertificate:
+    """The exactness check `verify_counterexample` makes of an exact member."""
+
+    def test_accepts_every_drawn_member(self):
+        nu, vertices = envelope_member()
+        assert search._envelope_certifies(nu, vertices)
+        cfg = small_config(n=4, support_size=3, seed_end=5)
+        for seed in cfg.seeds:
+            c2, vertex_lists = search._second_order(cfg, seed)
+            assert c2 == build_second_order(cfg, seed)
+            assert len(vertex_lists) == 4
+            assert all(map(search._envelope_certifies, (*c2.support, c2.game), vertex_lists))
+
+    def test_rejects_a_dropped_vertex(self):
+        nu, vertices = envelope_member()
+        rest = vertices[:2] + vertices[3:]
+        system = _core_system(nu)
+        assert all(system.admit(mu.weights) for mu in rest)  # still core points
+        assert any(all(mu.mass(a) > nu[a] for mu in rest)
+                   for a in nu.ground.proper_nonempty_subsets())
+        assert not search._envelope_certifies(nu, rest)
+
+    def test_rejects_a_raised_capacity(self):
+        nu, vertices = envelope_member()
+        g = nu.ground
+        values = list(nu.values)
+        for a in g.proper_nonempty_subsets():
+            room = min(nu[a | 1 << i] for i in g.points() if not a >> i & 1)
+            if room > nu[a]:
+                values[a] = room  # still monotone: no immediate superset is below
+                break
+        raised = Capacity(g, values)
+        assert raised != nu
+        system = _core_system(raised)
+        assert not all(system.admit(mu.weights) for mu in vertices)
+        assert not search._envelope_certifies(raised, vertices)
+
+    def test_verification_rejects_a_member_outside_its_certificate(self, found, monkeypatch):
+        # a vertex list with a point mass added that misses some member's
+        # core: the record is unchanged, only the certificate fails
+        cfg, report = found
+        outcome = report.counterexamples[0]
+        members = (*outcome.second_order.support, outcome.second_order.game)
+        assert any(nu[nu.ground.full ^ 1] > 0 for nu in members)
+        tables, witness = record_of(outcome, cfg.target_class)
+        assert verify_counterexample(cfg, outcome.seed, tables, witness)
+        regenerate = search._second_order
+
+        def with_point_mass(config, seed):
+            c2, vertex_lists = regenerate(config, seed)
+            return c2, tuple((point_mass(0, vs[0].ground), *vs) for vs in vertex_lists)
+
+        monkeypatch.setattr(search, "_second_order", with_point_mass)
+        assert not verify_counterexample(cfg, outcome.seed, tables, witness)
+
+
+def forged(witness, nu):
+    """`witness` with its text kept but its arithmetic broken."""
+    if isinstance(witness, ExactnessGap):
+        return dataclasses.replace(witness, bound=nu[witness.subset])  # no gap
+    if isinstance(witness, TotalBalanceFailure):
+        return dataclasses.replace(witness, family=forged(witness.family, nu))
+    return BalancedFamily(witness.sets, (Fraction(0),) * len(witness.sets))  # total 0
+
+
+class TestWitnessArithmetic:
+    """`verify_counterexample` re-checks the product's class witness by
+    arithmetic, not only its text."""
+
+    @pytest.mark.parametrize("target_class, predicate", [
+        ("exact", "is_exact"), ("totally_balanced", "is_totally_balanced")])
+    def test_forged_witness_fails(self, found, monkeypatch, target_class, predicate):
+        if target_class == "exact":
+            cfg, report = found
+        else:
+            cfg = SearchConfig(n=3, support_size=2, target_class=target_class,
+                               seed_start=6, seed_end=7, grid=4)
+            report = problem1_search(cfg)
+        assert report.counterexamples
+        honest = getattr(search, predicate)
+        kinds = set()
+        for outcome in report.counterexamples:
+            mul = outcome.multiplied
+            tables, text = record_of(outcome, target_class)
+            assert verify_counterexample(cfg, outcome.seed, tables, text)
+            _, witness = honest(mul)
+            kinds.add(type(witness).__name__)
+            fake = forged(witness, mul)
+            assert not (fake.violates(mul, mul.ground.full) if isinstance(fake, BalancedFamily)
+                        else fake.verify(mul))
+            monkeypatch.setattr(search, predicate, lambda nu, fake=fake, mul=mul:
+                                (False, fake) if nu == mul else honest(nu))
+            assert not verify_counterexample(cfg, outcome.seed, tables, text)
+            monkeypatch.setattr(search, predicate, honest)
+        expected = {"ExactnessGap", "BalancedFamily"} if target_class == "exact" \
+            else {"TotalBalanceFailure"}
+        assert kinds == expected
 
 
 class TestTotallyBalancedSearch:
