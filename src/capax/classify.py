@@ -16,7 +16,7 @@ LP value at the full set, and direct feasibility of the core system) which
 must agree; disagreement raises InternalInconsistency since it can only be a
 solver bug.
 
-Exactness and total balancedness share one `CoreSystem` in `classify_full`.
+Exactness and total balancedness share `lp.core.shared_capacity_core`.
 Its pool of certified core points has three sources: the dual point of the
 full set's weighted cover (a core point when the cover value is 1), the
 minimisers `is_exact` certifies, and greedy marginal vectors.  A pooled x
@@ -34,8 +34,9 @@ from fractions import Fraction
 from .capacity import BalancedFamily, Capacity, Measure
 from .errors import ConfigOutOfRange, EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, subset_indices
-from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, CoreSystem, Row, LinearProgram, NONNEG,
+from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
+from .lp.core import shared_capacity_core
 # solve_dualized stays importable here for tools that hook LP solves per module
 from .lp.solver import solve, solve_dualized  # noqa: F401
 
@@ -268,36 +269,13 @@ def _balanced(nu: Capacity, full_cover):
 # --- exactness -------------------------------------------------------------------
 
 
-def _core_system(nu: Capacity) -> CoreSystem:
-    """The core of nu: one bound per nonempty proper subset, in code order."""
-    masks = nu.ground.proper_nonempty_subsets()
-    return CoreSystem(nu.ground.n, masks, (nu[a] for a in masks))
-
-
-def _certified_core(nu: Capacity, full_cover) -> CoreSystem | None:
-    """The core system of nu with the full set's cover dual pooled as a
-    certified point, or None when the core is empty (cover value above 1).
-
-    At value 1 the dual y has y >= 0, y(A) >= v(A) and y(X) = 1: a core
-    point, admitted after the same integer core check as every pooled point.
-    """
-    value, _, point = full_cover
-    if value != ONE:
-        return None
-    system = _core_system(nu)
-    if not system.admit(point):
-        raise InternalInconsistency("the full-set cover dual is not a core point", point)
-    return system
-
-
 def min_core_value(nu: Capacity, subset: int, *, allow_large: bool = False) -> Fraction:
     """Minimum of mu(B) over the core; raises CoreEmpty when unbalanced."""
     check_subset(subset, nu.ground)
     _check_size(nu, allow_large)
     if subset == 0:
         return ZERO
-    system = _core_system(nu)
-    return nu[subset] if system.attains(subset) else system.minimum(subset).value
+    return shared_capacity_core(nu.values).least(subset)
 
 
 def is_exact(nu: Capacity, *, allow_large: bool = False):
@@ -309,19 +287,21 @@ def is_exact(nu: Capacity, *, allow_large: bool = False):
     full sets are automatically attained and skipped.
     """
     _check_size(nu, allow_large)
-    full_cover = _cover_value(nu, nu.ground.full)
-    return _exact(nu, full_cover, _certified_core(nu, full_cover))
+    return _exact(nu, _cover_value(nu, nu.ground.full))
 
 
-def _exact(nu: Capacity, full_cover, system: CoreSystem | None):
-    """is_exact with the full set's weighted-cover result already solved and
-    `system`, its `_certified_core`.
+def _exact(nu: Capacity, full_cover):
+    """is_exact with the full set's weighted-cover result already solved; at
+    value 1 its dual y (y >= 0, y(A) >= v(A), y(X) = 1) is pooled as a core point.
 
     A subset whose bound some certified core point attains needs no LP; the
     rest get a cold `minimum`, whose certificate becomes the witness."""
-    value, family, _ = full_cover
+    value, family, point = full_cover
     if value != ONE:
         return False, family
+    system = shared_capacity_core(nu.values)
+    if not system.admit(point):
+        raise InternalInconsistency("the full-set cover dual is not a core point", point)
     for subset in nu.ground.proper_nonempty_subsets():
         if system.attains(subset):
             continue
@@ -339,10 +319,10 @@ def is_totally_balanced(nu: Capacity, *, allow_large: bool = False):
     failing subset in subset-code order.
     """
     _check_size(nu, allow_large)
-    return _totally_balanced(nu, None, _core_system)
+    return _totally_balanced(nu, None)
 
 
-def _totally_balanced(nu: Capacity, full_cover, core):
+def _totally_balanced(nu: Capacity, full_cover):
     """is_totally_balanced, solving a cover LP only for the subsets no
     certificate settles.
 
@@ -350,16 +330,16 @@ def _totally_balanced(nu: Capacity, full_cover, core):
     max(v(i) + v(j), v(ij)), so a pair with v(i) + v(j) <= v(ij) holds.  A
     larger B below the full set holds when a certified core point x has
     x(B) = v(B): x restricted to B is in the core of the subgame on B, so its
-    cover value is v(B).  `core(nu)` gives the core system whose `attains`
-    decides that, or None when it cannot; it is called once, when the first
-    such B comes up.  Every other subset, each failing one among them, gets
-    its LP, so the first failure and its family are the LP's.  The full set
-    comes last in code order; its result, when already solved
-    (`full_cover`), is used only if reached.
+    cover value is v(B).  The shared core system's `attains` decides that;
+    it is not asked when `full_cover` shows the core empty (value above 1).
+    Every other subset, each failing one among them, gets its LP, so the
+    first failure and its family are the LP's.  The full set comes last in
+    code order; its result, when already solved (`full_cover`), is used only
+    if reached.
     """
     values = nu.values
     full = nu.ground.full
-    system = None
+    settles = full_cover is None or full_cover[0] == ONE
     for subset in nu.ground.nonempty_subsets():
         low = subset & -subset
         rest = subset ^ low
@@ -368,11 +348,8 @@ def _totally_balanced(nu: Capacity, full_cover, core):
         if not rest & (rest - 1):
             if values[low] + values[rest] <= values[subset]:
                 continue
-        elif subset != full:
-            if core is not None:
-                system, core = core(nu), None
-            if system is not None and system.attains(subset):
-                continue
+        elif subset != full and settles and shared_capacity_core(values).attains(subset):
+            continue
         if subset == full and full_cover is not None:
             value, family, _ = full_cover
         else:
@@ -392,13 +369,12 @@ def classify_full(nu: Capacity, *, allow_large: bool = False) -> ClassReport:
     be a math outcome and aborts with InternalInconsistency carrying the
     conflicting witnesses.
     """
-    convex, convex_w = is_convex(nu)
     _check_size(nu, allow_large)
+    convex, convex_w = is_convex(nu)
     full_cover = _cover_value(nu, nu.ground.full)  # one solve serves all three
     balanced, balanced_w = _balanced(nu, full_cover)
-    system = _certified_core(nu, full_cover)  # the points _exact certifies settle TB subsets
-    exact, exact_w = _exact(nu, full_cover, system)
-    tb, tb_w = _totally_balanced(nu, full_cover, lambda _: system)
+    exact, exact_w = _exact(nu, full_cover)
+    tb, tb_w = _totally_balanced(nu, full_cover)
     chain = (convex, exact, tb, balanced)
     for name, (stronger, weaker) in {
         "convex => exact": (convex, exact),

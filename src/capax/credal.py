@@ -23,8 +23,7 @@ from .capacity import Capacity, Measure, measure_pushforward, pushforward
 from .classify import is_exact
 from .errors import CoreEmpty, GroundMismatch, InfeasibleCredal, NotExact
 from .ground import ONE, ZERO, GroundSet, PointMap, check_subset
-from .lp import CoreMinimum, CoreSystem
-from .lp.core import _mass_table
+from .lp.core import CoreSystem, _mass_table, shared_capacity_core
 # LinearProgram, Row and solve_dualized stay importable here for tools that
 # hook LP construction and solves per module
 from .lp import LinearProgram, Row  # noqa: F401
@@ -38,21 +37,25 @@ PUSHED = "pushed"
 class CredalSet:
     """Nonempty closed convex set of probability measures on a finite ground set."""
 
-    __slots__ = ("ground", "kind", "vertices", "bounds", "base_map", "base_set", "_cache",
-                 "_system", "_minima")
+    __slots__ = ("ground", "kind", "vertices", "system", "base_map", "base_set", "_cache",
+                 "_minima")
 
-    def __init__(self, ground: GroundSet, kind: str, *, vertices=None, bounds=None,
+    def __init__(self, ground: GroundSet, kind: str, *, vertices=None, system=None,
                  base_map=None, base_set=None):
         self.ground = ground
         self.kind = kind
         self.vertices = vertices
-        self.bounds = bounds
+        self.system: CoreSystem | None = system  # constraint form
         self.base_map = base_map
         self.base_set = base_set
         # (mask, lowest) -> min or max mass of mask over the set
         self._cache: dict[tuple[int, bool], Fraction] = {}
-        self._system: CoreSystem | None = None  # constraint form, built on first use
         self._minima: list[Fraction] | None = None  # vertex form, built on first use
+        if system is not None:  # nonempty by definition; then no later question fails
+            try:
+                system.require_solution()
+            except CoreEmpty:
+                raise InfeasibleCredal("constraint system admits no probability measure") from None
 
     # --- constructors ---
 
@@ -83,9 +86,9 @@ class CredalSet:
                 raise ValueError("the empty set cannot carry a lower bound")
             check_subset(mask, ground)
             clean[mask] = Fraction(value)
-        alpha = cls(ground, CONSTRAINTS, bounds=clean)
-        alpha.min_mass(ground.full)  # feasibility probe
-        return alpha
+        masks = sorted(clean)
+        system = CoreSystem(ground.n, masks, (clean[a] for a in masks))
+        return cls(ground, CONSTRAINTS, system=system)
 
     # --- support-function evaluation ---
 
@@ -110,10 +113,8 @@ class CredalSet:
             value = self._vertex_minima()[mask]
         elif self.kind == PUSHED:
             value = self.base_set._mass(self.base_map.preimage(mask), True)
-        elif self._core().attains(mask):
-            value = self.bounds[mask]
         else:
-            value = self._core_minimum(mask).value
+            value = self.system.least(mask)
         self._cache[key] = value
         return value
 
@@ -134,25 +135,13 @@ class CredalSet:
             self._minima = [_shared_ratio(m, den) for m in map(min, zip(*scaled))]
         return self._minima
 
-    def _core(self) -> CoreSystem:
-        if self._system is None:
-            masks = sorted(self.bounds)
-            self._system = CoreSystem(self.ground.n, masks, (self.bounds[a] for a in masks))
-        return self._system
-
-    def _core_minimum(self, mask: int) -> CoreMinimum:
-        try:
-            return self._core().minimum(mask)
-        except CoreEmpty:
-            raise InfeasibleCredal("constraint system admits no probability measure") from None
-
     def some_member(self) -> Measure:
         """Any measure in the set (a vertex, or an LP-feasible point)."""
         if self.kind == VERTICES:
             return self.vertices[0]
         if self.kind == PUSHED:
             return measure_pushforward(self.base_map, self.base_set.some_member())
-        return Measure(self.ground, self._core_minimum(0).point)
+        return Measure(self.ground, self.system.minimum(0).point)
 
 
 def _shared_ratio(num: int, den: int) -> Fraction:
@@ -170,10 +159,10 @@ def _lowest_terms(num: int, den: int) -> Fraction:
 
 
 def core_polytope(nu: Capacity) -> CredalSet:
-    """The core {mu : mu(A) >= v(A) for all A} as a constraint-form credal set."""
-    bounds = {mask: nu[mask] for mask in nu.ground.proper_nonempty_subsets()}
+    """The core {mu : mu(A) >= v(A) for all A} as a constraint-form credal set,
+    over the core system `classify` shares (`lp.core.shared_capacity_core`)."""
     try:
-        return CredalSet.from_constraints(nu.ground, bounds)
+        return CredalSet(nu.ground, CONSTRAINTS, system=shared_capacity_core(nu.values))
     except InfeasibleCredal:
         raise CoreEmpty("capacity is unbalanced: the core polytope is empty") from None
 

@@ -219,8 +219,8 @@ def emit_credal(alpha: CredalSet) -> str:
         return "\n".join(out) + "\n"
     if alpha.kind == CONSTRAINTS:
         out = [f"credal {alpha.ground.n} core-of"]
-        for mask in sorted(alpha.bounds):
-            out.append(f"v {format_subset(mask)} = {format_rat(alpha.bounds[mask])}")
+        for mask, bound in sorted(zip(alpha.system.masks, alpha.system.bounds)):
+            out.append(f"v {format_subset(mask)} = {format_rat(bound)}")
         return "\n".join(out) + "\n"
     raise ValueError("pushforward-form credal sets have no file representation")
 

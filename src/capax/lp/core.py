@@ -44,7 +44,14 @@ in the core of every convex capacity (Shapley, "Cores of convex games", IJGT
 1971); and those a caller hands to `admit`, such as the dual point y of the
 full set's weighted cover, a core point when the cover value is 1 (y >= 0,
 y(A) >= v(A), y(X) = 1).  A point counts only after it passes the same
-integer core check as `minimum`'s.
+integer core check as `minimum`'s, and the pool keeps one copy of each.
+
+`shared_capacity_core` owns the pool of a capacity's core: `classify` and
+`credal` share its one-entry memo, so `is_exact(nu)` and then
+`lower_envelope(core_polytope(nu))` solve each minimum once.  One entry:
+a slot on `Capacity` would keep a pool for every capacity a search report
+holds, and more entries would let callers that cycle through a few
+capacities answer from pools filled by earlier calls.
 """
 
 from __future__ import annotations
@@ -162,8 +169,17 @@ class CoreSystem:
             raise InternalInconsistency(
                 f"core minimum of subset {subset:#b} has a failing certificate", best
             )
-        self._pool.append(table)
+        self._pool_add(table)
         return best
+
+    def least(self, subset: int) -> Fraction:
+        """min x(subset): its largest bound if `attains` proves it, else a cold `minimum`."""
+        return self._top[subset] if self.attains(subset) else self.minimum(subset).value
+
+    def require_solution(self) -> None:
+        """Raise CoreEmpty if unsolvable; only an empty pool costs `minimum(0)`."""
+        if not self._pool:
+            self.minimum(0)
 
     def admit(self, point) -> bool:
         """Pool `point`, a weight per point, as a certified core point when it
@@ -173,8 +189,13 @@ class CoreSystem:
         table = self._core_mass(point)
         if table is None:
             return False
-        self._pool.append(table)
+        self._pool_add(table)
         return True
+
+    def _pool_add(self, table) -> None:
+        """Pool a certified point's mass table, unless an equal one is pooled."""
+        if table not in self._pool:
+            self._pool.append(table)
 
     def attains(self, subset: int) -> bool:
         """True when some certified core point x has x(subset) = b, the
@@ -198,7 +219,7 @@ class CoreSystem:
         table = self._core_mass(self._marginal(subset))
         if table is None:
             return False
-        self._pool.append(table)
+        self._pool_add(table)
         den, mass = table
         return mass[subset] * bden == num * den
 
@@ -304,6 +325,27 @@ class CoreSystem:
         if not self.refutes(shift, multipliers):
             raise InternalInconsistency("empty-core ray fails its Farkas check", shift, multipliers)
         raise CoreEmpty("the core system has no solution")
+
+
+def capacity_core(values) -> CoreSystem:
+    """A new core system of the value table `values`: v(A) per proper nonempty A."""
+    full = len(values) - 1
+    return CoreSystem(full.bit_length(), range(1, full), values[1:full])
+
+
+_shared_core = None  # (values, capacity_core(values)) of the table last asked for
+
+
+def shared_capacity_core(values) -> CoreSystem:
+    """`capacity_core(values)`, one system for all calls with this very table
+    object until a call with another replaces it.  The memo holds its table,
+    so no recycled id can match, and is read once per call, so no thread
+    switch can pair this table with another's system."""
+    global _shared_core
+    last = _shared_core
+    if last is None or last[0] is not values:
+        last = _shared_core = (values, capacity_core(values))
+    return last[1]
 
 
 @dataclass(frozen=True)

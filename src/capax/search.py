@@ -38,13 +38,14 @@ import time
 from dataclasses import dataclass
 
 from .capacity import BalancedFamily, Capacity, grid_table, random_monotone
-from .classify import ClassReport, _core_system, classify_full, is_exact, is_totally_balanced
+from .classify import ClassReport, classify_full, is_exact, is_totally_balanced
 # verify_report stays importable here for callers that check a search
 # outcome's report as capax.search.verify_report
 from .classify import verify_report  # noqa: F401
 from .credal import lower_envelope, random_credal
 from .errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
 from .ground import GroundSet, format_rat, format_subset
+from .lp.core import capacity_core
 from .monad import SecondOrderCapacity, monad_mul
 from .rng import SplitMix64
 
@@ -54,6 +55,7 @@ CLASSES = (EXACT, TOTALLY_BALANCED)
 
 MAX_POINTS = 6
 MAX_SUPPORT = 6
+MAX_JOBS = 64
 _REJECTION_CAP = 100_000
 
 REPORT_HEADER = "capax-report v1"
@@ -82,6 +84,8 @@ class SearchConfig:
             raise ConfigOutOfRange("grid must be >= 1")
         if self.jobs < 1:
             raise ConfigOutOfRange("jobs must be >= 1")
+        if self.jobs > MAX_JOBS:
+            raise ConfigOutOfRange(f"jobs must be at most {MAX_JOBS}, got {self.jobs}")
         if self.seed_start < 0 or self.seed_end < -1:
             raise ConfigOutOfRange("seed range must be nonnegative")
 
@@ -232,8 +236,9 @@ def _envelope_certifies(nu: Capacity, vertices) -> bool:
     """True when `vertices` prove nu exact by arithmetic: each one passes the
     integer core check of nu (x >= 0, x(X) = 1, x(A) >= nu(A) for every A),
     and every proper nonempty subset A has some core point with x(A) = nu(A).
-    Then nu is the lower envelope of core points, which is exactness."""
-    system = _core_system(nu)
+    Then nu is the lower envelope of core points, which is exactness.  The
+    system is new, not the shared one: no point another caller pooled counts."""
+    system = capacity_core(nu.values)
     return all(system.admit(mu.weights) for mu in vertices) and \
         all(system.attains(a) for a in nu.ground.proper_nonempty_subsets())
 
@@ -256,9 +261,10 @@ def problem1_search(config: SearchConfig) -> SearchReport:
         # which every single-process caller of capax would otherwise pay
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        workers = min(config.jobs, len(seeds))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_worker, [(config, s) for s in seeds],
-                                     chunksize=max(1, len(seeds) // (config.jobs * 4))))
+                                     chunksize=max(1, len(seeds) // (workers * 4))))
     return SearchReport(config, tuple(outcomes), time.perf_counter() - started)
 
 

@@ -294,6 +294,14 @@ class TestClassifyFull:
         with pytest.raises(ConfigOutOfRange):
             classify_full(dirac(0, GroundSet(11)), allow_large=True)
 
+    @pytest.mark.parametrize("n, allow_large", [(9, False), (11, True), (13, True)])
+    def test_size_is_checked_before_the_convexity_scan(self, monkeypatch, n, allow_large):
+        scans = []
+        monkeypatch.setattr(classify, "is_convex", scans.append)
+        with pytest.raises(ConfigOutOfRange):
+            classify_full(dirac(0, GroundSet(n)), allow_large=allow_large)
+        assert scans == []
+
     def test_allow_large_warns(self):
         with pytest.warns(RuntimeWarning):
             assert is_balanced(dirac(0, GroundSet(9)), allow_large=True)[0]

@@ -216,6 +216,12 @@ class TestSearchCommand:
                            "--k", "2", "--seeds", "0..0")
         assert code == 4
 
+    def test_too_many_jobs_exits_4(self, capsys):
+        code, _, err = run(capsys, "search", "--class", "exact", "--n", "3", "--k", "2",
+                           "--seeds", "0..0", "--jobs", search.MAX_JOBS + 1)
+        assert code == 4
+        assert "jobs" in err
+
     def test_bad_seed_syntax_exits_4(self, capsys):
         code, _, _ = run(capsys, "search", "--class", "exact", "--n", "3",
                          "--k", "2", "--seeds", "5")

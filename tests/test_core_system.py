@@ -1,8 +1,12 @@
 """CoreSystem, the core-minimum oracle behind is_exact and core envelopes,
 against vertex enumeration and against the general-LP route it replaced."""
 
+import importlib.util
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +20,14 @@ from capax.capacity import (
     random_monotone,
     unanimity,
 )
-from capax.classify import ExactnessGap, is_exact, min_core_value
+from capax.classify import (ExactnessGap, classify_full, is_exact, is_totally_balanced,
+                            min_core_value)
 from capax.credal import CredalSet, core_polytope, lower_envelope, random_credal
 from capax.errors import CoreEmpty, GroundMismatch, InternalInconsistency
 from capax.ground import GroundSet
 from capax.lp import CoreSystem
 from capax.lp import core as core_module
+from capax.lp.core import capacity_core, shared_capacity_core
 from capax.lp._tableau_py import Tableau
 from capax.rng import SplitMix64
 
@@ -101,8 +107,7 @@ class TestAgainstDualizedReference:
             assert got == reference_is_exact(nu), nu
             verdicts.add(got[0])
             alpha = core_polytope(nu)
-            masks = sorted(alpha.bounds)
-            bounds = [alpha.bounds[a] for a in masks]
+            masks, bounds = alpha.system.masks, alpha.system.bounds
             envelope = lower_envelope(alpha)
             for subset in nu.ground.nonempty_subsets():
                 low = dualized_core_min(n, masks, bounds, subset)[0]
@@ -367,5 +372,79 @@ class TestLpCounts:
             assert is_exact(nu) == (True, None)
             assert calls == []
             assert lower_envelope(core_polytope(nu)) == nu
-            assert calls == [g.full]  # the feasibility probe of from_constraints
+            assert calls == []  # the pooled points prove the core nonempty too
+
+    def test_core_sweep_envelopes_solve_nothing_after_is_exact(self, monkeypatch):
+        # the 64 inputs of the benchmark's core_sweep workload at seed 3
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        g = GroundSet(6)
+        calls = self.count_minima(monkeypatch)
+        for table in inputs.core_sweep_tables(3, 64):
+            nu = Capacity(g, table)
+            assert is_exact(nu) == (True, None)
             calls.clear()
+            assert lower_envelope(core_polytope(nu)) == nu
+            assert calls == []
+
+
+class TestSharedCore:
+    """One core system per capacity: `is_exact`, `min_core_value`,
+    `is_totally_balanced` and `core_polytope` ask the same one."""
+
+    def test_one_system_per_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(core_module, "capacity_core",
+                            lambda values: built.append(values) or capacity_core(values))
+        nu, lowered_nu = seeded_capacities(5, 1, 9)
+        assert classify_full(nu).exact
+        assert is_exact(nu) == (True, None)
+        assert is_totally_balanced(nu) == (True, None)
+        assert min_core_value(nu, 0b011) == nu[0b011]
+        system = shared_capacity_core(nu.values)
+        assert core_polytope(nu).system is system
+        assert built == [nu.values]
+        fresh = core_of(nu)
+        assert (system.masks, system.bounds) == (fresh.masks, fresh.bounds)
+        assert capacity_core(nu.values) is not system
+        is_exact(lowered_nu)  # one entry: another table replaces it
+        assert shared_capacity_core(nu.values) is not system
+
+    def test_repeated_questions_keep_the_pool_size(self):
+        for nu in seeded_capacities(4, 2, 11):
+            subsets = nu.ground.proper_nonempty_subsets()
+            first = is_exact(nu), [min_core_value(nu, b) for b in subsets]
+            pool = shared_capacity_core(nu.values)._pool
+            size = len(pool)
+            for _ in range(50):
+                assert (is_exact(nu), [min_core_value(nu, b) for b in subsets]) == first
+            assert shared_capacity_core(nu.values)._pool is pool
+            assert len(pool) == size
+
+    def test_threads_never_pair_a_table_with_another_system(self):
+        tables = [nu.values for nu in seeded_capacities(3, 2, 5)]
+        assert len(set(tables)) == len(tables)
+        mismatched = []
+        start = threading.Barrier(len(tables))
+
+        def ask(first):
+            start.wait(timeout=60)
+            for k in range(3000):  # each table twice in a row: misses and hits
+                values = tables[(first + k // 2) % len(tables)]
+                if shared_capacity_core(values).bounds != values[1:-1]:
+                    mismatched.append(values)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(tables))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatched == []

@@ -9,11 +9,11 @@ from oracles import random_monotone_fractions
 from capax import search
 from capax.capacity import (BalancedFamily, Capacity, Measure, grid_table, point_mass,
                             random_convex_mixture, random_monotone)
-from capax.classify import (ExactnessGap, TotalBalanceFailure, _core_system, is_exact,
-                            is_totally_balanced)
+from capax.classify import ExactnessGap, TotalBalanceFailure, is_exact, is_totally_balanced
 from capax.credal import CredalSet, lower_envelope
 from capax.errors import ConfigOutOfRange
 from capax.ground import GroundSet, subset_indices
+from capax.lp.core import capacity_core
 from capax.monad import monad_mul
 from capax.rng import SplitMix64
 from capax.search import (
@@ -47,6 +47,9 @@ class TestConfig:
             small_config(grid=0)
         with pytest.raises(ConfigOutOfRange):
             small_config(jobs=0)
+        with pytest.raises(ConfigOutOfRange):
+            small_config(jobs=search.MAX_JOBS + 1)
+        assert small_config(jobs=search.MAX_JOBS).jobs == search.MAX_JOBS
 
     def test_empty_seed_range(self):
         report = problem1_search(small_config(seed_start=5, seed_end=4))
@@ -328,11 +331,18 @@ class TestEnvelopeCertificate:
     def test_rejects_a_dropped_vertex(self):
         nu, vertices = envelope_member()
         rest = vertices[:2] + vertices[3:]
-        system = _core_system(nu)
+        system = capacity_core(nu.values)
         assert all(system.admit(mu.weights) for mu in rest)  # still core points
         assert any(all(mu.mass(a) > nu[a] for mu in rest)
                    for a in nu.ground.proper_nonempty_subsets())
         assert not search._envelope_certifies(nu, rest)
+
+    def test_exactness_shown_on_the_same_object_settles_nothing(self):
+        # the points is_exact pools prove every subset attained, so a
+        # certificate that reused them would accept the dropped vertex
+        nu, vertices = envelope_member()
+        assert is_exact(nu) == (True, None)
+        assert not search._envelope_certifies(nu, vertices[:2] + vertices[3:])
 
     def test_rejects_a_raised_capacity(self):
         nu, vertices = envelope_member()
@@ -345,7 +355,7 @@ class TestEnvelopeCertificate:
                 break
         raised = Capacity(g, values)
         assert raised != nu
-        system = _core_system(raised)
+        system = capacity_core(raised.values)
         assert not all(system.admit(mu.weights) for mu in vertices)
         assert not search._envelope_certifies(raised, vertices)
 
