@@ -6,6 +6,8 @@ A capacity is stored as a dense table of 2^n exact rationals indexed by
 subset code.  All values are immutable after construction and every
 constructor validates the full invariant set (0 at the empty set, 1 at the
 full set, monotone, range [0, 1]); nothing downstream ever has to re-check.
+`Capacity` and `Measure` take ints and Fractions only, keeping each Fraction
+object as given; a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class Capacity:
     __slots__ = ("ground", "values")
 
     def __init__(self, ground: GroundSet, values: Sequence[Fraction]):
-        values = tuple(values)
+        values = tuple(map(_rational, values))
         if len(values) != ground.table_size:
             raise ValueError(f"need {ground.table_size} values, got {len(values)}")
         _validate_table(ground, values)
@@ -54,6 +56,16 @@ class Capacity:
     def __repr__(self) -> str:
         body = ", ".join(f"{mask}:{v}" for mask, v in enumerate(self.values))
         return f"Capacity(n={self.ground.n}, {{{body}}})"
+
+
+def _rational(v) -> Fraction:
+    """v itself when it is a Fraction, Fraction(v) when it is an int; any
+    other type, a float above all, raises TypeError."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    raise TypeError(f"exact rational (int or Fraction) required, got {type(v).__name__} {v!r}")
 
 
 def _validate_table(ground: GroundSet, values: tuple[Fraction, ...]):
@@ -170,7 +182,7 @@ class Measure:
     __slots__ = ("ground", "weights")
 
     def __init__(self, ground: GroundSet, weights: Sequence[Fraction]):
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple(map(_rational, weights))
         if len(weights) != ground.n:
             raise ValueError(f"need {ground.n} weights, got {len(weights)}")
         for w in weights:

@@ -11,18 +11,23 @@ arithmetic, no LP run needed:
   of mu(B) over the core strictly above v(B);
 * balancedness: a measure lying in the core.
 
-Balancedness is decided through two independent routes (the weighted-cover
-LP value at the full set, and direct feasibility of the core system) which
-must agree; disagreement raises InternalInconsistency since it can only be a
-solver bug.
+Balancedness is decided through two independent routes which must agree:
+the weighted-cover LP value at the full set, and `minimum(0)` over the
+shared core system, another tableau with its own integer check.  That
+minimum's certified point is the core witness; an empty core is reported
+only after its ray passes a Farkas check.  Disagreement raises
+InternalInconsistency since it can only be a solver bug.  No predicate here
+solves a general LP: `core_lp_feasible`, the generic two-phase primal route,
+is kept as the reference the tests compare against.
 
-Exactness and total balancedness share `lp.core.shared_capacity_core`.
-Its pool of certified core points has three sources: the dual point of the
-full set's weighted cover (a core point when the cover value is 1), the
-minimisers `is_exact` certifies, and greedy marginal vectors.  A pooled x
-with x(B) = v(B) settles B for both: min mu(B) over the core is v(B), and x
-restricted to B is in the core of the subgame on B, so B's cover value is
-v(B) and B needs no LP.
+Balancedness, exactness and total balancedness share
+`lp.core.shared_capacity_core`.  Its pool of certified core points has four
+sources: the balancedness route's point, the dual point of the full set's
+weighted cover (a core point when the cover value is 1), the minimisers
+`is_exact` certifies, and greedy marginal vectors.  A pooled x with
+x(B) = v(B) settles B for exactness and total balancedness: min mu(B) over
+the core is v(B), and x restricted to B is in the core of the subgame on B,
+so B's cover value is v(B) and B needs no LP.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import BalancedFamily, Capacity, Measure
-from .errors import ConfigOutOfRange, EmptySubset, InternalInconsistency
+from .errors import ConfigOutOfRange, CoreEmpty, EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, subset_indices
 from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
@@ -211,19 +216,13 @@ def _core_min_lp(nu: Capacity, subset: int) -> LinearProgram:
 
 
 def core_lp_feasible(nu: Capacity, *, allow_large: bool = False):
-    """Direct feasibility of {mu >= 0, mu(X) = 1, mu(A) >= v(A)}.
+    """Direct feasibility of {mu >= 0, mu(X) = 1, mu(A) >= v(A)} by the generic `solve`.
 
     Returns (True, core Measure) or (False, violating BalancedFamily built
-    from the Farkas certificate).  This is the second, independent route of
-    the balancedness test: it attacks the row-heavy system head on instead of
-    going through the weighted-cover side.
+    from the Farkas certificate).  Classification never calls it: it is the
+    general-LP reference that `is_balanced`'s core-system route is tested against.
     """
     _check_size(nu, allow_large)
-    return _core_feasible(nu)
-
-
-def _core_feasible(nu: Capacity):
-    """core_lp_feasible without the size check."""
     out = solve(_core_min_lp(nu, 0))
     if out.status == OPTIMAL:
         return True, Measure(nu.ground, out.primal)
@@ -254,7 +253,11 @@ def is_balanced(nu: Capacity, *, allow_large: bool = False):
 def _balanced(nu: Capacity, full_cover):
     """is_balanced with the full set's weighted-cover result already solved."""
     value, family, _ = full_cover
-    feasible, witness = _core_feasible(nu)
+    try:  # the second route: minimum(0) over the shared core system
+        witness = Measure(nu.ground, shared_capacity_core(nu.values).minimum(0).point)
+    except CoreEmpty:  # raised only once the ray passes its Farkas check
+        witness = None
+    feasible = witness is not None
     if (value == ONE) != feasible:
         raise InternalInconsistency(
             f"weighted-cover value {value} disagrees with core feasibility {feasible}",
@@ -262,7 +265,7 @@ def _balanced(nu: Capacity, full_cover):
             witness,
         )
     if feasible:
-        return True, witness  # the measure found by the direct route
+        return True, witness  # the certified point of the core-system route
     return False, family  # the over-1 family found by the cover route
 
 

@@ -142,8 +142,8 @@ def _cmd_search(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        report_path = out.with_suffix(".report")
-        log_path = out.with_suffix(".log")
+        report_path = Path(f"{out}.report")  # appended: a dotted prefix keeps every part
+        log_path = Path(f"{out}.log")
         report_path.write_text(machine_report(report))
         log_path.write_text(text_log(report))
         print(f"machine report: {report_path}")

@@ -195,8 +195,12 @@ def random_point_map(domain: GroundSet, codomain: GroundSet, rng,
                      surjective: bool = False) -> PointMap:
     """Seeded random map; with `surjective`, rejection-samples until onto.
 
-    Draw order: one `next_below(m)` per domain point, ascending.
+    Draw order: one `next_below(m)` per domain point, ascending.  A
+    surjective map onto more points than the domain has raises ValueError
+    before any draw.
     """
+    if surjective and codomain.n > domain.n:
+        raise ValueError(f"no map from {domain.n} points onto {codomain.n}")
     while True:
         image = tuple(rng.next_below(codomain.n) for _ in domain.points())
         f = PointMap(domain, codomain, image)

@@ -122,7 +122,7 @@ class CoreSystem:
 
     def __init__(self, n: int, masks, bounds):
         masks = tuple(masks)
-        bounds = tuple(Fraction(b) for b in bounds)
+        bounds = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in bounds)
         if n < 1:
             raise ValueError(f"a core system needs at least one point, got {n}")
         if len(masks) != len(bounds):

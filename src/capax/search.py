@@ -58,7 +58,7 @@ MAX_SUPPORT = 6
 MAX_JOBS = 64
 _REJECTION_CAP = 100_000
 
-REPORT_HEADER = "capax-report v1"
+REPORT_HEADER = "capax-report v2"
 
 
 @dataclass(frozen=True, slots=True)

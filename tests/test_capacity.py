@@ -195,6 +195,28 @@ class TestMeasures:
             assert sum(measure_pushforward(f, mu).weights) == 1
 
 
+class TestExactValues:
+    def test_floats_and_strings_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Capacity(g2, [0, 0.5, 0.5, 1])
+        with pytest.raises(TypeError):
+            Measure(g2, [0.5, 0.5])
+        with pytest.raises(TypeError):
+            Measure(g2, ["1/2", "1/2"])
+
+    def test_fraction_objects_are_kept(self):
+        values = [F(0), F(1, 3), F(2, 3), F(1)]
+        assert all(a is b for a, b in zip(Capacity(g2, values).values, values))
+        weights = [F(1, 3), F(2, 3)]
+        assert all(a is b for a, b in zip(Measure(g2, weights).weights, weights))
+
+    def test_ints_become_fractions(self):
+        nu = Capacity(g2, [0, 0, 1, 1])
+        assert nu.values == (0, 0, 1, 1)
+        assert all(type(v) is F for v in nu.values)
+        assert all(type(w) is F for w in Measure(g2, [1, 0]).weights)
+
+
 class TestRandomMonotone:
     def test_deterministic(self):
         assert random_monotone(g3, 42, 8) == random_monotone(g3, 42, 8)

@@ -28,8 +28,11 @@ from capax.classify import (
     verify_report,
 )
 from capax.credal import lower_envelope, random_credal
-from capax.errors import ConfigOutOfRange, CoreEmpty, EmptySubset, GroundMismatch
+from capax.errors import (ConfigOutOfRange, CoreEmpty, EmptySubset, GroundMismatch,
+                          InternalInconsistency)
 from capax.ground import GroundSet
+from capax.lp import solver
+from capax.lp.core import CoreSystem, capacity_core
 from capax.monad import monad_mul
 from capax.rng import SplitMix64
 from capax.search import SearchConfig, build_second_order
@@ -136,6 +139,60 @@ class TestBalanced:
             cover_route = bondareva_value(nu, nu.ground.full) == 1
             direct_route, _ = core_lp_feasible(nu)
             assert cover_route == direct_route, trial
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_no_predicate_runs_the_generic_solve(self, n, monkeypatch):
+        calls = []
+        original = solver.solve
+
+        def counted(lp):
+            calls.append(lp)
+            return original(lp)
+
+        monkeypatch.setattr(solver, "solve", counted)
+        monkeypatch.setattr(classify, "solve", counted)
+        g = GroundSet(n)
+        monotone = random_monotone(g, n + 2, 6)
+        damped = Capacity(g, [v if a == g.full else v / n for a, v in enumerate(monotone.values)])
+        verdicts = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for nu in (random_convex_mixture(g, n, 6), damped, monotone):
+                report = classify_full(nu, allow_large=True)
+                assert verify_report(nu, report)
+                for predicate in (is_balanced, is_exact, is_totally_balanced):
+                    predicate(nu, allow_large=True)
+                verdicts.add(report.balanced)
+        assert verdicts == ({True} if n == 1 else {True, False})
+        assert calls == []
+
+    def test_core_witness_is_the_core_systems_certified_point(self):
+        rng = SplitMix64(12)
+        for trial in range(40):
+            g = GroundSet(1 + trial % 5)
+            nu = random_exact(g, rng) if trial % 2 else random_monotone(g, rng.next_u64(), 5)
+            balanced, witness = is_balanced(nu)
+            try:
+                point = capacity_core(nu.values).minimum(0).point
+            except CoreEmpty:
+                assert not balanced and witness.violates(nu, g.full)
+                continue
+            assert balanced and witness.weights == point
+            assert classify_full(nu).core_witness == witness
+
+    def test_routes_that_disagree_raise(self, nustar, monkeypatch):
+        def empty(self, subset):
+            raise CoreEmpty("forced")
+
+        with monkeypatch.context() as m:
+            m.setattr(CoreSystem, "minimum", empty)
+            with pytest.raises(InternalInconsistency):
+                is_balanced(nustar)
+        original = classify._cover_value
+        monkeypatch.setattr(classify, "_cover_value",
+                            lambda nu, bound: (F(1),) + original(nu, bound)[1:])
+        with pytest.raises(InternalInconsistency):
+            is_balanced(nine_tenths())
 
 
 class TestMinCoreValue:

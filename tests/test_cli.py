@@ -75,7 +75,7 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--format", "machine", nustar_file)
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "capax-report v1"
+        assert lines[0] == "capax-report v2"
         assert lines[2] == "flags convex=no exact=no totally-balanced=no balanced=yes"
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
@@ -199,7 +199,7 @@ class TestSearchCommand:
                            "--k", "2", "--seeds", "0..0", "--out", tmp_path / "run")
         assert code == 0
         report = (tmp_path / "run.report").read_text()
-        assert report.splitlines()[0] == "capax-report v1"
+        assert report.splitlines()[0] == "capax-report v2"
         assert sum(1 for l in report.splitlines() if l.startswith("result seed=")) == 1
         assert (tmp_path / "run.log").exists()
 
@@ -210,6 +210,16 @@ class TestSearchCommand:
         code2, _, _ = run(capsys, *args, "--jobs", "4", "--out", tmp_path / "b")
         assert code1 == code2 == 0
         assert (tmp_path / "a.report").read_bytes() == (tmp_path / "b.report").read_bytes()
+
+    def test_dotted_out_prefixes_keep_every_part(self, capsys, tmp_path):
+        for k in (3, 4):
+            code, out, _ = run(capsys, "search", "--class", "exact", "--n", "2", "--k", k,
+                               "--seeds", "0..0", "--out", tmp_path / f"n2.k{k}")
+            assert code == 0
+            assert f"n2.k{k}.report" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["n2.k3.log", "n2.k3.report", "n2.k4.log", "n2.k4.report"]
+        assert (tmp_path / "n2.k3.report").read_text() != (tmp_path / "n2.k4.report").read_text()
 
     def test_out_of_range_exits_4(self, capsys):
         code, _, err = run(capsys, "search", "--class", "exact", "--n", "12",

@@ -236,6 +236,12 @@ class TestEmptyCore:
 
 
 class TestEdges:
+    def test_fraction_bounds_are_kept_as_given(self):
+        third = F(1, 3)
+        system = CoreSystem(2, [0b01, 0b10], [third, 0])
+        assert system.bounds[0] is third
+        assert system.bounds == (third, 0) and type(system.bounds[1]) is F
+
     def test_one_point(self):
         system = CoreSystem(1, [], [])
         assert system.minimum(0).value == 0

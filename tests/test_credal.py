@@ -125,6 +125,13 @@ class TestLowerEnvelope:
 
 
 class TestCorePolytope:
+    def test_envelope_after_is_exact_shares_the_capacitys_values(self):
+        nu = random_convex_mixture(GroundSet(6), 4, 8)
+        assert is_exact(nu)[0]
+        env = lower_envelope(core_polytope(nu))
+        assert env == nu
+        assert all(env[a] is nu[a] for a in nu.ground.proper_nonempty_subsets())
+
     def test_dirac_core_is_the_point_mass(self):
         cp = core_polytope(dirac(1, g3))
         for mask in g3.nonempty_subsets():

@@ -64,6 +64,16 @@ class TestCharVector:
 
 
 class TestPointMap:
+    def test_surjection_onto_more_points_raises_before_any_draw(self):
+        class NoDraws:
+            def next_below(self, bound):
+                raise AssertionError("drew")
+
+        with pytest.raises(ValueError):
+            random_point_map(GroundSet(2), GroundSet(3), NoDraws(), surjective=True)
+        f = random_point_map(GroundSet(3), GroundSet(3), SplitMix64(1), surjective=True)
+        assert f.is_surjective()
+
     def test_preimage_example(self):
         f = PointMap(GroundSet(3), GroundSet(2), (0, 1, 1))
         assert f.preimage(0b10) == 0b110
