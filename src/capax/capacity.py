@@ -3,11 +3,13 @@ balanced families on finite ground sets, with constructors, mixtures and
 functorial pushforwards.
 
 A capacity is stored as a dense table of 2^n exact rationals indexed by
-subset code.  All values are immutable after construction and every
+subset code.  All values are immutable after construction and every public
 constructor validates the full invariant set (0 at the empty set, 1 at the
 full set, monotone, range [0, 1]); nothing downstream ever has to re-check.
-`Capacity` and `Measure` take ints and Fractions only, keeping each Fraction
-object as given; a float raises TypeError.
+Builders of tables valid by construction skip the check through the private
+`Capacity._built`: `random_monotone`, `monad.monad_mul`, the vertex-form
+`credal.lower_envelope` and the search's screened draws.  Every entry point
+takes ints and Fractions only, keeping Fraction objects; a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -39,8 +41,14 @@ class Capacity:
         if len(values) != ground.table_size:
             raise ValueError(f"need {ground.table_size} values, got {len(values)}")
         _validate_table(ground, values)
-        self.ground = ground
-        self.values = values
+        self.ground, self.values = ground, values
+
+    @classmethod
+    def _built(cls, ground: GroundSet, values: tuple[Fraction, ...]) -> Capacity:
+        """A capacity over a Fraction tuple that is valid by construction."""
+        nu = object.__new__(cls)
+        nu.ground, nu.values = ground, values
+        return nu
 
     def __getitem__(self, mask: int) -> Fraction:
         return self.values[mask]
@@ -102,7 +110,7 @@ def new_capacity(ground: GroundSet, assignments: Mapping[int, Fraction],
     for mask, value in assignments.items():
         if not ground.contains_subset(mask):
             raise GroundMismatch(f"subset code {mask:#b} not valid over {ground.n} points")
-        table[mask] = Fraction(value)
+        table[mask] = _rational(value)
     if table[0] is not None and table[0] != ZERO:
         raise BadNormalization(f"value at {{}} must be 0, got {table[0]}")
     if table[full] is not None and table[full] != ONE:
@@ -161,7 +169,7 @@ def mix(nu1: Capacity, nu2: Capacity, t: Fraction) -> Capacity:
     """Pointwise convex combination t*nu1 + (1-t)*nu2."""
     if nu1.ground != nu2.ground:
         raise GroundMismatch("cannot mix capacities on different ground sets")
-    t = Fraction(t)
+    t = _rational(t)
     if not ZERO <= t <= ONE:
         raise ValueError(f"mixing weight must lie in [0, 1], got {t}")
     s = ONE - t
@@ -247,7 +255,7 @@ class BalancedFamily:
     def __post_init__(self):
         if len(self.sets) != len(self.weights):
             raise ValueError("sets and weights must have equal length")
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(_rational, self.weights)))
 
     def is_admissible_within(self, bound_mask: int, ground: GroundSet) -> bool:
         for a, w in zip(self.sets, self.weights):
@@ -283,9 +291,8 @@ def random_monotone(ground: GroundSet, seed: int, grid: int) -> Capacity:
     Fractions from one tuple per grid, so many capacities drawn on one grid
     hold only grid + 1 distinct value objects between them.
     """
-    table = grid_table(ground, seed, grid)
     fractions = _grid_fractions(grid)
-    return Capacity(ground, [fractions[k] for k in table])
+    return Capacity._built(ground, tuple(fractions[k] for k in grid_table(ground, seed, grid)))
 
 
 def grid_table(ground: GroundSet, seed: int, grid: int) -> list[int]:
@@ -294,8 +301,7 @@ def grid_table(ground: GroundSet, seed: int, grid: int) -> list[int]:
     Draws one raw numerator from 0..grid per nonempty proper subset in
     ascending subset-code order (the full set is pinned to grid and consumes
     no draw), then takes the monotone closure v(A) = max of raw values over
-    subsets of A.  Integers only, so a caller can screen a draw before any
-    Fraction exists.
+    subsets of A.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .capacity import Capacity, Measure, measure_pushforward, pushforward
+from .capacity import Capacity, Measure, _rational, measure_pushforward, pushforward
 from .classify import is_exact
 from .errors import CoreEmpty, GroundMismatch, InfeasibleCredal, NotExact
 from .ground import ONE, ZERO, GroundSet, PointMap, check_subset
@@ -85,10 +85,9 @@ class CredalSet:
             if mask == 0:
                 raise ValueError("the empty set cannot carry a lower bound")
             check_subset(mask, ground)
-            clean[mask] = Fraction(value)
+            clean[mask] = _rational(value)
         masks = sorted(clean)
-        system = CoreSystem(ground.n, masks, (clean[a] for a in masks))
-        return cls(ground, CONSTRAINTS, system=system)
+        return cls(ground, CONSTRAINTS, system=CoreSystem(ground.n, masks, map(clean.get, masks)))
 
     # --- support-function evaluation ---
 
@@ -169,11 +168,10 @@ def core_polytope(nu: Capacity) -> CredalSet:
 
 def lower_envelope(alpha: CredalSet) -> Capacity:
     """Pointwise minimum capacity A -> min { mu(A) : mu in alpha }."""
-    values = [ZERO] * alpha.ground.table_size
-    for mask in alpha.ground.proper_nonempty_subsets():
-        values[mask] = alpha.min_mass(mask)
-    values[alpha.ground.full] = ONE
-    return Capacity(alpha.ground, values)
+    if alpha.kind == VERTICES:  # a minimum of measures: valid by construction
+        return Capacity._built(alpha.ground, (ZERO, *alpha._vertex_minima()[1:-1], ONE))
+    subsets = alpha.ground.proper_nonempty_subsets()
+    return Capacity(alpha.ground, [ZERO, *map(alpha.min_mass, subsets), ONE])
 
 
 def credal_pushforward(f: PointMap, alpha: CredalSet) -> CredalSet:

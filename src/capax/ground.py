@@ -22,15 +22,6 @@ ONE = Fraction(1)
 MAX_POINTS = 16
 
 
-def rat(value) -> Fraction:
-    """Coerce an int, string like "3/4", or Fraction to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
-
-
 def format_rat(q: Fraction) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
     return str(q)

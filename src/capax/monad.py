@@ -12,18 +12,22 @@ The multiplication collapses a second-order capacity C to the capacity
 
     F  |->  sup { t in [0,1] : C({ c : c(F) >= t }) >= t }.
 
-On finite support the sup is attained on a finite candidate set: walking the
+On finite support the sup is attained on a finite candidate set: over the
 distinct positive support values v_1 < ... < v_m of F, the superlevel set
 { c : c(F) >= t } is constant on each interval (v_{j-1}, v_j], so the best
 qualifying t in that interval is min(v_j, w_j) where w_j is the weight-game
 value of the superlevel index set (qualifying only when above v_{j-1});
-t = 0 always qualifies.
+t = 0 always qualifies.  Walking from v_m down, the first qualifying t is
+the sup.  The walk runs on integers over one common denominator of the
+support and game tables, and returns the inputs' own Fraction objects: v_j
+from the lowest support index holding it, w_j from the game.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .capacity import Capacity, dirac
 from .errors import GroundMismatch
@@ -100,24 +104,19 @@ def lift_unit(nu: Capacity) -> SecondOrderCapacity:
 
 def monad_mul(c2: SecondOrderCapacity) -> Capacity:
     """Multiplication of the capacity monad on the finite-support model."""
-    ground = c2.ground
-    support = c2.support
-    game = c2.game
-    k = len(support)
+    ground, support, game = c2.ground, c2.support, c2.game
+    tables = [nu.values for nu in support]
+    den = lcm(*{v.denominator for table in (*tables, game.values) for v in table})
+    weights = [v.numerator * (den // v.denominator) for v in game.values]
+    columns = zip(*([v.numerator * (den // v.denominator) for v in table] for table in tables))
+    down = range(len(tables) - 1, -1, -1)  # so equal values sort to end on the lowest index
     values = [ZERO] * ground.table_size
-    for mask in ground.nonempty_subsets():
-        vals = [nu[mask] for nu in support]
-        best = ZERO
-        prev = ZERO
-        for v in sorted({x for x in vals if x > 0}):
-            idx = 0
-            for i in range(k):
-                if vals[i] >= v:
-                    idx |= 1 << i
-            cap = game[idx]
-            top = v if v < cap else cap
-            if top > prev and top > best:
-                best = top
-            prev = v
-        values[mask] = best
-    return Capacity(ground, values)
+    for mask, col in enumerate(columns):
+        order = sorted(down, key=col.__getitem__, reverse=True)
+        idx = 0
+        for i, lower in zip(order, [col[j] for j in order[1:]] + [0]):
+            idx |= 1 << i
+            if col[i] != lower and weights[idx] > lower:
+                values[mask] = tables[i][mask] if col[i] < weights[idx] else game.values[idx]
+                break
+    return Capacity._built(ground, tuple(values))

@@ -23,24 +23,26 @@ is attained by one of them, with no LP.  The product is checked by its class
 predicate alone, whose witness is the one `classify_full` reports for that
 class, and the witness is re-checked by arithmetic.
 
-The rejection filter screens each draw's integer grid table for
-superadditivity, nu(A) + nu(B) <= nu(A | B) over disjoint A and B, before it
-builds a capacity or solves an LP.  The screen is sound: the blocks of a
-partition of a subset B form a balanced family within B, so a totally
-balanced capacity is superadditive, and the screen rejects only draws that
-`is_totally_balanced` would reject too.  The accepted draws, and with them
-every report, are exactly those of the unscreened filter.
+The rejection filter screens each draw for superadditivity, nu(A) + nu(B) <=
+nu(A | B) over disjoint A and B, as it draws: each subset's grid value is
+closed in code order and checked against its splits, so most draws stop
+early, before any Fraction or LP.  The screen is sound (the blocks of a
+partition of B are balanced within B) and each draw owns its stream, so the
+reports are those of the unscreened filter.  Support draws are capped too: a
+class with fewer than k distinct members raises GeneratorExhausted.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .capacity import BalancedFamily, Capacity, grid_table, random_monotone
+from .capacity import BalancedFamily, Capacity, _grid_fractions
 from .classify import ClassReport, classify_full, is_exact, is_totally_balanced
-# verify_report stays importable here for callers that check a search
-# outcome's report as capax.search.verify_report
+# verify_report and random_monotone stay importable here for callers that check
+# a report as capax.search.verify_report and tools that hook candidate draws
+from .capacity import random_monotone  # noqa: F401
 from .classify import verify_report  # noqa: F401
 from .credal import lower_envelope, random_credal
 from .errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
@@ -76,16 +78,13 @@ class SearchConfig:
             raise ConfigOutOfRange(f"ground size must be 1..{MAX_POINTS}, got {self.n}")
         if not 1 <= self.support_size <= MAX_SUPPORT:
             raise ConfigOutOfRange(
-                f"support size must be 1..{MAX_SUPPORT}, got {self.support_size}"
-            )
+                f"support size must be 1..{MAX_SUPPORT}, got {self.support_size}")
         if self.target_class not in CLASSES:
             raise ConfigOutOfRange(f"class must be one of {CLASSES}, got {self.target_class!r}")
         if self.grid < 1:
             raise ConfigOutOfRange("grid must be >= 1")
-        if self.jobs < 1:
-            raise ConfigOutOfRange("jobs must be >= 1")
-        if self.jobs > MAX_JOBS:
-            raise ConfigOutOfRange(f"jobs must be at most {MAX_JOBS}, got {self.jobs}")
+        if not 1 <= self.jobs <= MAX_JOBS:
+            raise ConfigOutOfRange(f"jobs must be 1..{MAX_JOBS}, got {self.jobs}")
         if self.seed_start < 0 or self.seed_end < -1:
             raise ConfigOutOfRange("seed range must be nonnegative")
 
@@ -129,30 +128,38 @@ def _generate_member(ground: GroundSet, target_class: str, attempt_rng: SplitMix
         alpha = random_credal(ground, attempt_rng, ground.n + 1, grid)
         return lower_envelope(alpha), alpha.vertices
     for _ in range(_REJECTION_CAP):
-        seed = attempt_rng.next_u64()
-        if not _superadditive(grid_table(ground, seed, grid)):
-            continue
-        candidate = random_monotone(ground, seed, grid)
-        if is_totally_balanced(candidate)[0]:
+        candidate = _screened_draw(ground, attempt_rng.next_u64(), grid)
+        if candidate is not None and is_totally_balanced(candidate)[0]:
             return candidate, None
-    raise GeneratorExhausted(
-        f"rejection sampling found no totally balanced capacity on {ground.n} points "
-        f"in {_REJECTION_CAP} draws; use a smaller ground or support size"
-    )
+    raise GeneratorExhausted(f"rejection sampling found no totally balanced capacity on "
+                             f"{ground.n} points in {_REJECTION_CAP} draws; use a smaller "
+                             f"ground or support size")
 
 
-def _superadditive(values) -> bool:
-    """values[a] + values[b] <= values[a | b] for all disjoint nonempty a, b,
-    over a table indexed by subset code; every totally balanced table passes."""
-    full = len(values) - 1
-    for a in range(1, full):
-        rest = full ^ a
-        b = rest
-        while b > a:  # submasks of rest, descending: each unordered pair once
-            if values[a] + values[b] > values[a | b]:
-                return False
-            b = (b - 1) & rest
-    return True
+def _screened_draw(ground: GroundSet, seed: int, grid: int):
+    """`random_monotone(ground, seed, grid)` if its table is superadditive,
+    else None.  Each subset's draw is closed in code order and its splits
+    are tested at once; the first violation stops the draw."""
+    rng, full, table = SplitMix64(seed), ground.full, [0]
+    for mask, (below, splits) in enumerate(_draw_plan(ground.n), 1):
+        v = grid if mask == full else rng.next_below(grid + 1)
+        for a in below:
+            if table[a] > v:
+                v = table[a]
+        for a, b in splits:
+            if table[a] + table[b] > v:
+                return None
+        table.append(v)
+    return Capacity._built(ground, tuple(map(_grid_fractions(grid).__getitem__, table)))
+
+
+@lru_cache(maxsize=None)
+def _draw_plan(n: int):
+    """Per nonempty subset code m: the codes one point smaller, and the
+    splits of m into disjoint nonempty parts, each unordered pair once."""
+    return tuple((tuple(m ^ 1 << i for i in range(n) if m >> i & 1),
+                  tuple((m ^ b, b) for b in range(m) if b & m == b and b > m ^ b))
+                 for m in range(1, 1 << n))
 
 
 def build_second_order(config: SearchConfig, seed: int) -> SecondOrderCapacity:
@@ -170,20 +177,22 @@ def _second_order(config: SearchConfig, seed: int):
     support entry, then the weight game's (all None for totally balanced)."""
     ground = GroundSet(config.n)
     base = SplitMix64(seed)
-    support: list[Capacity] = []
-    vertex_lists = []
-    while len(support) < config.support_size:
+    support: dict[Capacity, object] = {}  # distinct members, to their vertices
+    for _ in range(_REJECTION_CAP):
         candidate, vertices = _generate_member(
             ground, config.target_class, SplitMix64(base.next_u64()), config.grid
         )
-        if candidate not in support:
-            support.append(candidate)
-            vertex_lists.append(vertices)
+        support.setdefault(candidate, vertices)
+        if len(support) == config.support_size:
+            break
+    else:
+        raise GeneratorExhausted(f"found {len(support)} distinct members in {_REJECTION_CAP} "
+                                 f"draws, not {config.support_size}; use a smaller support size")
     game, vertices = _generate_member(
         GroundSet(config.support_size), config.target_class,
         SplitMix64(base.next_u64()), config.grid,
     )
-    return SecondOrderCapacity(ground, tuple(support), game), (*vertex_lists, vertices)
+    return SecondOrderCapacity(ground, tuple(support), game), (*support.values(), vertices)
 
 
 def run_seed(config: SearchConfig, seed: int) -> SeedOutcome:
@@ -193,9 +202,7 @@ def run_seed(config: SearchConfig, seed: int) -> SeedOutcome:
     holds = report.exact if config.target_class == EXACT else report.totally_balanced
     if not holds and not verify_counterexample(
             config, seed, *_record(c2, mul, _class_witness(report, config.target_class))):
-        raise InternalInconsistency(
-            f"seed {seed}: counterexample candidate failed re-verification"
-        )
+        raise InternalInconsistency(f"seed {seed}: counterexample candidate failed re-verification")
     return SeedOutcome(seed, c2, mul, report, holds)
 
 

@@ -67,7 +67,6 @@ def _check_lp_basics() -> bool:
     return out4.status == "optimal" and out4.value == F(1, 20) and verify_outcome(beale, out4)
 
 
-
 def _check_nustar() -> bool:
     nu = nustar()
     if bondareva_value(nu, 0b0111) != F(3, 5):

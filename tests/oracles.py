@@ -9,7 +9,10 @@ multiplication, the core minimum through the general LP layer
 capax decided it before certificates settled subsets), `random_monotone`
 drawn as Fractions, as capax drew it before it drew grid numerators, and the
 lower envelope of a vertex list by Fraction sums per vertex and subset, as
-capax computed it before integer mass tables.  These re-derive the quantities the package
+capax computed it before integer mass tables, the superadditivity screen
+over a whole grid table and the monad multiplication's Fraction breakpoint
+walk, as capax ran both before the fused draw and the integer walk.  These
+re-derive the quantities the package
 computes through simplex pivots or breakpoint walks, by slower but
 structurally unrelated means.
 """
@@ -22,6 +25,7 @@ from capax.capacity import BalancedFamily, Capacity
 from capax.classify import ConvexityViolation, ExactnessGap, TotalBalanceFailure
 from capax.lp import (EQ, GE, INFEASIBLE, NONNEG, LinearProgram, Row, cover_maximum,
                       solve_dualized)
+from capax.ground import ZERO
 from capax.rng import SplitMix64
 
 
@@ -123,6 +127,42 @@ def mul_candidate_scan(c2) -> Capacity:
                 best = t
         values[mask] = best
     return Capacity(ground, values)
+
+
+def mul_fraction_walk(c2) -> Capacity:
+    """Monad multiplication by the ascending Fraction breakpoint walk: over
+    the distinct positive support values v at F, t = min(v, game value of the
+    superlevel set) qualifies above the previous v; the best t wins.  Values
+    are the inputs' own objects (v as the set keeps the first equal one)."""
+    ground, support, game = c2.ground, c2.support, c2.game
+    values = [ZERO] * ground.table_size
+    for mask in ground.nonempty_subsets():
+        vals = [nu[mask] for nu in support]
+        best = prev = ZERO
+        for v in sorted({x for x in vals if x > 0}):
+            idx = sum(1 << i for i, x in enumerate(vals) if x >= v)
+            cap = game[idx]
+            top = v if v < cap else cap
+            if top > prev and top > best:
+                best = top
+            prev = v
+        values[mask] = best
+    return Capacity(ground, values)
+
+
+def superadditive(values) -> bool:
+    """values[a] + values[b] <= values[a | b] for all disjoint nonempty a, b,
+    over a whole table indexed by subset code; every totally balanced table
+    passes."""
+    full = len(values) - 1
+    for a in range(1, full):
+        rest = full ^ a
+        b = rest
+        while b > a:  # submasks of rest, descending: each unordered pair once
+            if values[a] + values[b] > values[a | b]:
+                return False
+            b = (b - 1) & rest
+    return True
 
 
 def core_lp(n, masks, bounds, subset, sense="min") -> LinearProgram:

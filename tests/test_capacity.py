@@ -1,6 +1,8 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
+from test_pinned_outputs import core_text, search_text, tb_search_text, tb_text
 
 from capax.capacity import (
     BalancedFamily,
@@ -16,7 +18,9 @@ from capax.capacity import (
     random_measure,
     random_monotone,
     unanimity,
+    _validate_table,
 )
+from capax.credal import CredalSet
 from capax.errors import (
     BadNormalization,
     EmptyCarrier,
@@ -24,7 +28,9 @@ from capax.errors import (
     MissingSubset,
     NotMonotone,
     OutOfRange,
+    ValidationError,
 )
+from capax.gamefiles import parse_game
 from capax.ground import GroundSet, PointMap, compose, identity_map
 from capax.rng import SplitMix64
 
@@ -215,6 +221,55 @@ class TestExactValues:
         assert nu.values == (0, 0, 1, 1)
         assert all(type(v) is F for v in nu.values)
         assert all(type(w) is F for w in Measure(g2, [1, 0]).weights)
+
+    @pytest.mark.parametrize("build", [
+        lambda value: new_capacity(g2, {1: value, 2: F(1, 5)}),
+        lambda value: new_capacity(g3, {1: value}, strict=False),
+        lambda value: CredalSet.from_constraints(g2, {1: value}),
+        lambda value: mix(dirac(0, g2), dirac(1, g2), value),
+        lambda value: BalancedFamily((1, 2), (value, F(1, 2))),
+    ], ids=["new_capacity", "lenient", "from_constraints", "mix", "balanced_family"])
+    def test_every_entry_takes_exact_rationals_only(self, build):
+        # 0.1 would become 3602879701896397/36028797018963968 through Fraction(0.1)
+        for bad in (0.1, 0.5, "1/2"):
+            with pytest.raises(TypeError):
+                build(bad)
+        build(F(1, 10))
+        build(1)
+
+
+class TestBuiltTables:
+    """`Capacity._built` skips validation, so its callers must build valid
+    tables by construction; the public entries keep validating."""
+
+    BUILDERS = {"random_monotone", "monad_mul", "lower_envelope", "_screened_draw"}
+
+    def test_every_unvalidated_table_of_the_pinned_families_is_valid(self, monkeypatch):
+        built, original = [], Capacity._built.__func__
+
+        def recorded(cls, ground, values):
+            built.append((sys._getframe(1).f_code.co_name, ground, values))
+            return original(cls, ground, values)
+
+        monkeypatch.setattr(Capacity, "_built", classmethod(recorded))
+        for text in (search_text, tb_search_text, core_text, tb_text):
+            text()
+        assert {caller for caller, _, _ in built} == self.BUILDERS
+        for _, ground, values in built:
+            assert type(values) is tuple and len(values) == ground.table_size
+            assert all(type(v) is F for v in values)
+            _validate_table(ground, values)
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: Capacity(g3, [0, F(3, 4), 0, F(1, 2), 0, F(3, 4), 0, 1]), NotMonotone),
+        (lambda: Capacity(g2, [0, F(3, 2), F(1, 2), 1]), OutOfRange),
+        (lambda: new_capacity(g2, {1: F(3, 4), 2: F(1, 2), 3: F(1, 2)}), BadNormalization),
+        (lambda: new_capacity(g3, {1: F(3, 4), 3: F(1, 2)}, strict=False), NotMonotone),
+        (lambda: parse_game("ground 2\nv {0} = 3/2\nv {1} = 1/2\n"), ValidationError),
+    ])
+    def test_public_entries_still_reject_bad_tables(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestRandomMonotone:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -245,6 +246,17 @@ class TestSearchCommand:
         assert code == 4
         assert "configuration error" in err
         assert "solver bug" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--class", "exact", "--n", 1, "--k", 2),
+        ("--class", "totally-balanced", "--n", 2, "--k", 6, "--grid", 1),
+    ], ids=["one-capacity-on-one-point", "three-members-on-grid-1"])
+    def test_too_few_distinct_members_exits_4_in_bounded_time(self, capsys, argv):
+        started = time.perf_counter()
+        code, _, err = run(capsys, "search", *argv, "--seeds", "0..0")
+        assert time.perf_counter() - started < 60  # about 2-4 s on 2 CPUs
+        assert code == 4
+        assert "distinct members" in err
 
 
 class TestSelftestCommand:

@@ -1,14 +1,16 @@
+import operator
 from fractions import Fraction as F
 
 import pytest
-from oracles import core_vertices, mul_candidate_scan
+from oracles import core_vertices, mul_candidate_scan, mul_fraction_walk
 
-from capax.capacity import Capacity, dirac, new_capacity, random_monotone
+from capax.capacity import Capacity, _validate_table, dirac, new_capacity, random_monotone
 from capax.classify import is_exact
 from capax.errors import GroundMismatch
 from capax.ground import GroundSet
 from capax.monad import SecondOrderCapacity, lift_unit, monad_mul, unit_second
 from capax.rng import SplitMix64
+from capax.search import SearchConfig, build_second_order
 
 g2, g3 = GroundSet(2), GroundSet(3)
 
@@ -101,7 +103,48 @@ class TestMonadMul:
         rng = SplitMix64(321)
         for _ in range(50):
             out = monad_mul(random_second_order(rng, 3, 3))
-            assert isinstance(out, Capacity)  # constructor revalidates invariants
+            assert isinstance(out, Capacity)
+            _validate_table(out.ground, out.values)  # monad_mul itself does not check
+
+
+class TestIntegerWalk:
+    """`monad_mul` against the Fraction breakpoint walk it replaced: equal
+    tables made of the very same value objects."""
+
+    @staticmethod
+    def assert_same_walk(c2):
+        new, old = monad_mul(c2), mul_fraction_walk(c2)
+        assert new == old
+        assert all(map(operator.is_, new.values, old.values))
+
+    @pytest.mark.parametrize("target_class", ["exact", "totally_balanced"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_search_draws(self, target_class, n):
+        # one capacity lives on one point, and the totally balanced generator
+        # finds no member on four points, so those shapes have no draws
+        for k in range(1, 5):
+            if (n == 1 and k > 1) or (target_class == "totally_balanced" and max(n, k) > 3):
+                continue
+            cfg = SearchConfig(n=n, support_size=k, target_class=target_class,
+                               seed_start=0, seed_end=5)
+            for seed in cfg.seeds:
+                self.assert_same_walk(build_second_order(cfg, seed))
+
+    def test_random_monotone_second_order(self):
+        rng = SplitMix64(8080)
+        for trial in range(200):
+            c2 = random_second_order(rng, 2 + trial % 3, 1 + trial // 3 % 4, grid=2 + trial % 7)
+            self.assert_same_walk(c2)
+            # equal values as distinct objects: a breakpoint comes from the lowest index
+            fresh = tuple(Capacity(nu.ground, [F(v.numerator, v.denominator) for v in nu.values])
+                          for nu in c2.support)
+            self.assert_same_walk(SecondOrderCapacity(c2.ground, fresh, c2.game))
+
+    def test_units(self):
+        for seed in range(40):
+            nu = random_monotone(GroundSet(1 + seed % 5), seed, 1 + seed % 9)
+            self.assert_same_walk(unit_second(nu))
+            self.assert_same_walk(lift_unit(nu))
 
 
 class TestExactnessTransfer:

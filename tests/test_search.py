@@ -1,17 +1,18 @@
 import dataclasses
+import operator
 import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import random_monotone_fractions
+from oracles import random_monotone_fractions, superadditive
 
 from capax import search
 from capax.capacity import (BalancedFamily, Capacity, Measure, grid_table, point_mass,
                             random_convex_mixture, random_monotone)
 from capax.classify import ExactnessGap, TotalBalanceFailure, is_exact, is_totally_balanced
 from capax.credal import CredalSet, lower_envelope
-from capax.errors import ConfigOutOfRange
+from capax.errors import ConfigOutOfRange, GeneratorExhausted
 from capax.ground import GroundSet, subset_indices
 from capax.lp.core import capacity_core
 from capax.monad import monad_mul
@@ -98,8 +99,6 @@ class TestSuperadditivityScreen:
         accepted = {"monotone": 0, "convex": 0, "market": 0}
         for i in range(40 if n <= 3 else 12):
             seed = rng.next_u64()
-            assert search._superadditive(grid_table(g, seed, 6)) == \
-                search._superadditive(random_monotone(g, seed, 6).values)
             market = market_game(g, rng, 1 + i % 3, 6)
             assert is_totally_balanced(market)[0]
             for kind, nu in (("monotone", random_monotone(g, seed, 6)),
@@ -107,15 +106,45 @@ class TestSuperadditivityScreen:
                              ("market", market)):
                 if is_totally_balanced(nu)[0]:
                     accepted[kind] += 1
-                    assert search._superadditive(nu.values), nu
+                    assert superadditive(nu.values), nu
+                    if kind == "monotone":  # the search's own screen passes it too
+                        assert search._screened_draw(g, seed, 6) is not None
         assert accepted["convex"] and accepted["market"]
         if n <= 3:
             assert accepted["monotone"]
 
     def test_rejects_a_subadditive_table(self):
-        assert not search._superadditive([0, 2, 2, 3])
-        assert search._superadditive([0, 1, 2, 3])
-        assert search._superadditive([0, 1])
+        assert not superadditive([0, 2, 2, 3])
+        assert superadditive([0, 1, 2, 3])
+        assert superadditive([0, 1])
+
+    @staticmethod
+    def assert_fused_screen_is_the_reference(g, seeds, grid):
+        """The fused draw accepts exactly the draws whose whole `grid_table`
+        passes the reference screen, and returns that table as Fractions."""
+        accepted = 0
+        for seed in seeds:
+            table = grid_table(g, seed, grid)
+            drawn = search._screened_draw(g, seed, grid)
+            if superadditive(table):
+                accepted += 1
+                assert drawn.values == random_monotone(g, seed, grid).values, (seed, grid)
+                assert [v * grid for v in drawn.values] == table
+            else:
+                assert drawn is None, (seed, grid)
+        return accepted
+
+    @pytest.mark.parametrize("n, expected", [(3, 850), (4, 0)])
+    def test_fused_screen_on_forty_thousand_draws(self, n, expected):
+        assert self.assert_fused_screen_is_the_reference(
+            GroundSet(n), range(40_000), 16) == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_fused_screen_on_every_grid(self, n):
+        g = GroundSet(n)
+        accepted = sum(self.assert_fused_screen_is_the_reference(
+            g, range(97 * grid, 97 * grid + 60), grid) for grid in range(1, 17))
+        assert accepted or n >= 5  # 960, 558, 79, 5 at n = 1..4; none pass at n >= 5
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_grid_table_is_the_fraction_draw(self, n):
@@ -127,26 +156,49 @@ class TestSuperadditivityScreen:
                 assert list(random_monotone(g, seed, grid).values) == expected
 
     def test_generator_solves_only_screened_draws(self, monkeypatch):
-        screened, tested = [], []
-        screen, predicate = search._superadditive, search.is_totally_balanced
+        drawn, tested = [], []
+        draw, predicate = search._screened_draw, search.is_totally_balanced
 
-        def counted_screen(values):
-            screened.append(screen(values))
-            return screened[-1]
+        def counted_draw(ground, seed, grid):
+            drawn.append(draw(ground, seed, grid))
+            return drawn[-1]
 
         def counted_predicate(nu, **kwargs):
             tested.append(nu)
             return predicate(nu, **kwargs)
 
-        monkeypatch.setattr(search, "_superadditive", counted_screen)
+        monkeypatch.setattr(search, "_screened_draw", counted_draw)
         monkeypatch.setattr(search, "is_totally_balanced", counted_predicate)
         cfg = SearchConfig(n=3, support_size=3, target_class="totally_balanced",
                            seed_start=0, seed_end=19)
         for seed in cfg.seeds:
             build_second_order(cfg, seed)
-        assert len(tested) == sum(screened)
-        assert all(screen(nu.values) for nu in tested)
-        assert len(screened) > 10 * len(tested)  # the screen rejects most draws
+        passed = [nu for nu in drawn if nu is not None]
+        assert len(tested) == len(passed) and all(map(operator.is_, tested, passed))
+        assert all(superadditive(nu.values) for nu in tested)
+        assert len(drawn) > 10 * len(tested)  # the screen rejects most draws
+
+
+class TestDistinctSupport:
+    """On two points with grid 1 the totally balanced class has three members,
+    [0, 0, 0, 1], [0, 1, 0, 1] and [0, 0, 1, 1]; on one point every class has
+    one."""
+
+    def test_a_support_of_every_member_still_ends(self):
+        cfg = small_config(n=2, support_size=3, target_class="totally_balanced", grid=1)
+        for seed in cfg.seeds:
+            support = build_second_order(cfg, seed).support
+            assert sorted(nu.values for nu in support) == [
+                (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1)]
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n=2, support_size=4, target_class="totally_balanced", grid=1),
+        dict(n=1, support_size=2, target_class="exact"),
+    ])
+    def test_more_members_than_the_class_has_raise(self, monkeypatch, overrides):
+        monkeypatch.setattr(search, "_REJECTION_CAP", 500)
+        with pytest.raises(GeneratorExhausted, match="distinct members in 500 draws"):
+            build_second_order(small_config(**overrides), 0)
 
 
 class TestUnitSizeSearch:

@@ -13,13 +13,13 @@ from test_core_system import damped, random_monotones, seeded_capacities
 from test_search import market_game
 
 from capax import classify
-from capax.capacity import grid_table, new_capacity, random_convex_mixture, random_monotone
+from capax.capacity import new_capacity, random_convex_mixture, random_monotone
 from capax.classify import classify_full, is_totally_balanced
 from capax.errors import InternalInconsistency, ShapeMismatch
 from capax.ground import GroundSet
 from capax.lp import CoreSystem
 from capax.rng import SplitMix64
-from capax.search import _superadditive
+from capax.search import _screened_draw
 
 g3 = GroundSet(3)
 
@@ -66,7 +66,7 @@ class TestLpCounts:
         return calls
 
     def test_screened_generator_draw_runs_one_cover(self, monkeypatch):
-        seed = next(s for s in range(10_000) if _superadditive(grid_table(g3, s, 16)))
+        seed = next(s for s in range(10_000) if _screened_draw(g3, s, 16) is not None)
         calls = self.count_covers(monkeypatch)
         is_totally_balanced(random_monotone(g3, seed, 16))
         assert calls == [g3.full]
