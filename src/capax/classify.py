@@ -32,39 +32,17 @@ so B's cover value is v(B) and B needs no LP.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import BalancedFamily, Capacity, Measure
-from .errors import ConfigOutOfRange, CoreEmpty, EmptySubset, InternalInconsistency
+from .errors import CoreEmpty, EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, subset_indices
 from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
-from .lp.core import shared_capacity_core
+from .lp.core import check_points, shared_capacity_core
 # solve_dualized stays importable here for tools that hook LP solves per module
 from .lp.solver import solve, solve_dualized  # noqa: F401
-
-DEFAULT_MAX_POINTS = 8
-HARD_MAX_POINTS = 10
-
-
-def _check_size(nu: Capacity, allow_large: bool):
-    n = nu.ground.n
-    if n <= DEFAULT_MAX_POINTS:
-        return
-    if n > HARD_MAX_POINTS:
-        raise ConfigOutOfRange(f"classification supports at most {HARD_MAX_POINTS} points, got {n}")
-    if not allow_large:
-        raise ConfigOutOfRange(
-            f"classification above {DEFAULT_MAX_POINTS} points is opt-in; "
-            "pass allow_large=True"
-        )
-    warnings.warn(
-        f"classifying a capacity on {n} points: exact LP pivots will be slow",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,12 +167,11 @@ def _cover_value(nu: Capacity, bound_mask: int):
     return best.value, BalancedFamily(best.sets, best.weights), best.point
 
 
-def bondareva_value(nu: Capacity, bound_mask: int, *, allow_large: bool = False) -> Fraction:
+def bondareva_value(nu: Capacity, bound_mask: int) -> Fraction:
     """Best weighted cover of B by subsets of B; always >= v(B)."""
     check_subset(bound_mask, nu.ground)
     if bound_mask == 0:
         raise EmptySubset("weighted-cover value needs a nonempty subset")
-    _check_size(nu, allow_large)
     return _cover_value(nu, bound_mask)[0]
 
 
@@ -215,14 +192,14 @@ def _core_min_lp(nu: Capacity, subset: int) -> LinearProgram:
     return LinearProgram("min", objective, tuple(rows), (NONNEG,) * n)
 
 
-def core_lp_feasible(nu: Capacity, *, allow_large: bool = False):
+def core_lp_feasible(nu: Capacity):
     """Direct feasibility of {mu >= 0, mu(X) = 1, mu(A) >= v(A)} by the generic `solve`.
 
     Returns (True, core Measure) or (False, violating BalancedFamily built
     from the Farkas certificate).  Classification never calls it: it is the
     general-LP reference that `is_balanced`'s core-system route is tested against.
     """
-    _check_size(nu, allow_large)
+    check_points(nu.ground.n)
     out = solve(_core_min_lp(nu, 0))
     if out.status == OPTIMAL:
         return True, Measure(nu.ground, out.primal)
@@ -241,12 +218,11 @@ def core_lp_feasible(nu: Capacity, *, allow_large: bool = False):
     return False, BalancedFamily(tuple(sets), tuple(weights))
 
 
-def is_balanced(nu: Capacity, *, allow_large: bool = False):
+def is_balanced(nu: Capacity):
     """Nonempty-core test; both decision routes run and must agree.
 
     Returns (True, core Measure) or (False, violating BalancedFamily).
     """
-    _check_size(nu, allow_large)
     return _balanced(nu, _cover_value(nu, nu.ground.full))
 
 
@@ -272,16 +248,15 @@ def _balanced(nu: Capacity, full_cover):
 # --- exactness -------------------------------------------------------------------
 
 
-def min_core_value(nu: Capacity, subset: int, *, allow_large: bool = False) -> Fraction:
+def min_core_value(nu: Capacity, subset: int) -> Fraction:
     """Minimum of mu(B) over the core; raises CoreEmpty when unbalanced."""
     check_subset(subset, nu.ground)
-    _check_size(nu, allow_large)
     if subset == 0:
         return ZERO
     return shared_capacity_core(nu.values).least(subset)
 
 
-def is_exact(nu: Capacity, *, allow_large: bool = False):
+def is_exact(nu: Capacity):
     """Each subset's value attained by some core measure.
 
     Returns (True, None), or (False, witness) where the witness is an
@@ -289,7 +264,6 @@ def is_exact(nu: Capacity, *, allow_large: bool = False):
     violating BalancedFamily when the core is outright empty.  The empty and
     full sets are automatically attained and skipped.
     """
-    _check_size(nu, allow_large)
     return _exact(nu, _cover_value(nu, nu.ground.full))
 
 
@@ -315,13 +289,12 @@ def _exact(nu: Capacity, full_cover):
     return True, None
 
 
-def is_totally_balanced(nu: Capacity, *, allow_large: bool = False):
+def is_totally_balanced(nu: Capacity):
     """Weighted-cover value equals v(B) for every nonempty B.
 
     Returns (True, None) or (False, TotalBalanceFailure) for the smallest
     failing subset in subset-code order.
     """
-    _check_size(nu, allow_large)
     return _totally_balanced(nu, None)
 
 
@@ -365,16 +338,16 @@ def _totally_balanced(nu: Capacity, full_cover):
 # --- the full report --------------------------------------------------------------
 
 
-def classify_full(nu: Capacity, *, allow_large: bool = False) -> ClassReport:
+def classify_full(nu: Capacity) -> ClassReport:
     """Run all four predicates and enforce the inclusion chain.
 
     A report violating convex => exact => totally balanced => balanced cannot
     be a math outcome and aborts with InternalInconsistency carrying the
     conflicting witnesses.
     """
-    _check_size(nu, allow_large)
+    # first, so an oversized table is refused before the scan; serves all three
+    full_cover = _cover_value(nu, nu.ground.full)
     convex, convex_w = is_convex(nu)
-    full_cover = _cover_value(nu, nu.ground.full)  # one solve serves all three
     balanced, balanced_w = _balanced(nu, full_cover)
     exact, exact_w = _exact(nu, full_cover)
     tb, tb_w = _totally_balanced(nu, full_cover)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: classify, core, envelope, push, monad-mul, search, selftest.
-Exit codes are a stable contract: 0 ok, 2 parse error, 3 validation error,
-4 configuration out of range (argparse's own usage errors also exit 2).
+Exit codes are a stable contract: 0 ok, 2 parse error or unreadable input, 3 validation
+error, 4 configuration out of range or unwritable output (argparse's usage errors exit 2).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .capacity import BalancedFamily, pushforward
 from .classify import ClassReport, ExactnessGap, classify_full, is_balanced
-from .credal import lower_envelope
+from .credal import CONSTRAINTS, lower_envelope
 from .errors import (
     CapaxError,
     ConfigOutOfRange,
@@ -30,6 +30,7 @@ from .gamefiles import (
     parse_second,
 )
 from .ground import format_rat, format_subset
+from .lp.core import check_points
 from .monad import monad_mul
 from .search import (
     REPORT_HEADER,
@@ -46,6 +47,19 @@ EXIT_VALIDATION = 3
 EXIT_CONFIG = 4
 
 _SEEDS = re.compile(r"^(\d+)\.\.(\d+)$")
+
+
+class _Unreadable(Exception):
+    """An input file that cannot be read as text."""
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:  # missing, a directory, no permission, ...
+        raise _Unreadable(exc) from None
+    except UnicodeDecodeError as exc:
+        raise _Unreadable(f"{path}: not text ({exc.reason} at byte {exc.start})") from None
 
 
 def _family_text(family: BalancedFamily) -> str:
@@ -78,7 +92,7 @@ def _witness_lines(report: ClassReport) -> list[str]:
 
 
 def _cmd_classify(args) -> int:
-    nu = parse_game(Path(args.file).read_text(), strict=not args.lenient)
+    nu = parse_game(_read(args.file), strict=not args.lenient)
     report = classify_full(nu)
     if args.format == "machine":
         print(REPORT_HEADER)
@@ -86,17 +100,15 @@ def _cmd_classify(args) -> int:
         yn = lambda b: "yes" if b else "no"
         print(f"flags convex={yn(report.convex)} exact={yn(report.exact)} "
               f"totally-balanced={yn(report.totally_balanced)} balanced={yn(report.balanced)}")
-        for line in _witness_lines(report):
-            print(line)
     else:
         print(report.summary())
-        for line in _witness_lines(report):
-            print(line)
+    for line in _witness_lines(report):
+        print(line)
     return EXIT_OK
 
 
 def _cmd_core(args) -> int:
-    nu = parse_game(Path(args.file).read_text(), strict=not args.lenient)
+    nu = parse_game(_read(args.file), strict=not args.lenient)
     balanced, witness = is_balanced(nu)
     if balanced:
         sys.stdout.write(emit_measure(witness))
@@ -107,20 +119,22 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    alpha = parse_credal(Path(args.file).read_text())
+    alpha = parse_credal(_read(args.file))
+    if alpha.kind == CONSTRAINTS:  # one core-system LP per subset
+        check_points(alpha.ground.n)
     sys.stdout.write(emit_game(lower_envelope(alpha)))
     return EXIT_OK
 
 
 def _cmd_push(args) -> int:
-    f = parse_map(Path(args.map).read_text())
-    nu = parse_game(Path(args.game).read_text(), strict=not args.lenient)
+    f = parse_map(_read(args.map))
+    nu = parse_game(_read(args.game), strict=not args.lenient)
     sys.stdout.write(emit_game(pushforward(f, nu)))
     return EXIT_OK
 
 
 def _cmd_monad_mul(args) -> int:
-    c2 = parse_second(Path(args.file).read_text(), strict=not args.lenient)
+    c2 = parse_second(_read(args.file), strict=not args.lenient)
     sys.stdout.write(emit_game(monad_mul(c2)))
     return EXIT_OK
 
@@ -141,11 +155,14 @@ def _cmd_search(args) -> int:
     report = problem1_search(config)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         report_path = Path(f"{out}.report")  # appended: a dotted prefix keeps every part
         log_path = Path(f"{out}.log")
-        report_path.write_text(machine_report(report))
-        log_path.write_text(text_log(report))
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            report_path.write_text(machine_report(report))
+            log_path.write_text(text_log(report))
+        except OSError as exc:
+            raise ConfigOutOfRange(f"cannot write --out {args.out}: {exc}") from None
         print(f"machine report: {report_path}")
         print(f"text log: {log_path}")
         print(f"seeds={len(report.outcomes)} counterexamples={len(report.counterexamples)}")
@@ -219,7 +236,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except _Unreadable as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConfigOutOfRange as exc:

@@ -78,7 +78,8 @@ class CredalSet:
         """Core-style system {mu >= 0, mu(X) = 1, mu(A) >= bounds[A]}.
 
         Rejects the empty subset as a key and raises InfeasibleCredal when the
-        system has no solution (credal sets are nonempty by definition).
+        system has no solution (credal sets are nonempty by definition).  Not size
+        capped (an LP column per bound): a full envelope above 10 points is out of scope.
         """
         clean = {}
         for mask, value in bounds.items():
@@ -213,9 +214,9 @@ def check_retraction(nu: Capacity) -> bool:
 def check_naturality(f: PointMap, alpha: CredalSet) -> bool:
     """Envelope of the pushforward equals pushforward of the envelope.
 
-    The two sides run through independent code paths: the left side evaluates
-    mass minima of the pushed credal set, the right side pushes the envelope
-    capacity through subset preimages.
+    Only the vertex form tests anything (pushed-vertex minima against vertex minima at
+    preimages; tests/test_credal.py `test_random_pairs`): for a constraint-form or
+    pushed set both sides compute `alpha.min_mass(f.preimage(B))`.
     """
     if alpha.ground != f.domain:
         raise GroundMismatch("credal set is not on the domain of the map")

@@ -92,7 +92,7 @@ class ValidationError(CapaxError):
 
 
 class ConfigOutOfRange(CapaxError):
-    """A search or CLI configuration value is outside the supported range."""
+    """A configuration value or an input size is outside the supported range."""
 
 
 class GeneratorExhausted(ConfigOutOfRange):

@@ -1,7 +1,10 @@
 """The two LP shapes capax solves, each from subset masks with one integer check.
 
 Every LP in capax is a 0/1 set system over n points: a weight per subset, a
-row per point, right-hand sides 0 or 1.  It comes in two shapes.
+row per point, right-hand sides 0 or 1.  It comes in two shapes.  Built from a
+value table, both have 2^n columns, so `capacity_core` and `cover_maximum`
+refuse a table over more than `MAX_POINTS` points (`check_points`, the one
+size rule); a `CoreSystem` from explicit masks has a column per mask, uncapped.
 
 * The **core system** {x >= 0, x(X) = 1, x(A) >= b_A}.  Exactness tests,
   lower envelopes of the core and constraint-form credal sets all minimise a
@@ -60,9 +63,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ..errors import CoreEmpty, GroundMismatch, InternalInconsistency, ShapeMismatch
+from ..errors import ConfigOutOfRange, CoreEmpty, GroundMismatch, InternalInconsistency, ShapeMismatch
 from ..ground import ONE, ZERO, subset_indices
 from . import _tableau_py
+
+MAX_POINTS = 10  # a full classification takes seconds at 10 points, minutes at 11
+
+
+def check_points(n: int) -> None:
+    """Raise ConfigOutOfRange for a table over more than MAX_POINTS points."""
+    if n > MAX_POINTS:
+        raise ConfigOutOfRange(f"the subset LPs take at most {MAX_POINTS} points, got {n}")
 
 
 def _slack_tableau(rows, rhs, costs) -> _tableau_py.Tableau:
@@ -330,6 +341,7 @@ class CoreSystem:
 def capacity_core(values) -> CoreSystem:
     """A new core system of the value table `values`: v(A) per proper nonempty A."""
     full = len(values) - 1
+    check_points(full.bit_length())
     return CoreSystem(full.bit_length(), range(1, full), values[1:full])
 
 
@@ -363,6 +375,7 @@ def cover_maximum(values, bound: int) -> CoverMaximum:
     """The weighted-cover LP of `bound` for the set function `values`, a
     table indexed by subset code over n points (2^n entries)."""
     n = len(values).bit_length() - 1
+    check_points(n)
     if not 0 < bound < 1 << n:
         raise GroundMismatch(f"subset code {bound:#b} not a nonempty subset of {n} points")
     members = _submasks(bound)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .capacity import BalancedFamily, Capacity, _grid_fractions
 from .classify import ClassReport, classify_full, is_exact, is_totally_balanced
@@ -250,11 +250,6 @@ def _envelope_certifies(nu: Capacity, vertices) -> bool:
         all(system.attains(a) for a in nu.ground.proper_nonempty_subsets())
 
 
-def _worker(args) -> SeedOutcome:
-    config, seed = args
-    return run_seed(config, seed)
-
-
 def problem1_search(config: SearchConfig) -> SearchReport:
     """Run the whole seed range; deterministic for any job count."""
     started = time.perf_counter()
@@ -270,7 +265,7 @@ def problem1_search(config: SearchConfig) -> SearchReport:
 
         workers = min(config.jobs, len(seeds))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_worker, [(config, s) for s in seeds],
+            outcomes = list(pool.map(partial(run_seed, config), seeds,
                                      chunksize=max(1, len(seeds) // (workers * 4))))
     return SearchReport(config, tuple(outcomes), time.perf_counter() - started)
 

@@ -27,11 +27,11 @@ from capax.classify import (
     min_core_value,
     verify_report,
 )
-from capax.credal import lower_envelope, random_credal
+from capax.credal import core_polytope, lower_envelope, random_credal
 from capax.errors import (ConfigOutOfRange, CoreEmpty, EmptySubset, GroundMismatch,
                           InternalInconsistency)
 from capax.ground import GroundSet
-from capax.lp import solver
+from capax.lp import _tableau_py, solver
 from capax.lp.core import CoreSystem, capacity_core
 from capax.monad import monad_mul
 from capax.rng import SplitMix64
@@ -155,14 +155,12 @@ class TestBalanced:
         monotone = random_monotone(g, n + 2, 6)
         damped = Capacity(g, [v if a == g.full else v / n for a, v in enumerate(monotone.values)])
         verdicts = set()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for nu in (random_convex_mixture(g, n, 6), damped, monotone):
-                report = classify_full(nu, allow_large=True)
-                assert verify_report(nu, report)
-                for predicate in (is_balanced, is_exact, is_totally_balanced):
-                    predicate(nu, allow_large=True)
-                verdicts.add(report.balanced)
+        for nu in (random_convex_mixture(g, n, 6), damped, monotone):
+            report = classify_full(nu)
+            assert verify_report(nu, report)
+            for predicate in (is_balanced, is_exact, is_totally_balanced):
+                predicate(nu)
+            verdicts.add(report.balanced)
         assert verdicts == ({True} if n == 1 else {True, False})
         assert calls == []
 
@@ -346,31 +344,54 @@ class TestClassifyFull:
         assert kinds == {"NoneType", "ExactnessGap", "BalancedFamily", "TotalBalanceFailure"}
 
     def test_size_limits(self):
-        with pytest.raises(ConfigOutOfRange):
-            classify_full(dirac(0, GroundSet(9)))
-        with pytest.raises(ConfigOutOfRange):
-            classify_full(dirac(0, GroundSet(11)), allow_large=True)
+        for n in (11, 16):
+            with pytest.raises(ConfigOutOfRange):
+                classify_full(dirac(0, GroundSet(n)))
 
-    @pytest.mark.parametrize("n, allow_large", [(9, False), (11, True), (13, True)])
-    def test_size_is_checked_before_the_convexity_scan(self, monkeypatch, n, allow_large):
-        scans = []
+    @pytest.mark.parametrize("n, refused", [(9, False), (11, True), (13, True)])
+    def test_size_is_checked_before_the_convexity_scan(self, monkeypatch, n, refused):
+        scans, scan = [], classify.is_convex
+        monkeypatch.setattr(classify, "is_convex", lambda nu: scans.append(nu) or scan(nu))
+        nu = dirac(0, GroundSet(n))
+        if refused:
+            with pytest.raises(ConfigOutOfRange):
+                classify_full(nu)
+            assert scans == []
+        else:  # an admitted size reaches the scan exactly once
+            assert classify_full(nu).convex
+            assert scans == [nu]
+
+
+# every public entry that builds a 2^n-subset LP from a capacity's table
+SIZED_ENTRIES = {
+    "classify_full": classify_full,
+    "is_balanced": is_balanced,
+    "is_exact": is_exact,
+    "is_totally_balanced": is_totally_balanced,
+    "bondareva_value": lambda nu: bondareva_value(nu, nu.ground.full),
+    "min_core_value": lambda nu: min_core_value(nu, 1),
+    "core_lp_feasible": core_lp_feasible,
+    "core_polytope": core_polytope,
+}
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize("entry", SIZED_ENTRIES)
+    def test_eleven_points_refused_before_any_pivot_or_scan(self, monkeypatch, entry):
+        runs, scans = [], []
+        monkeypatch.setattr(_tableau_py.Tableau, "run", lambda tab, allowed: runs.append(tab))
         monkeypatch.setattr(classify, "is_convex", scans.append)
-        with pytest.raises(ConfigOutOfRange):
-            classify_full(dirac(0, GroundSet(n)), allow_large=allow_large)
-        assert scans == []
+        with pytest.raises(ConfigOutOfRange, match="at most 10 points, got 11"):
+            SIZED_ENTRIES[entry](dirac(0, GroundSet(11)))
+        assert runs == scans == []
 
-    def test_allow_large_warns(self):
-        with pytest.warns(RuntimeWarning):
-            assert is_balanced(dirac(0, GroundSet(9)), allow_large=True)[0]
-
-    @pytest.mark.parametrize("call", [is_balanced, classify_full, core_lp_feasible])
-    def test_allow_large_warns_once_at_the_caller(self, call):
-        vacuous = new_capacity(GroundSet(9), {}, strict=False)  # cheap LPs at n = 9
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call(vacuous, allow_large=True)
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert caught[0].filename == __file__
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("entry", SIZED_ENTRIES)
+    def test_nine_and_ten_points_answer_without_a_warning(self, entry, n):
+        vacuous = new_capacity(GroundSet(n), {}, strict=False)  # cheap LPs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SIZED_ENTRIES[entry](vacuous) is not None
 
 
 class TestMixtureClosure:

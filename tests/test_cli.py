@@ -83,6 +83,30 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", tmp_path / "absent.game")
         assert code == 2
 
+    def test_directory_argument_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "classify", tmp_path)
+        assert code == 2
+        assert err.startswith("cannot read input:")
+
+    def test_binary_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.game"
+        path.write_bytes(b"ground 2\n\xff\xfe\x00\x81\n")
+        code, _, err = run(capsys, "classify", path)
+        assert code == 2
+        assert err.startswith("cannot read input:") and "binary.game" in err
+
+    @pytest.mark.parametrize("n, expected", [(9, 0), (10, 0), (11, 4)])
+    def test_one_size_rule_without_an_opt_in(self, capsys, tmp_path, n, expected):
+        path = tmp_path / "vacuous.game"
+        path.write_text(f"ground {n}\n")
+        code, out, err = run(capsys, "classify", "--lenient", path)
+        assert code == expected
+        if expected:
+            assert err == "configuration error: the subset LPs take at most 10 points, got 11\n"
+        else:
+            assert out.splitlines()[0] == \
+                "convex:yes exact:yes totally-balanced:yes balanced:yes"
+
 
 class TestCoreCommand:
     def test_balanced_emits_a_core_measure(self, capsys, nustar_file):
@@ -151,6 +175,13 @@ class TestEnvelopeCommand:
         path.write_text("credal 2 core-of\nv {0} = 9/10\nv {1} = 9/10\n")
         code, _, err = run(capsys, "envelope", path)
         assert code == 3
+
+    def test_core_of_above_ten_points_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "wide.credal"
+        path.write_text("credal 11 core-of\nv {0} = 1/2\n")
+        code, out, err = run(capsys, "envelope", path)
+        assert code == 4
+        assert out == "" and "at most 10 points" in err
 
     def test_output_reparses_and_is_exact(self, capsys, tmp_path):
         from capax.classify import is_exact
@@ -221,6 +252,15 @@ class TestSearchCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["n2.k3.log", "n2.k3.report", "n2.k4.log", "n2.k4.report"]
         assert (tmp_path / "n2.k3.report").read_text() != (tmp_path / "n2.k4.report").read_text()
+
+    def test_unwritable_out_exits_4(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(capsys, "search", "--class", "exact", "--n", "2", "--k", "2",
+                             "--seeds", "0..0", "--out", blocker / "run")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("configuration error: cannot write --out")
 
     def test_out_of_range_exits_4(self, capsys):
         code, _, err = run(capsys, "search", "--class", "exact", "--n", "12",

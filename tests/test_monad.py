@@ -1,4 +1,5 @@
 import operator
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ from oracles import core_vertices, mul_candidate_scan, mul_fraction_walk
 
 from capax.capacity import Capacity, _validate_table, dirac, new_capacity, random_monotone
 from capax.classify import is_exact
-from capax.errors import GroundMismatch
+from capax.errors import GeneratorExhausted, GroundMismatch
 from capax.ground import GroundSet
 from capax.monad import SecondOrderCapacity, lift_unit, monad_mul, unit_second
 from capax.rng import SplitMix64
@@ -14,14 +15,24 @@ from capax.search import SearchConfig, build_second_order
 
 g2, g3 = GroundSet(2), GroundSet(3)
 
+SUPPORT_DRAWS = 1000
+
 
 def random_second_order(rng, n, k, grid=6) -> SecondOrderCapacity:
+    """k distinct random monotone supports and a random weight game; raises
+    GeneratorExhausted when SUPPORT_DRAWS draws give fewer than k distinct
+    supports (one point has one capacity; a coarse grid has few)."""
     g = GroundSet(n)
     support = []
-    while len(support) < k:
+    for _ in range(SUPPORT_DRAWS):
         candidate = random_monotone(g, rng.next_u64(), grid)
         if candidate not in support:
             support.append(candidate)
+            if len(support) == k:
+                break
+    else:
+        raise GeneratorExhausted(f"{len(support)} distinct supports in {SUPPORT_DRAWS} "
+                                 f"draws, not {k}")
     game = random_monotone(GroundSet(k), rng.next_u64(), grid)
     return SecondOrderCapacity(g, tuple(support), game)
 
@@ -41,6 +52,12 @@ class TestSecondOrderValidation:
         with pytest.raises(GroundMismatch):
             SecondOrderCapacity(g2, (random_monotone(g3, 1, 4),),
                                 random_monotone(GroundSet(1), 2, 4))
+
+    def test_impossible_support_request_raises_in_bounded_time(self):
+        started = time.perf_counter()
+        with pytest.raises(GeneratorExhausted):
+            random_second_order(SplitMix64(1), 1, 2)  # one point has one capacity
+        assert time.perf_counter() - started < 10
 
     def test_semantics_accessor(self):
         c2 = random_second_order(SplitMix64(9), 3, 3)
