@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .capacity import BalancedFamily, pushforward
@@ -152,24 +153,37 @@ def _cmd_search(args) -> int:
         grid=args.grid,
         jobs=args.jobs,
     )
-    report = problem1_search(config)
-    if args.out:
-        out = Path(args.out)
-        report_path = Path(f"{out}.report")  # appended: a dotted prefix keeps every part
-        log_path = Path(f"{out}.log")
-        try:
-            out.parent.mkdir(parents=True, exist_ok=True)
-            report_path.write_text(machine_report(report))
-            log_path.write_text(text_log(report))
-        except OSError as exc:
-            raise ConfigOutOfRange(f"cannot write --out {args.out}: {exc}") from None
-        print(f"machine report: {report_path}")
-        print(f"text log: {log_path}")
-        print(f"seeds={len(report.outcomes)} counterexamples={len(report.counterexamples)}")
-    else:
+    if not args.out:
+        report = problem1_search(config)
         sys.stdout.write(machine_report(report))
         sys.stderr.write(text_log(report))
+        return EXIT_OK
+    out = Path(args.out)
+    report_path = Path(f"{out}.report")  # appended: a dotted prefix keeps every part
+    log_path = Path(f"{out}.log")
+    with ExitStack() as files:
+        with _writing(args.out):  # before the search, so an unwritable prefix costs no seed
+            out.parent.mkdir(parents=True, exist_ok=True)
+            report_file = files.enter_context(report_path.open("w"))
+            log_file = files.enter_context(log_path.open("w"))
+        report = problem1_search(config)
+        with _writing(args.out):
+            report_file.write(machine_report(report))
+            log_file.write(text_log(report))
+            files.close()
+    print(f"machine report: {report_path}")
+    print(f"text log: {log_path}")
+    print(f"seeds={len(report.outcomes)} counterexamples={len(report.counterexamples)}")
     return EXIT_OK
+
+
+@contextmanager
+def _writing(out):
+    """Turn an OSError on the --out files into ConfigOutOfRange (exit 4)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigOutOfRange(f"cannot write --out {out}: {exc}") from None
 
 
 def _cmd_selftest(_args) -> int:

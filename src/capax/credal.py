@@ -127,8 +127,7 @@ class CredalSet:
         come back as one shared Fraction object (see `_shared_ratio`).
         """
         if self._minima is None:
-            full = self.ground.full
-            tables = [_mass_table(mu.weights, full) for mu in self.vertices]
+            tables = [_mass_table(mu.weights) for mu in self.vertices]
             den = lcm(*(d for d, _ in tables))
             scaled = [mass if d == den else [v * (den // d) for v in mass]
                       for d, mass in tables]

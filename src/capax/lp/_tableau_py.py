@@ -2,7 +2,9 @@
 
 This is the hot kernel: entering/leaving selection by Bland's rule and row
 pivoting.  Cells are kept as normalized integer pairs (numerator,
-denominator > 0, gcd 1); Fractions appear only at the API boundary.
+denominator > 0, gcd 1); Fractions appear only at the API boundary.  The
+set-system LPs of `core` keep only the basis inverse here and price their
+entering column themselves; `leaving_row` is the one ratio test for both.
 """
 
 from __future__ import annotations
@@ -66,9 +68,7 @@ class Tableau:
         Returns (OPTIMAL, -1) or (UNBOUNDED, entering_column).
         """
         m, ncols = self.m, self.ncols
-        nums, dens = self.nums, self.dens
-        basis = self.basis
-        onums = nums[m]
+        onums = self.nums[m]
         while True:
             enter = -1
             for j in range(ncols):
@@ -77,23 +77,30 @@ class Tableau:
                     break
             if enter < 0:
                 return OPTIMAL, -1
-            # ratio test: min rhs_i / a_i over a_i > 0, ties to smallest basis var
-            row = -1
-            bn = bd = 0  # best ratio bn/bd
-            for i in range(m):
-                an = nums[i][enter]
-                if an > 0:
-                    rn = nums[i][ncols] * dens[i][enter]
-                    rd = dens[i][ncols] * an
-                    if row < 0:
-                        row, bn, bd = i, rn, rd
-                    else:
-                        cmp = rn * bd - bn * rd
-                        if cmp < 0 or (cmp == 0 and basis[i] < basis[row]):
-                            row, bn, bd = i, rn, rd
+            row = self.leaving_row(enter)
             if row < 0:
                 return UNBOUNDED, enter
             self.pivot(row, enter)
+
+    def leaving_row(self, c):
+        """Bland's ratio test on column c: the row of min rhs_i / a_ic over
+        a_ic > 0, ties to the smallest basis id; -1 when no a_ic is positive."""
+        nums, dens, basis = self.nums, self.dens, self.basis
+        ncols = self.ncols
+        row = -1
+        bn = bd = 0  # best ratio bn/bd
+        for i in range(self.m):
+            an = nums[i][c]
+            if an > 0:
+                rn = nums[i][ncols] * dens[i][c]
+                rd = dens[i][ncols] * an
+                if row < 0:
+                    row, bn, bd = i, rn, rd
+                else:
+                    cmp = rn * bd - bn * rd
+                    if cmp < 0 or (cmp == 0 and basis[i] < basis[row]):
+                        row, bn, bd = i, rn, rd
+        return row
 
     def pivot(self, r, c):
         """Row-reduce on cell (r, c); also usable for driving out artificials."""

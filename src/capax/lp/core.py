@@ -22,12 +22,23 @@ size rule); a `CoreSystem` from explicit masks has a column per mask, uncapped.
   A ranging over the nonempty subsets of B: the core-system dual without the
   y0 columns, with every right-hand side 1.
 
-Both tableaux have one row per point and a feasible slack basis, so no
+Both programs have one row per point and a feasible slack basis, so no
 phase 1 runs.  Columns are the structural ones (y0+, y0-, the y_A in mask
-order; or the lam_A in subset-code order), then the slacks: the very tableau
-the generic `solve` builds for the same program, so Bland's rule takes the
-same pivots and every value, point and multiplier equals what `solve` (of
-the dual, for the core system) returns.
+order; or the lam_A in subset-code order), then the slacks: the columns of
+the tableau the generic `solve` builds for the same program.  Only the
+revised form is kept: m rows (m points) holding the basis inverse B^-1 in
+the slack block, one scratch column and the right-hand side.  Its objective
+row holds -pi on the slacks, pi the current dual point, so a structural
+column's reduced cost is c_A - pi(A) (with the sign of y0-): b_A - pi(A) or
+v(A) - pi(A), and one integer prefix walk of pi prices all 2^n columns.  The
+entering column's B^-1 a goes into the scratch column and is pivoted there.
+In exact arithmetic every reduced cost, ratio and slack-block entry equals
+the full tableau's, so Bland's rule (first improving column in the order
+above, ratio ties to the smallest column id) takes the same pivots, and
+every value, point and multiplier equals what `solve` (of the dual, for the
+core system) returns.  An iteration costs O(m^2) for the pivot plus one
+pass over the 2^m walk and the columns, where the full tableau's pivot
+touched m rows of every column.
 
 Each outcome is checked once, by integer arithmetic over subset masks,
 before it leaves: the primal weights are nonnegative and load no point
@@ -61,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ..errors import ConfigOutOfRange, CoreEmpty, GroundMismatch, InternalInconsistency, ShapeMismatch
 from ..ground import ONE, ZERO, subset_indices
@@ -76,33 +87,93 @@ def check_points(n: int) -> None:
         raise ConfigOutOfRange(f"the subset LPs take at most {MAX_POINTS} points, got {n}")
 
 
-def _slack_tableau(rows, rhs, costs) -> _tableau_py.Tableau:
-    """max costs . z over z >= 0 with rows . z <= rhs (rhs >= 0), a slack
-    appended per row and basic, the objective installed."""
-    m = len(rows)
-    width = len(costs)
-    matrix = [[*row, *(int(i == j) for i in range(m)), r]
-              for j, (row, r) in enumerate(zip(rows, rhs))]
-    tab = _tableau_py.Tableau(matrix, range(width, width + m), width + m)
-    tab.set_objective([*costs, *(ZERO,) * m])
-    return tab
+def _prefix_walk(ints) -> list[int]:
+    """mass[S] = the sum of ints[j] over the points j of S, for every subset
+    code S of the points of `ints`: the table over points 0..j-1 doubles to
+    0..j, its copy adding ints[j]."""
+    mass = [0]
+    for v in ints:
+        mass += [m + v for m in mass] if v else mass
+    return mass
 
 
-def _mass_table(x, within: int):
-    """(den, mass) with mass[S] = den * x(S) for every subset S of `within`,
-    den the common denominator of x, from one prefix walk over the submasks
-    in ascending order; None when some x_j is negative."""
+def _mass_table(x):
+    """(den, mass) with mass[S] = den * x(S) for every subset S of the points
+    of x, den the common denominator of x; None when some x_j is negative."""
     den = lcm(*(q.denominator for q in x))
     ints = [q.numerator * (den // q.denominator) for q in x]
     if any(v < 0 for v in ints):
         return None
-    mass = [0] * (within + 1)
-    s = 0
-    while s != within:
-        s = (s - within) & within
-        low = s & -s
-        mass[s] = mass[s ^ low] + ints[low.bit_length() - 1]
-    return den, mass
+    return den, _prefix_walk(ints)
+
+
+def _revised(rhs, columns):
+    """Bland's rule on max sum_t c_t z_t over z >= 0 with
+    sum_t sign_t [i in mask_t] z_t <= rhs_i at each row i (rhs >= 0, a slack
+    per row), pivoting only the basis inverse.
+
+    `columns` holds one (mask, sign, num, den) per structural column t: the
+    rows it loads as a mask, and c_t = num / den.  Returns (tab, enter, col).
+    The tableau's slack block is B^-1, its objective row holds -pi on the
+    slacks and -z at the rhs, and its basis holds column ids: t for a
+    structural column, len(columns) + i for the slack of row i.  `enter` is -1
+    at an optimum, else the id of an improving column with no leaving row,
+    whose B^-1 a is tableau column `col`.
+    """
+    m, k = len(rhs), len(columns)
+    matrix = []
+    for r, b in enumerate(rhs):
+        row = [0] * (m + 2)
+        row[r], row[m + 1] = 1, b
+        matrix.append(row)
+    tab = _tableau_py.Tableau(matrix, range(k, k + m), m + 1)
+    nums, dens, basis = tab.nums, tab.dens, tab.basis
+    onums, odens = nums[m], dens[m]
+    while True:
+        den = lcm(*odens[:m])
+        mass = _prefix_walk([-x * (den // d) for x, d in zip(onums, odens[:m])])
+        # reduced cost of column t: c_t - sign_t pi(mask_t); slack i: -pi_i
+        for t, (a, sign, cn, cd) in enumerate(columns):
+            if cn * den > sign * mass[a] * cd:
+                break
+        else:
+            col = next((i for i in range(m) if onums[i] > 0), -1)
+            if col < 0:
+                return tab, -1, -1
+            t = k + col
+        if t < k:  # B^-1 a and the reduced cost into the scratch column
+            col = m
+            loaded = subset_indices(a)
+            for r in range(m):
+                nr, dr = nums[r], dens[r]
+                sn, sd = 0, 1
+                for i in loaded:
+                    x = nr[i]
+                    if x:
+                        d = dr[i]
+                        if d == sd:
+                            sn += x
+                        else:
+                            sn, sd = sn * d + x * sd, sd * d
+                g = gcd(sn, sd)
+                nr[m], dr[m] = sign * sn // g, sd // g
+            rn, rd = cn * den - sign * mass[a] * cd, cd * den
+            g = gcd(rn, rd)
+            onums[m], odens[m] = rn // g, rd // g
+        row = tab.leaving_row(col)
+        if row < 0:
+            return tab, t, col
+        tab.pivot(row, col)
+        basis[row] = t
+
+
+def _structural(tab, k: int) -> list[Fraction]:
+    """The values of the k structural columns at the tableau's basis."""
+    z = [ZERO] * k
+    for i, t in enumerate(tab.basis):
+        if t < k:
+            z[t] = tab.cell(i, tab.ncols)
+    return z
 
 
 def _submasks(bound: int) -> list[int]:
@@ -128,8 +199,7 @@ class CoreMinimum:
 class CoreSystem:
     """{x >= 0, x(X) = 1, x(A) >= bounds[i] for A = masks[i]} over n points."""
 
-    __slots__ = ("n", "masks", "bounds", "_rows", "_costs", "_top", "_complete",
-                 "_pool")
+    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_complete", "_pool")
 
     def __init__(self, n: int, masks, bounds):
         masks = tuple(masks)
@@ -145,9 +215,10 @@ class CoreSystem:
         self.n = n
         self.masks = masks
         self.bounds = bounds
-        # structural dual columns y0+, y0-, y_A of each point's row
-        self._rows = [[1, -1, *(a >> j & 1 for a in masks)] for j in range(n)]
-        self._costs = [ONE, -ONE, *bounds]
+        # structural dual columns y0+, y0-, y_A as (mask, sign, cost num, cost den)
+        full = (1 << n) - 1
+        self._columns = [(full, 1, 1, 1), (full, -1, -1, 1),
+                         *((a, 1, b.numerator, b.denominator) for a, b in zip(masks, bounds))]
         # largest bound per mask: the only one a core point can meet with equality
         top = self._top = {}
         for a, b in zip(masks, bounds):
@@ -163,17 +234,15 @@ class CoreSystem:
         n, k = self.n, len(self.masks)
         if not 0 <= subset < 1 << n:
             raise GroundMismatch(f"subset code {subset:#b} not valid over {n} points")
-        tab = _slack_tableau(self._rows, [subset >> j & 1 for j in range(n)], self._costs)
-        status, enter = tab.run([1] * tab.ncols)
-        if status == _tableau_py.UNBOUNDED:
-            self._raise_empty(tab, enter)
-        sol = tab.solution()
-        reduced = tab.reduced_costs()
+        tab, enter, col = _revised([subset >> j & 1 for j in range(n)], self._columns)
+        if enter >= 0:
+            self._raise_empty(tab, enter, col)
+        sol = _structural(tab, 2 + k)
         best = CoreMinimum(
             value=tab.value(),
-            point=tuple(-reduced[2 + k + j] for j in range(n)),
+            point=tuple(-tab.cell(n, j) for j in range(n)),
             shift=sol[0] - sol[1],
-            multipliers=tuple(sol[2:2 + k]),
+            multipliers=tuple(sol[2:]),
         )
         table = self._certified(subset, best)
         if table is None:
@@ -283,7 +352,7 @@ class CoreSystem:
         """(den, mass) with mass[S] = den * x(S) for all 2^n subsets S, den the
         common denominator of x, when x is a core point: x >= 0, x(X) = 1 and
         every bound holds.  None otherwise.  Masses come from one prefix walk."""
-        table = _mass_table(x, (1 << self.n) - 1)
+        table = _mass_table(x)
         if table is None:
             return None
         den, mass = table
@@ -323,14 +392,15 @@ class CoreSystem:
                     load[j] += w
         return load, total
 
-    def _raise_empty(self, tab, enter: int):
-        """Read the improving ray of an unbounded dual, check it, raise CoreEmpty."""
+    def _raise_empty(self, tab, enter: int, col: int):
+        """Read the improving ray of an unbounded dual (column `enter`, its
+        B^-1 a in tableau column `col`), check it, raise CoreEmpty."""
         k = len(self.masks)
-        direction = [ZERO] * tab.ncols
+        direction = [ZERO] * (2 + k + self.n)
         direction[enter] = ONE
-        for i, c in enumerate(tab.column(enter)):
+        for t, c in zip(tab.basis, tab.column(col)):
             if c != 0:
-                direction[tab.basis[i]] = -c
+                direction[t] = -c
         shift = direction[0] - direction[1]
         multipliers = tuple(direction[2:2 + k])
         if not self.refutes(shift, multipliers):
@@ -380,17 +450,17 @@ def cover_maximum(values, bound: int) -> CoverMaximum:
         raise GroundMismatch(f"subset code {bound:#b} not a nonempty subset of {n} points")
     members = _submasks(bound)
     points = subset_indices(bound)
-    tab = _slack_tableau([[a >> j & 1 for a in members] for j in points],
-                         [1] * len(points), [values[a] for a in members])
-    status, _ = tab.run([1] * tab.ncols)
-    if status != _tableau_py.OPTIMAL:
+    # lam_A loads the rows of A's points: the t-th submask of bound (from 1,
+    # ascending) has row mask t
+    columns = [(t, 1, values[a].numerator, values[a].denominator)
+               for t, a in enumerate(members, 1)]
+    tab, enter, _ = _revised([1] * len(points), columns)
+    if enter >= 0:
         raise InternalInconsistency("weighted-cover LP is always feasible and bounded")
-    k = len(members)
-    lam = tab.solution()[:k]
-    reduced = tab.reduced_costs()
+    lam = _structural(tab, len(members))
     point = [ZERO] * n
     for i, j in enumerate(points):
-        point[j] = -reduced[k + i]
+        point[j] = -tab.cell(tab.m, i)
     best = CoverMaximum(
         value=tab.value(),
         sets=tuple(a for a, w in zip(members, lam) if w),
@@ -433,7 +503,7 @@ def cover_certifies(values, bound: int, best: CoverMaximum) -> bool:
         return False
     if any(q for j, q in enumerate(best.point) if not bound >> j & 1):
         return False
-    table = _mass_table(best.point, bound)
+    table = _mass_table(best.point)
     if table is None:
         return False
     den, mass = table

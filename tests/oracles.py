@@ -11,7 +11,9 @@ drawn as Fractions, as capax drew it before it drew grid numerators, and the
 lower envelope of a vertex list by Fraction sums per vertex and subset, as
 capax computed it before integer mass tables, the superadditivity screen
 over a whole grid table and the monad multiplication's Fraction breakpoint
-walk, as capax ran both before the fused draw and the integer walk.  These
+walk, as capax ran both before the fused draw and the integer walk, and the
+core minimum and weighted cover on the dense tableau of every column, as
+capax pivoted them before the revised loop.  These
 re-derive the quantities the package
 computes through simplex pivots or breakpoint walks, by slower but
 structurally unrelated means.
@@ -23,9 +25,10 @@ from math import lcm
 
 from capax.capacity import BalancedFamily, Capacity
 from capax.classify import ConvexityViolation, ExactnessGap, TotalBalanceFailure
-from capax.lp import (EQ, GE, INFEASIBLE, NONNEG, LinearProgram, Row, cover_maximum,
-                      solve_dualized)
-from capax.ground import ZERO
+from capax.lp import (EQ, GE, INFEASIBLE, NONNEG, CoreMinimum, CoverMaximum, LinearProgram,
+                      Row, cover_maximum, solve_dualized)
+from capax.lp import _tableau_py
+from capax.ground import ONE, ZERO, subset_indices
 from capax.rng import SplitMix64
 
 
@@ -225,3 +228,58 @@ def vertex_envelope(ground, vertices) -> list[Fraction]:
     """The lower envelope of a vertex list: min mu(A) over the vertices for
     every subset A, each mass a Fraction sum of the point weights."""
     return [min(mu.mass(a) for mu in vertices) for a in ground.subsets()]
+
+
+def _dense_tableau(rows, rhs, costs):
+    """max costs . z over z >= 0 with rows . z <= rhs (rhs >= 0): every column
+    in one tableau, a slack appended per row and basic, the objective installed."""
+    m = len(rows)
+    width = len(costs)
+    matrix = [[*row, *(int(i == j) for i in range(m)), r]
+              for j, (row, r) in enumerate(zip(rows, rhs))]
+    tab = _tableau_py.Tableau(matrix, range(width, width + m), width + m)
+    tab.set_objective([*costs, *(ZERO,) * m])
+    return tab
+
+
+def dense_core_minimum(system, subset: int):
+    """`system.minimum(subset)` on the dense tableau of its dual (columns y0+,
+    y0-, the y_A in mask order, then the slacks), with no certificate check.
+    Returns a CoreMinimum, or the (shift, multipliers) of the improving ray
+    when the dual is unbounded (an empty core)."""
+    n, k = system.n, len(system.masks)
+    rows = [[1, -1, *(a >> j & 1 for a in system.masks)] for j in range(n)]
+    tab = _dense_tableau(rows, [subset >> j & 1 for j in range(n)],
+                         [ONE, -ONE, *system.bounds])
+    status, enter = tab.run([1] * tab.ncols)
+    if status == _tableau_py.UNBOUNDED:
+        direction = [ZERO] * tab.ncols
+        direction[enter] = ONE
+        for i, c in enumerate(tab.column(enter)):
+            if c != 0:
+                direction[tab.basis[i]] = -c
+        return direction[0] - direction[1], tuple(direction[2:2 + k])
+    sol = tab.solution()
+    reduced = tab.reduced_costs()
+    return CoreMinimum(value=tab.value(), point=tuple(-reduced[2 + k + j] for j in range(n)),
+                       shift=sol[0] - sol[1], multipliers=tuple(sol[2:2 + k]))
+
+
+def dense_cover_maximum(values, bound: int) -> CoverMaximum:
+    """`cover_maximum(values, bound)` on the dense tableau (the lam_A in
+    subset-code order, then the slacks), with no certificate check."""
+    n = len(values).bit_length() - 1
+    members = [a for a in range(1, bound + 1) if a & bound == a]
+    points = subset_indices(bound)
+    tab = _dense_tableau([[a >> j & 1 for a in members] for j in points],
+                         [1] * len(points), [values[a] for a in members])
+    status, _ = tab.run([1] * tab.ncols)
+    assert status == _tableau_py.OPTIMAL
+    k = len(members)
+    lam = tab.solution()[:k]
+    reduced = tab.reduced_costs()
+    point = [ZERO] * n
+    for i, j in enumerate(points):
+        point[j] = -reduced[k + i]
+    return CoverMaximum(value=tab.value(), sets=tuple(a for a, w in zip(members, lam) if w),
+                        weights=tuple(w for w in lam if w), point=tuple(point))

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from capax import classify, search
+from capax import classify, cli, search
 from capax.capacity import Measure, new_capacity
 from capax.cli import _family_text, main
 from capax.credal import CredalSet
@@ -253,14 +253,19 @@ class TestSearchCommand:
             ["n2.k3.log", "n2.k3.report", "n2.k4.log", "n2.k4.report"]
         assert (tmp_path / "n2.k3.report").read_text() != (tmp_path / "n2.k4.report").read_text()
 
-    def test_unwritable_out_exits_4(self, capsys, tmp_path):
+    def test_unwritable_out_exits_4(self, capsys, tmp_path, monkeypatch):
+        searches = []
+        monkeypatch.setattr(cli, "problem1_search", searches.append)
         blocker = tmp_path / "file"
         blocker.write_text("")
-        code, out, err = run(capsys, "search", "--class", "exact", "--n", "2", "--k", "2",
-                             "--seeds", "0..0", "--out", blocker / "run")
-        assert code == 4
-        assert out == ""
-        assert err.startswith("configuration error: cannot write --out")
+        (tmp_path / "run.log").mkdir()  # the report opens, the log does not
+        for prefix in (blocker / "run", tmp_path / "run"):
+            code, out, err = run(capsys, "search", "--class", "exact", "--n", "2", "--k", "2",
+                                 "--seeds", "0..0", "--out", prefix)
+            assert code == 4
+            assert out == ""
+            assert err.startswith("configuration error: cannot write --out")
+        assert searches == []  # refused before any seed ran
 
     def test_out_of_range_exits_4(self, capsys):
         code, _, err = run(capsys, "search", "--class", "exact", "--n", "12",

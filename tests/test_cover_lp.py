@@ -129,10 +129,10 @@ class TestCertificates:
         class Skewed(Tableau):
             __slots__ = ()
 
-            def reduced_costs(self):
-                costs = super().reduced_costs()
-                costs[-1] -= F(1, 3)  # the last point's dual weight grows by 1/3
-                return costs
+            def cell(self, i, j):
+                if (i, j) == (self.m, self.m - 1):  # the last point's dual weight grows by 1/3
+                    return super().cell(i, j) - F(1, 3)
+                return super().cell(i, j)
 
         monkeypatch.setattr(core_module._tableau_py, "Tableau", Skewed)
         with pytest.raises(InternalInconsistency):
@@ -142,10 +142,10 @@ class TestCertificates:
         class Skewed(Tableau):
             __slots__ = ()
 
-            def solution(self):
-                sol = super().solution()
-                sol[0] += F(1, 5)  # lam of the first member grows by 1/5
-                return sol
+            def cell(self, i, j):
+                if i < self.m and j == self.ncols:  # every basic lam_A grows by 1/5
+                    return super().cell(i, j) + F(1, 5)
+                return super().cell(i, j)
 
         monkeypatch.setattr(core_module._tableau_py, "Tableau", Skewed)
         with pytest.raises(InternalInconsistency):
