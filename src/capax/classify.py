@@ -161,10 +161,11 @@ def _cover_lp(nu: Capacity, bound_mask: int) -> tuple[LinearProgram, list[int]]:
 
 
 def _cover_value(nu: Capacity, bound_mask: int):
-    """The weighted-cover value of B, a family attaining it and an optimal
-    dual point y: y >= 0, 0 off B, y(A) >= v(A) for A within B, y(B) = value."""
+    """The weighted-cover value of B, a family attaining it and the whole
+    `CoverMaximum`, whose dual point y has y >= 0, 0 off B, y(A) >= v(A) for
+    A within B and y(B) = value."""
     best = cover_maximum(nu.values, bound_mask)
-    return best.value, BalancedFamily(best.sets, best.weights), best.point
+    return best.value, BalancedFamily(best.sets, best.weights), best
 
 
 def bondareva_value(nu: Capacity, bound_mask: int) -> Fraction:
@@ -269,21 +270,22 @@ def is_exact(nu: Capacity):
 
 def _exact(nu: Capacity, full_cover):
     """is_exact with the full set's weighted-cover result already solved; at
-    value 1 its dual y (y >= 0, y(A) >= v(A), y(X) = 1) is pooled as a core point.
+    value 1 its dual y (y >= 0, y(A) >= v(A), y(X) = 1) is pooled as a core
+    point, and its final tableau starts the warm minima.
 
     A subset whose bound some certified core point attains needs no LP; the
-    rest get a cold `minimum`, whose certificate becomes the witness."""
-    value, family, point = full_cover
+    rest get a warm minimum (`CoreSystem.least`).  The first that falls short
+    is solved again by a cold `minimum`, whose certificate becomes the
+    witness, so the gap's multipliers do not depend on the warm history."""
+    value, family, cover = full_cover
     if value != ONE:
         return False, family
     system = shared_capacity_core(nu.values)
-    if not system.admit(point):
-        raise InternalInconsistency("the full-set cover dual is not a core point", point)
+    if not system.admit_cover(cover):
+        raise InternalInconsistency("the full-set cover dual is not a core point", cover.point)
     for subset in nu.ground.proper_nonempty_subsets():
-        if system.attains(subset):
-            continue
-        best = system.minimum(subset)
-        if best.value != nu[subset]:
+        if system.least(subset) != nu[subset]:
+            best = system.minimum(subset)
             coeffs = tuple((a, w) for a, w in zip(system.masks, best.multipliers) if w != 0)
             return False, ExactnessGap(subset, best.value, best.shift, coeffs)
     return True, None

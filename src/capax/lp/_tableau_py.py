@@ -4,7 +4,11 @@ This is the hot kernel: entering/leaving selection by Bland's rule and row
 pivoting.  Cells are kept as normalized integer pairs (numerator,
 denominator > 0, gcd 1); Fractions appear only at the API boundary.  The
 set-system LPs of `core` keep only the basis inverse here and price their
-entering column themselves; `leaving_row` is the one ratio test for both.
+entering column themselves; `leaving_row` is the one primal ratio test.
+
+Every pivot loop records the bases it visits (`visit`).  There are finitely
+many, so a loop that would not end repeats one, and exact Bland never does:
+a repeat can only be an arithmetic fault, and it raises instead of cycling.
 """
 
 from __future__ import annotations
@@ -12,8 +16,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from ..errors import InternalInconsistency
+
 OPTIMAL = 0
 UNBOUNDED = 1
+
+
+def visit(seen: set, basis) -> None:
+    """Record `basis` (a list of column ids) in `seen`; raise
+    InternalInconsistency when it was visited before."""
+    key = tuple(basis)
+    if key in seen:
+        raise InternalInconsistency("the simplex loop revisited a basis", key)
+    seen.add(key)
 
 
 class Tableau:
@@ -69,7 +84,9 @@ class Tableau:
         """
         m, ncols = self.m, self.ncols
         onums = self.nums[m]
+        seen = set()
         while True:
+            visit(seen, self.basis)
             enter = -1
             for j in range(ncols):
                 if allowed[j] and onums[j] > 0:

@@ -40,6 +40,25 @@ core system) returns.  An iteration costs O(m^2) for the pivot plus one
 pass over the 2^m walk and the columns, where the full tableau's pivot
 touched m rows of every column.
 
+`CoreSystem.minimum` always starts cold, from the slack basis.  The minima
+that `least` asks for (and through it `is_exact` and the core envelopes)
+start warm instead.  From one subset B to the next only the right-hand
+side [j in B] changes; the reduced costs do not depend on it.  So the last
+optimal basis stays dual feasible (pi is a core point), and Lemke's dual
+simplex ("The dual method of solving the linear programming problem", NRLQ
+1954) goes on from it: B^-1 r is written into the rhs column in place, and a
+row with a negative entry leaves (`_dual`).  The system keeps that one
+tableau (`_warm`) and pivots it again on the next call.  The first comes
+with no extra LP: at value 1 the full set's weighted cover ends on a basis
+of the core system's dual.  Its lam_A is y_A and its lam_X is y0+, with the
+same B^-1, and its reduced costs v(A) - y(A) <= 0 and 1 - y(X) = 0 make it
+dual feasible (`admit_cover`).  Without a cover, the first cold optimum
+starts it.  Values are unique, so a warm minimum equals a cold one; only
+the optimal point may differ, and it is certified and pooled the same way.
+
+Every pivot loop records the bases it visits and raises
+`InternalInconsistency` on a repeat, so a kernel fault cannot cycle.
+
 Each outcome is checked once, by integer arithmetic over subset masks,
 before it leaves: the primal weights are nonnegative and load no point
 beyond its right-hand side, the point read from the slack reduced costs meets
@@ -70,7 +89,7 @@ capacities answer from pools filled by earlier calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -107,6 +126,49 @@ def _mass_table(x):
     return den, _prefix_walk(ints)
 
 
+def _walk_row(tab, r: int, sign: int = 1):
+    """(den, mass) with mass[S] = den * sign * the sum of row r's slack-block
+    cells over the points of S, den their common denominator: row r of B^-1
+    summed over every subset code, or with r = m and sign -1, pi(S)."""
+    m, nr, dr = tab.m, tab.nums[r], tab.dens[r]
+    den = lcm(*dr[:m])
+    return den, _prefix_walk([sign * x * (den // d) for x, d in zip(nr, dr[:m])])
+
+
+def _load(tab, loaded, target: int, sign: int, rows) -> None:
+    """Cell (r, target) = sign * the sum of cells (r, i) over i in `loaded`,
+    for each row r in `rows`: B^-1 a for a column a over the points `loaded`."""
+    nums, dens = tab.nums, tab.dens
+    for r in rows:
+        nr, dr = nums[r], dens[r]
+        sn, sd = 0, 1
+        for i in loaded:
+            x = nr[i]
+            if x:
+                d = dr[i]
+                if d == sd:
+                    sn += x
+                else:
+                    sn, sd = sn * d + x * sd, sd * d
+        g = gcd(sn, sd)
+        nr[target], dr[target] = sign * sn // g, sd // g
+
+
+def _enter(tab, t: int, columns, den: int, mass) -> int:
+    """The tableau column that holds column t: slack i's own column i, or for
+    a structural column the scratch column m, into which its B^-1 a and its
+    reduced cost c_t - sign_t pi(mask_t) (pi(S) = mass[S] / den) are written."""
+    m, k = tab.m, len(columns)
+    if t >= k:
+        return t - k
+    a, sign, cn, cd = columns[t]
+    _load(tab, subset_indices(a), m, sign, range(m))
+    rn, rd = cn * den - sign * mass[a] * cd, cd * den
+    g = gcd(rn, rd)
+    tab.nums[m][m], tab.dens[m][m] = rn // g, rd // g
+    return m
+
+
 def _revised(rhs, columns):
     """Bland's rule on max sum_t c_t z_t over z >= 0 with
     sum_t sign_t [i in mask_t] z_t <= rhs_i at each row i (rhs >= 0, a slack
@@ -127,43 +189,69 @@ def _revised(rhs, columns):
         row[r], row[m + 1] = 1, b
         matrix.append(row)
     tab = _tableau_py.Tableau(matrix, range(k, k + m), m + 1)
-    nums, dens, basis = tab.nums, tab.dens, tab.basis
-    onums, odens = nums[m], dens[m]
+    onums, basis = tab.nums[m], tab.basis
+    seen = set()
     while True:
-        den = lcm(*odens[:m])
-        mass = _prefix_walk([-x * (den // d) for x, d in zip(onums, odens[:m])])
+        _tableau_py.visit(seen, basis)
+        den, mass = _walk_row(tab, m, -1)
         # reduced cost of column t: c_t - sign_t pi(mask_t); slack i: -pi_i
         for t, (a, sign, cn, cd) in enumerate(columns):
             if cn * den > sign * mass[a] * cd:
                 break
         else:
-            col = next((i for i in range(m) if onums[i] > 0), -1)
-            if col < 0:
+            t = next((i for i in range(m) if onums[i] > 0), -1)
+            if t < 0:
                 return tab, -1, -1
-            t = k + col
-        if t < k:  # B^-1 a and the reduced cost into the scratch column
-            col = m
-            loaded = subset_indices(a)
-            for r in range(m):
-                nr, dr = nums[r], dens[r]
-                sn, sd = 0, 1
-                for i in loaded:
-                    x = nr[i]
-                    if x:
-                        d = dr[i]
-                        if d == sd:
-                            sn += x
-                        else:
-                            sn, sd = sn * d + x * sd, sd * d
-                g = gcd(sn, sd)
-                nr[m], dr[m] = sign * sn // g, sd // g
-            rn, rd = cn * den - sign * mass[a] * cd, cd * den
-            g = gcd(rn, rd)
-            onums[m], odens[m] = rn // g, rd // g
+            t += k
+        col = _enter(tab, t, columns, den, mass)
         row = tab.leaving_row(col)
         if row < 0:
             return tab, t, col
         tab.pivot(row, col)
+        basis[row] = t
+
+
+def _dual(tab, columns) -> None:
+    """Lemke's dual simplex with Bland's choices on a tableau of `_revised`'s
+    form whose rhs column holds B^-1 r for a new right-hand side r >= 0, from
+    a dual-feasible basis (every reduced cost <= 0, so pi >= 0), to an optimum.
+
+    The leaving row is the negative row with the smallest basis id.  Its row
+    of B^-1 A comes from one signed prefix walk of its row of B^-1: alpha_t =
+    sign_t B^-1_r(mask_t), a slack's own entry for a slack.  The entering
+    column has the least d_t / |alpha_t| over alpha_t < 0, with d_t = -(its
+    reduced cost) >= 0, compared in integers, ties to the smallest column id.
+    A negative row with no alpha_t < 0 would prove the program infeasible,
+    but z = 0 is feasible, so it raises InternalInconsistency.
+    """
+    m, nums, basis = tab.m, tab.nums, tab.basis
+    # slack i as a column: mask {i}, sign 1, cost 0
+    with_slacks = [*columns, *((1 << i, 1, 0, 1) for i in range(m))]
+    seen = set()
+    while True:
+        _tableau_py.visit(seen, basis)
+        row = -1
+        for i in range(m):
+            if nums[i][m + 1] < 0 and (row < 0 or basis[i] < basis[row]):
+                row = i
+        if row < 0:
+            return
+        den, mass = _walk_row(tab, m, -1)
+        _, alpha = _walk_row(tab, row)
+        # ratio of column t: (den * d_t) / |den_row * alpha_t|, the two
+        # common scales dropped; bn / bd is the least so far
+        t, bn, bd = -1, 0, 1
+        for s, (a, sign, cn, cd) in enumerate(with_slacks):
+            at = sign * alpha[a]
+            if at < 0:
+                dn, dd = sign * mass[a] * cd - cn * den, -at * cd
+                if t < 0 or dn * bd < bn * dd:
+                    t, bn, bd = s, dn, dd
+                    if not dn:
+                        break
+        if t < 0:
+            raise InternalInconsistency("dual simplex row with no entering column", basis[row])
+        tab.pivot(row, _enter(tab, t, columns, den, mass))
         basis[row] = t
 
 
@@ -199,7 +287,7 @@ class CoreMinimum:
 class CoreSystem:
     """{x >= 0, x(X) = 1, x(A) >= bounds[i] for A = masks[i]} over n points."""
 
-    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_complete", "_pool")
+    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_complete", "_pool", "_warm")
 
     def __init__(self, n: int, masks, bounds):
         masks = tuple(masks)
@@ -215,29 +303,62 @@ class CoreSystem:
         self.n = n
         self.masks = masks
         self.bounds = bounds
-        # structural dual columns y0+, y0-, y_A as (mask, sign, cost num, cost den)
+        # structural dual columns y0+, y0-, y_A as (mask, sign, cost num, cost den);
+        # and (bound, num, den) of the largest bound per mask, the only one a
+        # core point can meet with equality
         full = (1 << n) - 1
-        self._columns = [(full, 1, 1, 1), (full, -1, -1, 1),
-                         *((a, 1, b.numerator, b.denominator) for a, b in zip(masks, bounds))]
-        # largest bound per mask: the only one a core point can meet with equality
+        columns = self._columns = [(full, 1, 1, 1), (full, -1, -1, 1)]
         top = self._top = {}
         for a, b in zip(masks, bounds):
-            if a not in top or b > top[a]:
-                top[a] = b
+            num, den = b.numerator, b.denominator
+            columns.append((a, 1, num, den))
+            if a not in top or b > top[a][0]:
+                top[a] = (b, num, den)
         # every proper nonempty subset bounded: the core of a capacity
         self._complete = sum(a != (1 << n) - 1 for a in top) == (1 << n) - 2
         # (den, mass) of every certified core point, mass[S] = den * x(S)
         self._pool: list[tuple[int, list[int]]] = []
+        # the last optimal tableau, at most one; taken by pop, so no two
+        # threads pivot the same one
+        self._warm: list = []
 
     def minimum(self, subset: int) -> CoreMinimum:
-        """Minimise x(subset); raises CoreEmpty when the system has no solution."""
-        n, k = self.n, len(self.masks)
-        if not 0 <= subset < 1 << n:
-            raise GroundMismatch(f"subset code {subset:#b} not valid over {n} points")
-        tab, enter, col = _revised([subset >> j & 1 for j in range(n)], self._columns)
+        """Minimise x(subset), cold: from the slack basis, so the result does
+        not depend on what was asked before.  Raises CoreEmpty when the
+        system has no solution."""
+        self._check_code(subset)
+        tab, enter, col = _revised([subset >> j & 1 for j in range(self.n)], self._columns)
         if enter >= 0:
             self._raise_empty(tab, enter, col)
-        sol = _structural(tab, 2 + k)
+        return self._optimum(subset, tab)
+
+    def least(self, subset: int) -> Fraction:
+        """min x(subset): its largest bound if `attains` proves it, else a warm minimum."""
+        return self._top[subset][0] if self.attains(subset) else self._warm_minimum(subset)
+
+    def _warm_minimum(self, subset: int) -> Fraction:
+        """min x(subset) by the dual simplex from the last optimal tableau,
+        whose basis stays dual feasible, since only the right-hand side [j in
+        subset] changes; a cold `minimum` when there is none yet."""
+        self._check_code(subset)
+        try:
+            tab = self._warm.pop()
+        except IndexError:
+            return self.minimum(subset).value
+        n = self.n
+        _load(tab, subset_indices(subset), n + 1, 1, range(n + 1))  # B^-1 r, and -pi(r)
+        _dual(tab, self._columns)
+        return self._optimum(subset, tab).value
+
+    def _check_code(self, subset: int) -> None:
+        if not 0 <= subset < 1 << self.n:
+            raise GroundMismatch(f"subset code {subset:#b} not valid over {self.n} points")
+
+    def _optimum(self, subset: int, tab) -> CoreMinimum:
+        """Read the minimum of x(subset) off an optimal tableau, certify and
+        pool it; the tableau becomes the warm one."""
+        n = self.n
+        sol = _structural(tab, 2 + len(self.masks))
         best = CoreMinimum(
             value=tab.value(),
             point=tuple(-tab.cell(n, j) for j in range(n)),
@@ -250,11 +371,8 @@ class CoreSystem:
                 f"core minimum of subset {subset:#b} has a failing certificate", best
             )
         self._pool_add(table)
+        self._warm[:] = (tab,)
         return best
-
-    def least(self, subset: int) -> Fraction:
-        """min x(subset): its largest bound if `attains` proves it, else a cold `minimum`."""
-        return self._top[subset] if self.attains(subset) else self.minimum(subset).value
 
     def require_solution(self) -> None:
         """Raise CoreEmpty if unsolvable; only an empty pool costs `minimum(0)`."""
@@ -272,6 +390,24 @@ class CoreSystem:
         self._pool_add(table)
         return True
 
+    def admit_cover(self, cover: CoverMaximum) -> bool:
+        """`admit(cover.point)` for `cover`, the full set's weighted cover of
+        the table this system is the core of (`capacity_core`).  Once the
+        point passes, the cover's final tableau is taken over, not copied, as
+        the warm one: lam_A is y_A, lam_X is y0+ and the slacks are the
+        slacks, so the basis inverse is the same, and the reduced costs
+        v(A) - y(A) <= 0 and 1 - y(X) = 0 make it dual feasible."""
+        if not self.admit(cover.point):
+            return False
+        tab, full = cover.tableau, (1 << self.n) - 1
+        if tab is not None and tab.m == self.n and self.masks == tuple(range(1, full)):
+            object.__setattr__(cover, "tableau", None)  # handed over
+            # ids: lam_A is A - 1, y_A is A + 1; lam_X is full - 1, y0+ is 0;
+            # the slacks start at full and at full + 1
+            tab.basis[:] = [0 if t == full - 1 else t + 1 + (t < full) for t in tab.basis]
+            self._warm[:] = (tab,)
+        return True
+
     def _pool_add(self, table) -> None:
         """Pool a certified point's mass table, unless an equal one is pooled."""
         if table not in self._pool:
@@ -287,10 +423,10 @@ class CoreSystem:
         ordering "subset's points ascending, then the rest", which joins the
         certified points once it passes the core check.
         """
-        b = self._top.get(subset)
-        if b is None:
+        top = self._top.get(subset)
+        if top is None:
             return False
-        num, bden = b.numerator, b.denominator
+        _, num, bden = top
         for den, mass in self._pool:
             if mass[subset] * bden == num * den:
                 return True
@@ -314,7 +450,7 @@ class CoreSystem:
         prefix, before = 0, ZERO
         for j in order:
             prefix |= 1 << j
-            after = ONE if prefix == full else self._top[prefix]
+            after = ONE if prefix == full else self._top[prefix][0]
             x[j] = after - before
             before = after
         return x
@@ -358,8 +494,10 @@ class CoreSystem:
         den, mass = table
         if mass[-1] != den:
             return None
-        for a, b in zip(self.masks, self.bounds):
-            if mass[a] * b.denominator < b.numerator * den:
+        # x(A) >= c over the dual columns' (mask A, cost c): the bounds, and
+        # from y0+ and y0- x(X) >= 1 and x(X) >= -1, true at x(X) = 1
+        for a, _, num, bden in self._columns:
+            if mass[a] * bden < num * den:
                 return None
         return den, mass
 
@@ -439,6 +577,8 @@ class CoverMaximum:
     sets: tuple[int, ...]  # the A with lam_A > 0, in subset-code order
     weights: tuple[Fraction, ...]  # their lam_A
     point: tuple[Fraction, ...]  # a dual y, one weight per point, 0 off B
+    # the final revised tableau, until `CoreSystem.admit_cover` takes it over
+    tableau: object = field(default=None, compare=False, repr=False)
 
 
 def cover_maximum(values, bound: int) -> CoverMaximum:
@@ -466,6 +606,7 @@ def cover_maximum(values, bound: int) -> CoverMaximum:
         sets=tuple(a for a, w in zip(members, lam) if w),
         weights=tuple(w for w in lam if w),
         point=tuple(point),
+        tableau=tab,
     )
     if not cover_certifies(values, bound, best):
         raise InternalInconsistency(

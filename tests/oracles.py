@@ -16,19 +16,21 @@ core minimum and weighted cover on the dense tableau of every column, as
 capax pivoted them before the revised loop.  These
 re-derive the quantities the package
 computes through simplex pivots or breakpoint walks, by slower but
-structurally unrelated means.
+structurally unrelated means.  Last, the seeded tables and explicit core
+systems that the kernel tests feed to both sides.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from capax.capacity import BalancedFamily, Capacity
+from capax.capacity import BalancedFamily, Capacity, random_convex_mixture, random_monotone
 from capax.classify import ConvexityViolation, ExactnessGap, TotalBalanceFailure
-from capax.lp import (EQ, GE, INFEASIBLE, NONNEG, CoreMinimum, CoverMaximum, LinearProgram,
-                      Row, cover_maximum, solve_dualized)
+from capax.credal import lower_envelope, random_credal
+from capax.lp import (EQ, GE, INFEASIBLE, NONNEG, CoreMinimum, CoreSystem, CoverMaximum,
+                      LinearProgram, Row, cover_maximum, solve_dualized)
 from capax.lp import _tableau_py
-from capax.ground import ONE, ZERO, subset_indices
+from capax.ground import ONE, ZERO, GroundSet, subset_indices
 from capax.rng import SplitMix64
 
 
@@ -283,3 +285,26 @@ def dense_cover_maximum(values, bound: int) -> CoverMaximum:
         point[j] = -reduced[k + i]
     return CoverMaximum(value=tab.value(), sets=tuple(a for a, w in zip(members, lam) if w),
                         weights=tuple(w for w in lam if w), point=tuple(point))
+
+
+def capacity_tables(n, rng):
+    """A random monotone (at n >= 4 mostly with an empty core), a convex and
+    an exact table on n points."""
+    g = GroundSet(n)
+    tables = [random_monotone(g, rng.next_u64(), 6).values,
+              random_convex_mixture(g, rng.next_u64(), 6).values]
+    if n >= 2:
+        tables.append(lower_envelope(random_credal(g, rng, n + 1, 8)).values)
+    return tables
+
+
+def explicit_system(n, rng):
+    """Random masks in random order, some repeated with other bounds, each
+    bound k / (8 |A|) for k in 0..8: often solvable, sometimes empty."""
+    full = (1 << n) - 1
+    masks, bounds = [], []
+    for _ in range(rng.next_below(2 << n) + 1):
+        a = rng.next_below(full) + 1
+        masks.append(a)
+        bounds.append(Fraction(rng.next_below(9), 8 * bin(a).count("1")))
+    return CoreSystem(n, masks, bounds)

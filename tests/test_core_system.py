@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import core_vertices, dualized_core_min, reference_is_exact
+from oracles import (capacity_tables, core_vertices, dualized_core_min, explicit_system,
+                     reference_is_exact)
 
 from capax.capacity import (
     Capacity,
@@ -23,9 +24,9 @@ from capax.capacity import (
 from capax.classify import (ExactnessGap, classify_full, is_exact, is_totally_balanced,
                             min_core_value)
 from capax.credal import CredalSet, core_polytope, lower_envelope, random_credal
-from capax.errors import CoreEmpty, GroundMismatch, InternalInconsistency
+from capax.errors import CoreEmpty, GroundMismatch, InfeasibleCredal, InternalInconsistency
 from capax.ground import GroundSet
-from capax.lp import CoreSystem
+from capax.lp import CoreSystem, cover_maximum
 from capax.lp import core as core_module
 from capax.lp.core import capacity_core, shared_capacity_core
 from capax.lp._tableau_py import Tableau
@@ -394,6 +395,162 @@ class TestLpCounts:
             calls.clear()
             assert lower_envelope(core_polytope(nu)) == nu
             assert calls == []
+
+
+class WarmLog:
+    pivots = warm = 0
+
+
+@pytest.fixture
+def warm_log(monkeypatch):
+    """Counts every kernel pivot, and those of the dual simplex apart."""
+    log = WarmLog()
+    pivot, dual = Tableau.pivot, core_module._dual
+
+    def counting_pivot(self, r, c):
+        log.pivots += 1
+        return pivot(self, r, c)
+
+    def counting_dual(tab, columns):
+        before = log.pivots
+        dual(tab, columns)
+        log.warm += log.pivots - before
+
+    monkeypatch.setattr(Tableau, "pivot", counting_pivot)
+    monkeypatch.setattr(core_module, "_dual", counting_dual)
+    return log
+
+
+def shuffled(items, rng):
+    """items in a Fisher-Yates order drawn from rng."""
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def assert_warm_is_cold(warm, rng):
+    """Every subset, in a shuffled order, through the warm path of `warm`
+    against a cold `minimum` on a twin system (so no cold tableau becomes
+    `warm`'s).  Returns whether the core was nonempty."""
+    cold = CoreSystem(warm.n, warm.masks, warm.bounds)
+    for subset in shuffled(range(1 << warm.n), rng):
+        try:
+            expected = cold.minimum(subset).value
+        except CoreEmpty:
+            with pytest.raises(CoreEmpty):
+                warm._warm_minimum(subset)
+            continue
+        assert warm._warm_minimum(subset) == expected, (warm.masks, warm.bounds, subset)
+    return bool(cold._pool)
+
+
+class TestWarmMinima:
+    """`least`'s dual simplex from the last optimal tableau against cold
+    `minimum`: equal values whatever the warm tableau's history."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_capacity_tables(self, n, warm_log):
+        rng = SplitMix64(40 + n)
+        handed = 0
+        for values in capacity_tables(n, rng):
+            system = capacity_core(values)
+            cover = cover_maximum(values, (1 << n) - 1)
+            if system.admit_cover(cover):  # the cover's tableau starts the warm path
+                assert cover.tableau is None and len(system._warm) == 1
+                handed += 1
+            assert assert_warm_is_cold(system, rng) == (cover.value == 1)
+        assert handed and (warm_log.warm or n == 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_explicit_systems(self, n, warm_log):
+        # repeated and missing masks; no cover, so the first cold optimum starts
+        # (at n >= 5 most are empty, so draw until three were not)
+        rng = SplitMix64(70 + n)
+        solvable = drawn = 0
+        while solvable < 3 and drawn < 40:
+            solvable += assert_warm_is_cold(explicit_system(n, rng), rng)
+            drawn += 1
+        assert solvable == 3 and (warm_log.warm or n == 1)
+
+    def test_constraint_form_credal_sets(self, warm_log):
+        # one bound per mask, the last drawn; the masks never drawn stay missing
+        rng = SplitMix64(90)
+        g = GroundSet(4)
+        asked = 0
+        for _ in range(8):
+            system = explicit_system(4, rng)
+            bounds = dict(zip(system.masks, system.bounds))
+            try:
+                alpha = CredalSet.from_constraints(g, bounds)
+            except InfeasibleCredal:
+                continue
+            cold = CoreSystem(4, list(bounds), list(bounds.values()))
+            for subset in shuffled(g.nonempty_subsets(), rng):
+                assert alpha.min_mass(subset) == cold.minimum(subset).value
+                assert alpha.max_mass(subset) == 1 - cold.minimum(g.full & ~subset).value
+                asked += 1
+        assert asked and warm_log.warm
+
+    def test_found_input_spends_few_pivots_in_minima(self, warm_log):
+        # exact but not convex, on 9 points: a credal envelope scaled by 9/10
+        # off the full set (cold minima took 8,209 pivots)
+        nu = lower_envelope(random_credal(GroundSet(9), SplitMix64(9), 10, 8))
+        full = nu.ground.full
+        nu = Capacity(nu.ground, [v if a == full else v * F(9, 10) for a, v in enumerate(nu.values)])
+        cover_maximum(nu.values, full)
+        cover_pivots = warm_log.pivots
+        assert is_exact(nu) == (True, None)
+        assert warm_log.warm and warm_log.pivots - 2 * cover_pivots < 2000
+
+    def test_convex_capacity_pivots_nothing_after_the_cover(self, warm_log):
+        nu = random_convex_mixture(GroundSet(7), 4, 3)
+        cover_maximum(nu.values, nu.ground.full)
+        cover_pivots = warm_log.pivots
+        assert is_exact(nu) == (True, None)
+        assert warm_log.pivots == 2 * cover_pivots
+
+    def test_threads_never_pivot_one_tableau_together(self):
+        nu = seeded_capacities(5, 1, 9)[1]  # lowered: some minima fall short
+        cold = core_of(nu)
+        expected = {b: cold.minimum(b).value for b in nu.ground.subsets()}
+        system = capacity_core(nu.values)
+        wrong, failed = [], []
+        start = threading.Barrier(4)
+
+        def ask(first):
+            start.wait(timeout=60)
+            rng = SplitMix64(first)
+            try:
+                for _ in range(20):
+                    for b in shuffled(expected, rng):
+                        if system._warm_minimum(b) != expected[b]:
+                            wrong.append(b)
+            except InternalInconsistency as exc:  # two threads on one tableau
+                failed.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and failed == []
+
+    def test_only_a_capacity_core_takes_the_cover_tableau(self):
+        values = random_convex_mixture(GroundSet(3), 1, 4).values
+        cover = cover_maximum(values, 0b111)
+        masks = list(range(1, 7))
+        reordered = CoreSystem(3, masks[::-1], [values[a] for a in masks[::-1]])
+        assert reordered.admit_cover(cover) and reordered._warm == []
+        assert cover.tableau is not None
+        assert capacity_core(values).admit_cover(cover) and cover.tableau is None
 
 
 class TestSharedCore:

@@ -53,7 +53,7 @@ class TestAgainstGeneralLp:
                         tuple(a for a, w in zip(members, out.primal) if w),
                         tuple(w for w in out.primal if w),
                     )
-                    assert _cover_value(nu, bound) == (out.value, family, best.point)
+                    assert _cover_value(nu, bound) == (out.value, family, best)
 
 
 class TestCertificates:

@@ -5,15 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import dense_core_minimum, dense_cover_maximum
+from oracles import capacity_tables, dense_core_minimum, dense_cover_maximum, explicit_system
 
-from capax.capacity import Capacity, random_convex_mixture, random_monotone
+from capax.capacity import Capacity
 from capax.classify import is_exact
 from capax.credal import lower_envelope, random_credal
-from capax.errors import CoreEmpty
+from capax.errors import CoreEmpty, InternalInconsistency
 from capax.ground import GroundSet
 from capax.lp import CoreSystem, cover_maximum
 from capax.lp import _tableau_py
+from capax.lp import core as core_module
 from capax.rng import SplitMix64
 
 
@@ -52,29 +53,6 @@ def log(monkeypatch):
     monkeypatch.setattr(_tableau_py.Tableau, "pivot", counting_pivot)
     monkeypatch.setattr(CoreSystem, "refutes", recording_refutes)
     return log
-
-
-def capacity_tables(n, rng):
-    """A random monotone (at n >= 4 mostly with an empty core), a convex and
-    an exact table on n points."""
-    g = GroundSet(n)
-    tables = [random_monotone(g, rng.next_u64(), 6).values,
-              random_convex_mixture(g, rng.next_u64(), 6).values]
-    if n >= 2:
-        tables.append(lower_envelope(random_credal(g, rng, n + 1, 8)).values)
-    return tables
-
-
-def explicit_system(n, rng):
-    """Random masks in random order, some repeated with other bounds, each
-    bound k / (8 |A|) for k in 0..8: often solvable, sometimes empty."""
-    full = (1 << n) - 1
-    masks, bounds = [], []
-    for _ in range(rng.next_below(2 << n) + 1):
-        a = rng.next_below(full) + 1
-        masks.append(a)
-        bounds.append(F(rng.next_below(9), 8 * bin(a).count("1")))
-    return CoreSystem(n, masks, bounds)
 
 
 def systems(n, seed):
@@ -122,7 +100,7 @@ class TestAgainstDenseTableau:
 
 
 class TestNarrowTableau:
-    def test_no_tableau_is_wider_than_n_plus_2(self, monkeypatch):
+    def test_no_tableau_is_wider_than_n_plus_2(self, monkeypatch, log):
         n = 6
         widths = []
 
@@ -134,11 +112,68 @@ class TestNarrowTableau:
                 widths.append(ncols + 1)  # the rhs too
 
         monkeypatch.setattr(_tableau_py, "Tableau", Recorded)
+        dual, warm = core_module._dual, []
+
+        def counted(tab, columns):
+            before = log.pivots
+            dual(tab, columns)
+            warm.append(log.pivots - before)
+
+        monkeypatch.setattr(core_module, "_dual", counted)
         g = GroundSet(n)
-        # exact but not convex: no marginal vector settles every subset
+        # exact but not convex: no marginal vector settles every subset, so
+        # the cover's tableau goes on into warm minima
         nu = lower_envelope(random_credal(g, SplitMix64(6), n + 1, 8))
         assert is_exact(Capacity(g, list(nu.values)))[0]
-        exact_tableaux = len(widths)
+        assert len(widths) == 1 and sum(warm) >= 1  # only the cover's tableau
         cover_maximum(nu.values, g.full)
-        assert exact_tableaux > 1 and len(widths) == exact_tableaux + 1
-        assert max(widths) <= n + 2
+        assert widths and max(widths) <= n + 2
+
+
+class TestBasisRepeatGuard:
+    """A kernel fault that makes a pivot loop cycle raises instead of hanging."""
+
+    def test_reversed_ratio_tie_rule(self, monkeypatch):
+        leaving_row = _tableau_py.Tableau.leaving_row
+
+        def ties_to_the_largest_id(self, c):
+            basis = self.basis
+            self.basis = [-t for t in basis]
+            try:
+                return leaving_row(self, c)
+            finally:
+                self.basis = basis
+
+        monkeypatch.setattr(_tableau_py.Tableau, "leaving_row", ties_to_the_largest_id)
+        system = systems(6, 48)[3]  # an explicit system this rule cycles on
+        with pytest.raises(InternalInconsistency, match="revisited a basis"):
+            system.minimum(39)
+        with pytest.raises(InternalInconsistency, match="revisited a basis"):
+            dense_core_minimum(system, 39)
+
+    def test_wrong_scratch_column_sum(self, monkeypatch):
+        load = core_module._load
+
+        def one_too_many(tab, loaded, target, sign, rows):
+            load(tab, loaded, target, sign, rows)
+            if target == tab.m and len(loaded) > 1:  # B^-1 a of a column on 2+ points
+                tab.nums[0][target] += tab.dens[0][target]
+
+        monkeypatch.setattr(core_module, "_load", one_too_many)
+        with pytest.raises(InternalInconsistency, match="revisited a basis"):
+            systems(2, 62)[0].minimum(0)
+
+    def test_dual_row_with_no_entering_column(self, monkeypatch):
+        system = CoreSystem(2, [0b01, 0b10], [F(1, 4), F(1, 4)])
+        system.minimum(0)  # its optimum becomes the warm tableau
+        load = core_module._load
+
+        def negative_row(tab, loaded, target, sign, rows):
+            load(tab, loaded, target, sign, rows)
+            if target == tab.m + 1:  # row 0 of B^-1 zeroed under a negative rhs
+                tab.nums[0][:tab.m] = [0] * tab.m
+                tab.nums[0][target], tab.dens[0][target] = -1, 1
+
+        monkeypatch.setattr(core_module, "_load", negative_row)
+        with pytest.raises(InternalInconsistency, match="no entering column"):
+            system.least(0b11)  # no bound on the full set, so no pooled point settles it
