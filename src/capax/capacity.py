@@ -27,7 +27,7 @@ from .errors import (
     NotMonotone,
     OutOfRange,
 )
-from .ground import ONE, ZERO, GroundSet, PointMap
+from .ground import ONE, ZERO, GroundSet, PointMap, family_total
 from .rng import SplitMix64
 
 
@@ -258,27 +258,22 @@ class BalancedFamily:
         object.__setattr__(self, "weights", tuple(map(_rational, self.weights)))
 
     def is_admissible_within(self, bound_mask: int, ground: GroundSet) -> bool:
-        for a, w in zip(self.sets, self.weights):
-            if w < 0:
-                return False
-            if a & ~bound_mask:
-                return False  # member set sticks out of B
-        for i in ground.points():
-            load = sum((w for a, w in zip(self.sets, self.weights) if a >> i & 1), ZERO)
-            cap = ONE if bound_mask >> i & 1 else ZERO
-            if load > cap:
-                return False
-        return True
-
-    def weighted_total(self, nu: Capacity) -> Fraction:
-        return sum((w * nu.values[a] for a, w in zip(self.sets, self.weights)), ZERO)
+        return self._total(bound_mask, ground.n) is not None
 
     def violates(self, nu: Capacity, bound_mask: int) -> bool:
-        """True when admissible within B yet the weighted total exceeds nu(B)."""
-        return (
-            self.is_admissible_within(bound_mask, nu.ground)
-            and self.weighted_total(nu) > nu.values[bound_mask]
-        )
+        """True when admissible within B yet the weighted total exceeds nu(B);
+        False for a B that is not a subset of nu's ground set."""
+        if not nu.ground.contains_subset(bound_mask):
+            return False
+        total = self._total(bound_mask, nu.ground.n, map(nu.values.__getitem__, self.sets))
+        return total is not None and total > nu.values[bound_mask]
+
+    def _total(self, bound_mask: int, n: int, costs=None):
+        """`family_total` with caps B over n points; None also when a member
+        set sticks out of B."""
+        if any(a & ~bound_mask for a in self.sets):
+            return None
+        return family_total(n, self.sets, self.weights, bound_mask, costs)
 
 
 # --- seeded generators --------------------------------------------------------

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .capacity import BalancedFamily, Capacity, Measure
 from .errors import CoreEmpty, EmptySubset, InternalInconsistency
-from .ground import ONE, ZERO, check_subset, subset_indices
+from .ground import ONE, ZERO, check_subset, family_total, point_masses, subset_indices
 from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
 from .lp.core import check_points, shared_capacity_core
@@ -72,14 +72,11 @@ class ExactnessGap:
     coeffs: tuple[tuple[int, Fraction], ...]
 
     def verify(self, nu: Capacity) -> bool:
-        if any(w < 0 for _, w in self.coeffs):
+        if not nu.ground.contains_subset(self.subset):
             return False
-        for i in nu.ground.points():
-            load = self.shift + sum((w for a, w in self.coeffs if a >> i & 1), ZERO)
-            cap = ONE if self.subset >> i & 1 else ZERO
-            if load > cap:
-                return False
-        attained = self.shift + sum((w * nu[a] for a, w in self.coeffs), ZERO)
+        sets = [a for a, _ in self.coeffs]
+        attained = family_total(nu.ground.n, sets, [w for _, w in self.coeffs], self.subset,
+                                map(nu.values.__getitem__, sets), self.shift)
         return attained == self.bound and self.bound > nu[self.subset]
 
 
@@ -382,13 +379,15 @@ def verify_report(nu: Capacity, report: ClassReport) -> bool:
     convex_scan, _ = is_convex(nu)  # combinatorial, no LP
     if report.convex != convex_scan:
         return False
-    if not report.convex and not report.convex_witness.verify(nu):
+    if not report.convex and (report.convex_witness is None
+                              or not report.convex_witness.verify(nu)):
         return False
     if report.balanced:
         mu = report.core_witness
         if mu is None or mu.ground != nu.ground:
             return False
-        if any(mu.mass(a) < nu[a] for a in nu.ground.nonempty_subsets()):
+        rows = [(a, 1, v.numerator, v.denominator) for a, v in enumerate(nu.values)]
+        if point_masses(mu.weights, rows) is None:
             return False
     else:
         if report.unbalanced_witness is None:

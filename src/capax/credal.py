@@ -22,8 +22,8 @@ from math import gcd, lcm
 from .capacity import Capacity, Measure, _rational, measure_pushforward, pushforward
 from .classify import is_exact
 from .errors import CoreEmpty, GroundMismatch, InfeasibleCredal, NotExact
-from .ground import ONE, ZERO, GroundSet, PointMap, check_subset
-from .lp.core import CoreSystem, _mass_table, shared_capacity_core
+from .ground import ONE, ZERO, GroundSet, PointMap, check_subset, point_masses
+from .lp.core import CoreSystem, shared_capacity_core
 # LinearProgram, Row and solve_dualized stay importable here for tools that
 # hook LP construction and solves per module
 from .lp import LinearProgram, Row  # noqa: F401
@@ -127,7 +127,7 @@ class CredalSet:
         come back as one shared Fraction object (see `_shared_ratio`).
         """
         if self._minima is None:
-            tables = [_mass_table(mu.weights) for mu in self.vertices]
+            tables = [point_masses(mu.weights) for mu in self.vertices]
             den = lcm(*(d for d, _ in tables))
             scaled = [mass if d == den else [v * (den // d) for v in mass]
                       for d, mass in tables]

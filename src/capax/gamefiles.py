@@ -312,14 +312,3 @@ def parse_second(text: str, strict: bool = True) -> SecondOrderCapacity:
     except (CapaxError, ValueError) as exc:
         raise ValidationError(f"invalid second-order capacity: {exc}") from exc
 
-
-def emit_second(c2: SecondOrderCapacity) -> str:
-    out = [f"second {c2.ground.n} {c2.size}"]
-    for i, nu in enumerate(c2.support):
-        out.append(f"support {i}")
-        for mask in nu.ground.proper_nonempty_subsets():
-            out.append(f"v {format_subset(mask)} = {format_rat(nu[mask])}")
-    out.append("game")
-    for mask in c2.game.ground.proper_nonempty_subsets():
-        out.append(f"v {format_subset(mask)} = {format_rat(c2.game[mask])}")
-    return "\n".join(out) + "\n"

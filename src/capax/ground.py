@@ -4,12 +4,18 @@ Everything downstream works over a finite ground set of n points identified
 with 0..n-1.  A subset is an n-bit mask (`int`): bit i set means point i is in
 the subset.  The only scalar type is `fractions.Fraction`, re-exported as
 `Rat`; no floating point appears anywhere in the math core.
+
+Every capax certificate is a point whose subset masses must meet bounds, or
+a weighted family of subsets whose per-point loads must stay under caps.
+`point_masses` and `family_total` check the two in integers over one common
+denominator, and leave each caller only its own sign and equality rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from .errors import GroundMismatch
@@ -82,6 +88,60 @@ def subset_indices(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+def subset_sums(ints) -> list[int]:
+    """sums[S] = the sum of ints[j] over the points j of S, for every subset
+    code S of the points of `ints`: the table over points 0..j-1 doubles to
+    0..j, its copy adding ints[j]."""
+    sums = [0]
+    for v in ints:
+        sums += [s + v for s in sums] if v else sums
+    return sums
+
+
+def point_masses(x, rows=()):
+    """The mass check: (den, mass) with mass[S] = den * x(S) for every subset
+    code S of the points of x, den the common denominator of x, when x >= 0
+    and sign * x(A) >= num / bden for every (A, sign, num, bden) in `rows`;
+    else None."""
+    den = lcm(*(q.denominator for q in x))
+    ints = [q.numerator * (den // q.denominator) for q in x]
+    if any(v < 0 for v in ints):
+        return None
+    mass = subset_sums(ints)
+    if any(sign * mass[a] * bden < num * den for a, sign, num, bden in rows):
+        return None
+    return den, mass
+
+
+def family_total(n: int, sets, weights, cap: int, costs=None, shift=ZERO):
+    """The load check: shift + the sum of weight * cost over a weighted family
+    of subsets of n points (costs 0 when None), when every set is a subset
+    code over the n points, every weight is >= 0 and each point j's load,
+    shift + the weights of the sets that contain j, is at most 1 for j in
+    `cap` and 0 off it; else None.  Loads are compared in integers over the
+    common denominator of `shift` and the weights.  `costs`, one per set, is
+    read after every set has passed, so a lazy `map` over a value table is
+    safe."""
+    kept = [(k, a, w) for k, (a, w) in enumerate(zip(sets, weights)) if w]
+    if any(a >> n for a in sets) or any(w < 0 for _, _, w in kept):  # a >> n: also a < 0
+        return None
+    den = lcm(shift.denominator, *(w.denominator for _, _, w in kept))
+    base = shift.numerator * (den // shift.denominator)
+    shares = [(k, a, w.numerator * (den // w.denominator)) for k, a, w in kept]
+    load = [base] * n
+    for _, a, share in shares:
+        for j in subset_indices(a):
+            load[j] += share
+    if any(v > den * (cap >> j & 1) for j, v in enumerate(load)):
+        return None
+    if costs is None:
+        return shift
+    costs = tuple(costs)
+    cden = lcm(*(costs[k].denominator for k, _, _ in kept))
+    num = sum(share * costs[k].numerator * (cden // costs[k].denominator) for k, _, share in shares)
+    return Fraction(base * cden + num, den * cden)
 
 
 def subset_of_indices(indices) -> int:

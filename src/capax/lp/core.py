@@ -59,11 +59,12 @@ the optimal point may differ, and it is certified and pooled the same way.
 Every pivot loop records the bases it visits and raises
 `InternalInconsistency` on a repeat, so a kernel fault cannot cycle.
 
-Each outcome is checked once, by integer arithmetic over subset masks,
-before it leaves: the primal weights are nonnegative and load no point
-beyond its right-hand side, the point read from the slack reduced costs meets
-every bound, checked on all subset masses at once by one prefix walk, and the
-two objective values agree.  A failed check raises `InternalInconsistency`
+Each outcome is checked once, in integers, before it leaves, by the two
+checks of `capax.ground` that every capax certificate uses: `family_total`
+(the primal weights are nonnegative and load no point beyond its right-hand
+side) and `point_masses` (the point read from the slack reduced costs meets
+every bound, on all subset masses at once by one prefix walk); and the two
+objective values agree.  A failed check raises `InternalInconsistency`
 (a solver bug, never data).  An unbounded core-system dual means an empty
 core; its ray is checked as a Farkas certificate before `CoreEmpty` is
 raised.  The weighted cover is always feasible and bounded.
@@ -94,7 +95,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import ConfigOutOfRange, CoreEmpty, GroundMismatch, InternalInconsistency, ShapeMismatch
-from ..ground import ONE, ZERO, subset_indices
+from ..ground import ONE, ZERO, family_total, point_masses, subset_indices, subset_sums
 from . import _tableau_py
 
 MAX_POINTS = 10  # a full classification takes seconds at 10 points, minutes at 11
@@ -106,33 +107,13 @@ def check_points(n: int) -> None:
         raise ConfigOutOfRange(f"the subset LPs take at most {MAX_POINTS} points, got {n}")
 
 
-def _prefix_walk(ints) -> list[int]:
-    """mass[S] = the sum of ints[j] over the points j of S, for every subset
-    code S of the points of `ints`: the table over points 0..j-1 doubles to
-    0..j, its copy adding ints[j]."""
-    mass = [0]
-    for v in ints:
-        mass += [m + v for m in mass] if v else mass
-    return mass
-
-
-def _mass_table(x):
-    """(den, mass) with mass[S] = den * x(S) for every subset S of the points
-    of x, den the common denominator of x; None when some x_j is negative."""
-    den = lcm(*(q.denominator for q in x))
-    ints = [q.numerator * (den // q.denominator) for q in x]
-    if any(v < 0 for v in ints):
-        return None
-    return den, _prefix_walk(ints)
-
-
 def _walk_row(tab, r: int, sign: int = 1):
     """(den, mass) with mass[S] = den * sign * the sum of row r's slack-block
     cells over the points of S, den their common denominator: row r of B^-1
     summed over every subset code, or with r = m and sign -1, pi(S)."""
     m, nr, dr = tab.m, tab.nums[r], tab.dens[r]
     den = lcm(*dr[:m])
-    return den, _prefix_walk([sign * x * (den // d) for x, d in zip(nr, dr[:m])])
+    return den, subset_sums([sign * x * (den // d) for x, d in zip(nr, dr[:m])])
 
 
 def _load(tab, loaded, target: int, sign: int, rows) -> None:
@@ -463,8 +444,8 @@ class CoreSystem:
         """The core mass table of `best.point` when `best` is a certificate
         for x(subset), else None.
 
-        Primal side: `_core_mass`, then x(subset) = value.  Dual side over the
-        nonzero y_A only: y_A >= 0, each point's load y0 + sum_{A contains j}
+        Primal side: `_core_mass`, then x(subset) = value.  Dual side, by
+        `family_total`: y_A >= 0, each point's load y0 + sum_{A contains j}
         y_A at most [j in subset], and y0 + sum_A b_A y_A = value.
         """
         n, value = self.n, best.value
@@ -476,30 +457,15 @@ class CoreSystem:
         den, mass = table
         if mass[subset] * value.denominator != value.numerator * den:
             return None
-        dual = self._dual_side(best.shift, best.multipliers)
-        if dual is None:
-            return None
-        load, attained = dual
-        if attained != value or any(load[j] > (subset >> j & 1) for j in range(n)):
+        if family_total(n, self.masks, best.multipliers, subset, self.bounds, best.shift) != value:
             return None
         return table
 
     def _core_mass(self, x):
-        """(den, mass) with mass[S] = den * x(S) for all 2^n subsets S, den the
-        common denominator of x, when x is a core point: x >= 0, x(X) = 1 and
-        every bound holds.  None otherwise.  Masses come from one prefix walk."""
-        table = _mass_table(x)
-        if table is None:
-            return None
-        den, mass = table
-        if mass[-1] != den:
-            return None
-        # x(A) >= c over the dual columns' (mask A, cost c): the bounds, and
-        # from y0+ and y0- x(X) >= 1 and x(X) >= -1, true at x(X) = 1
-        for a, _, num, bden in self._columns:
-            if mass[a] * bden < num * den:
-                return None
-        return den, mass
+        """`point_masses(x)` when x is a core point, else None: the dual
+        columns, read as rows sign * x(A) >= cost, are x(X) >= 1, -x(X) >= -1
+        and the bounds."""
+        return point_masses(x, self._columns)
 
     def refutes(self, shift: Fraction, multipliers) -> bool:
         """Exact Farkas check that the system has no solution; never solves.
@@ -510,25 +476,8 @@ class CoreSystem:
         multipliers = tuple(multipliers)
         if len(multipliers) != len(self.masks):
             raise ShapeMismatch("Farkas certificate length mismatch")
-        dual = self._dual_side(shift, multipliers)
-        if dual is None:
-            return False
-        load, gain = dual
-        return gain > 0 and all(v <= 0 for v in load)
-
-    def _dual_side(self, shift: Fraction, multipliers):
-        """(per-point loads y0 + sum_{A contains j} y_A, and y0 + sum_A b_A y_A),
-        summed over the nonzero y_A only; None when some y_A is negative."""
-        load = [shift] * self.n
-        total = shift
-        for a, b, w in zip(self.masks, self.bounds, multipliers):
-            if w:
-                if w < 0:
-                    return None
-                total += w * b
-                for j in subset_indices(a):
-                    load[j] += w
-        return load, total
+        gain = family_total(self.n, self.masks, multipliers, 0, self.bounds, shift)
+        return gain is not None and gain > 0
 
     def _raise_empty(self, tab, enter: int, col: int):
         """Read the improving ray of an unbounded dual (column `enter`, its
@@ -590,10 +539,7 @@ def cover_maximum(values, bound: int) -> CoverMaximum:
         raise GroundMismatch(f"subset code {bound:#b} not a nonempty subset of {n} points")
     members = _submasks(bound)
     points = subset_indices(bound)
-    # lam_A loads the rows of A's points: the t-th submask of bound (from 1,
-    # ascending) has row mask t
-    columns = [(t, 1, values[a].numerator, values[a].denominator)
-               for t, a in enumerate(members, 1)]
+    columns = _cover_columns(values, members)
     tab, enter, _ = _revised([1] * len(points), columns)
     if enter >= 0:
         raise InternalInconsistency("weighted-cover LP is always feasible and bounded")
@@ -608,23 +554,39 @@ def cover_maximum(values, bound: int) -> CoverMaximum:
         point=tuple(point),
         tableau=tab,
     )
-    if not cover_certifies(values, bound, best):
+    if not _cover_certified(values, bound, best, columns):
         raise InternalInconsistency(
             f"weighted cover of subset {bound:#b} has a failing certificate", best
         )
     return best
 
 
+def _cover_columns(values, members) -> list[tuple[int, int, int, int]]:
+    """(t, 1, num, den) per member A, the nonempty subsets of a bound B in
+    ascending order, with values[A] = num / den: lam_A loads the rows of A's
+    points, and the t-th submask of B has row mask t."""
+    return [(t, 1, values[a].numerator, values[a].denominator) for t, a in enumerate(members, 1)]
+
+
 def cover_certifies(values, bound: int, best: CoverMaximum) -> bool:
     """Exact check that `best` is optimal for the weighted cover of `bound`;
     never solves.
 
-    Primal side: every set a nonempty subset of `bound`, every weight
-    positive, and each point's load sum_{A contains j} lam_A at most 1.
-    Dual side: y >= 0 and 0 off `bound`, and y(A) >= values[A] for every
-    nonempty subset A of `bound`, by one prefix walk.  Both objectives,
-    sum_A lam_A values[A] and y(bound), equal the value.
+    Primal side, by `family_total`: every set a nonempty subset of `bound`,
+    every weight positive, and each point's load sum_{A contains j} lam_A at
+    most 1.  Dual side, by `point_masses` over the points of `bound`: y >= 0
+    and 0 off `bound`, and y(A) >= values[A] for every nonempty subset A of
+    `bound`.  Both objectives, sum_A lam_A values[A] and y(bound), equal the
+    value.  False for a bound that is no nonempty subset of the n points.
     """
+    if not 0 < bound < len(values):
+        return False
+    return _cover_certified(values, bound, best, _cover_columns(values, _submasks(bound)))
+
+
+def _cover_certified(values, bound: int, best: CoverMaximum, columns) -> bool:
+    """`cover_certifies` with the LP's `_cover_columns`: y(A) >= values[A] is
+    column A read as a row."""
     n = len(values).bit_length() - 1
     value = best.value
     if len(best.sets) != len(best.weights) or len(best.point) != n:
@@ -632,26 +594,12 @@ def cover_certifies(values, bound: int, best: CoverMaximum) -> bool:
     if any(w <= 0 for w in best.weights) or \
             any(a == 0 or a & ~bound for a in best.sets):
         return False
-    den = lcm(*(w.denominator for w in best.weights))
-    load = [0] * n
-    for a, w in zip(best.sets, best.weights):
-        share = w.numerator * (den // w.denominator)
-        for j in subset_indices(a):
-            load[j] += share
-    if any(v > den for v in load):
-        return False
-    if sum((w * values[a] for a, w in zip(best.sets, best.weights)), ZERO) != value:
+    if family_total(n, best.sets, best.weights, bound, map(values.__getitem__, best.sets)) != value:
         return False
     if any(q for j, q in enumerate(best.point) if not bound >> j & 1):
         return False
-    table = _mass_table(best.point)
+    table = point_masses([best.point[j] for j in subset_indices(bound)], columns)
     if table is None:
         return False
     den, mass = table
-    if mass[bound] * value.denominator != value.numerator * den:
-        return False
-    for a in _submasks(bound):
-        b = values[a]
-        if mass[a] * b.denominator < b.numerator * den:
-            return False
-    return True
+    return mass[-1] * value.denominator == value.numerator * den

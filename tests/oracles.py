@@ -16,8 +16,10 @@ core minimum and weighted cover on the dense tableau of every column, as
 capax pivoted them before the revised loop.  These
 re-derive the quantities the package
 computes through simplex pivots or breakpoint walks, by slower but
-structurally unrelated means.  Last, the seeded tables and explicit core
-systems that the kernel tests feed to both sides.
+structurally unrelated means.  Then the seeded tables and explicit core
+systems that the kernel tests feed to both sides.  Last, every certificate
+check by Fraction sums per point and per subset, as capax ran them before
+the shared integer load and mass checks of `capax.ground`.
 """
 
 from fractions import Fraction
@@ -308,3 +310,93 @@ def explicit_system(n, rng):
         masks.append(a)
         bounds.append(Fraction(rng.next_below(9), 8 * bin(a).count("1")))
     return CoreSystem(n, masks, bounds)
+
+
+# --- certificate checks by Fraction sums --------------------------------------
+# A set or subset code off the ground set is refused first; the checks they
+# replace raised IndexError on some of those.
+
+
+def _on_ground(n, masks) -> bool:
+    return all(0 <= a < 1 << n for a in masks)
+
+
+def _mass(x, mask):
+    return sum((q for j, q in enumerate(x) if mask >> j & 1), ZERO)
+
+
+def fraction_loads_fit(n, family, cap, shift=ZERO) -> bool:
+    """Every weight of the (set, weight) pairs >= 0, and each point's load,
+    shift + the weights of the sets that contain it, at most [j in cap]."""
+    if any(w < 0 for _, w in family):
+        return False
+    return all(shift + sum((w for a, w in family if a >> j & 1), ZERO) <= (cap >> j & 1)
+               for j in range(n))
+
+
+def fraction_admissible(family: BalancedFamily, bound: int, ground) -> bool:
+    """`BalancedFamily.is_admissible_within`."""
+    pairs = list(zip(family.sets, family.weights))
+    return (_on_ground(ground.n, family.sets) and not any(a & ~bound for a in family.sets)
+            and fraction_loads_fit(ground.n, pairs, bound))
+
+
+def fraction_violates(family: BalancedFamily, nu: Capacity, bound: int) -> bool:
+    """`BalancedFamily.violates`."""
+    return (nu.ground.contains_subset(bound) and fraction_admissible(family, bound, nu.ground)
+            and sum((w * nu[a] for a, w in zip(family.sets, family.weights)), ZERO) > nu[bound])
+
+
+def fraction_gap_verifies(gap: ExactnessGap, nu: Capacity) -> bool:
+    """`ExactnessGap.verify`."""
+    n = nu.ground.n
+    if not nu.ground.contains_subset(gap.subset) or not _on_ground(n, [a for a, _ in gap.coeffs]):
+        return False
+    if not fraction_loads_fit(n, gap.coeffs, gap.subset, gap.shift):
+        return False
+    attained = gap.shift + sum((w * nu[a] for a, w in gap.coeffs), ZERO)
+    return attained == gap.bound and gap.bound > nu[gap.subset]
+
+
+def fraction_core_witness(mu, nu: Capacity) -> bool:
+    """`verify_report`'s check of a core witness: mu(A) >= nu(A) for every A."""
+    return all(mu.mass(a) >= nu[a] for a in nu.ground.nonempty_subsets())
+
+
+def fraction_core_point(system: CoreSystem, x) -> bool:
+    """`CoreSystem.admit`: x >= 0, x(X) = 1 and every bound of the system holds."""
+    return (all(q >= 0 for q in x) and sum(x, ZERO) == ONE
+            and all(_mass(x, a) >= b for a, b in zip(system.masks, system.bounds)))
+
+
+def fraction_core_certifies(system: CoreSystem, subset: int, best: CoreMinimum) -> bool:
+    """`CoreSystem.certifies`: the point is in the core with x(subset) =
+    value, the multipliers load no point beyond [j in subset], and y0 +
+    sum_A b_A y_A = value."""
+    family = list(zip(system.masks, best.multipliers))
+    return (fraction_core_point(system, best.point) and _mass(best.point, subset) == best.value
+            and fraction_loads_fit(system.n, family, subset, best.shift)
+            and best.shift + sum((w * b for w, b in zip(best.multipliers, system.bounds)), ZERO)
+            == best.value)
+
+
+def fraction_refutes(system: CoreSystem, shift, multipliers) -> bool:
+    """`CoreSystem.refutes`: no point loaded above 0, yet a positive total."""
+    family = list(zip(system.masks, multipliers))
+    return (fraction_loads_fit(system.n, family, 0, shift)
+            and shift + sum((w * b for w, b in zip(multipliers, system.bounds)), ZERO) > 0)
+
+
+def fraction_cover_certifies(values, bound: int, best: CoverMaximum) -> bool:
+    """`cover_certifies`: positive weights on nonempty subsets of the bound
+    that load no point beyond 1, a dual y >= 0, 0 off the bound, with y(A) >=
+    values[A] for every nonempty A inside it, and both objectives the value."""
+    n = len(values).bit_length() - 1
+    family = list(zip(best.sets, best.weights))
+    y = best.point
+    return (all(w > 0 for w in best.weights) and all(a and not a & ~bound for a in best.sets)
+            and fraction_loads_fit(n, family, bound)
+            and sum((w * values[a] for a, w in family), ZERO) == best.value
+            and all(q >= 0 for q in y) and not any(q for j, q in enumerate(y) if not bound >> j & 1)
+            and _mass(y, bound) == best.value
+            and all(_mass(y, a) >= values[a] for a in range(1, bound + 1) if a & ~bound == 0))

@@ -31,7 +31,7 @@ from capax.errors import (
     ValidationError,
 )
 from capax.gamefiles import parse_game
-from capax.ground import GroundSet, PointMap, compose, identity_map
+from capax.ground import GroundSet, PointMap, compose, family_total, identity_map
 from capax.rng import SplitMix64
 
 g1, g2, g3 = GroundSet(1), GroundSet(2), GroundSet(3)
@@ -302,7 +302,7 @@ class TestBalancedFamily:
         fam = BalancedFamily((0b01, 0b10), (F(1), F(1)))
         nu = new_capacity(g2, {1: F(9, 10), 2: F(9, 10)})
         assert fam.is_admissible_within(0b11, g2)
-        assert fam.weighted_total(nu) == F(9, 5)
+        assert family_total(2, fam.sets, fam.weights, 0b11, [nu[a] for a in fam.sets]) == F(9, 5)
         assert fam.violates(nu, 0b11)
 
     def test_negative_weight_is_inadmissible(self):

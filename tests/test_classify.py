@@ -1,10 +1,12 @@
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from oracles import convex_all_pairs
 
 from capax.capacity import (
+    BalancedFamily,
     Capacity,
     Measure,
     dirac,
@@ -17,6 +19,7 @@ from capax.capacity import (
 from capax import classify
 from capax.classify import (
     ExactnessGap,
+    TotalBalanceFailure,
     bondareva_value,
     classify_full,
     core_lp_feasible,
@@ -283,6 +286,17 @@ class TestClassifyFull:
             c, e, t, b = report.flags()
             assert (not c or e) and (not e or t) and (not t or b)
             assert verify_report(nu, report), trial
+
+    def test_malformed_witnesses_are_refused_not_raised(self):
+        nu = random_monotone(g3, 5, 4)
+        report = classify_full(nu)
+        assert not report.convex and verify_report(nu, report)
+        assert not verify_report(nu, replace(report, convex_witness=None))
+        # a member set, or the certified subset, off the three points
+        assert not ExactnessGap(1, F(1), F(0), ((8, F(1)),)).verify(nu)
+        assert not ExactnessGap(9, nu[1], F(0), ((1, F(1)),)).verify(nu)
+        assert not TotalBalanceFailure(8, BalancedFamily((8,), (F(1),))).verify(nu)
+        assert not TotalBalanceFailure(9, BalancedFamily((1,), (F(1),))).verify(nu)
 
     def test_full_set_cover_solved_once(self, nustar, monkeypatch):
         solved = []

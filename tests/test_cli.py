@@ -12,12 +12,10 @@ from capax.gamefiles import (
     emit_game,
     emit_map,
     emit_measure,
-    emit_second,
     parse_game,
     parse_measure,
 )
 from capax.ground import GroundSet, PointMap
-from capax.monad import unit_second
 from capax.selftest import nustar
 
 g2, g3 = GroundSet(2), GroundSet(3)
@@ -219,7 +217,11 @@ class TestMonadMulCommand:
     def test_unit_gives_back_the_game(self, capsys, tmp_path):
         nu = new_capacity(g3, {m: F(m.bit_count(), 4) for m in range(1, 7)})
         path = tmp_path / "unit.second"
-        path.write_text(emit_second(unit_second(nu)))
+        # the unit at nu: nu as the one support member, the game on one point
+        path.write_text("second 3 1\nsupport 0\n"
+                        "v {0} = 1/4\nv {1} = 1/4\nv {2} = 1/4\n"
+                        "v {0,1} = 1/2\nv {0,2} = 1/2\nv {1,2} = 1/2\n"
+                        "game\n")
         code, out, _ = run(capsys, "monad-mul", path)
         assert code == 0
         assert parse_game(out) == nu

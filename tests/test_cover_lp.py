@@ -125,6 +125,11 @@ class TestCertificates:
             with pytest.raises(GroundMismatch):
                 cover_maximum(self.additive, bound)
 
+    def test_invalid_bound_fails_the_check(self):
+        best = cover_maximum(self.additive, 0b11)
+        for bound in (0, 4, 5, -1):
+            assert not cover_certifies(self.additive, bound, best)
+
     def test_raises_on_a_tampered_dual(self, monkeypatch):
         class Skewed(Tableau):
             __slots__ = ()

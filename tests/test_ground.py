@@ -1,9 +1,25 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import (
+    dense_core_minimum,
+    explicit_system,
+    fraction_admissible,
+    fraction_core_certifies,
+    fraction_core_point,
+    fraction_core_witness,
+    fraction_cover_certifies,
+    fraction_gap_verifies,
+    fraction_refutes,
+    fraction_violates,
+)
 
+from capax.capacity import BalancedFamily, Measure, random_convex_mixture, random_monotone
+from capax.classify import ExactnessGap, classify_full, verify_report
 from capax.errors import GroundMismatch
 from capax.ground import (
     GroundSet,
@@ -20,6 +36,8 @@ from capax.ground import (
     subset_indices,
     subset_of_indices,
 )
+from capax.lp import CoreMinimum, cover_certifies, cover_maximum
+from capax.lp.core import capacity_core
 from capax.rng import SplitMix64
 
 
@@ -184,3 +202,162 @@ class TestRat:
 def test_iter_submasks():
     assert sorted(iter_submasks(0b101)) == [0, 0b001, 0b100, 0b101]
     assert list(iter_submasks(0)) == [0]
+
+
+# --- the shared load and mass checks against the Fraction references ---------
+
+small = st.builds(F, st.integers(-2, 6), st.integers(1, 6))  # zero and negatives too
+CHANGES = ("none", "negative weight", "zero weight", "outside bound", "outside ground",
+           "negative shift", "empty family", "overload", "empty set")
+
+
+def _table(draw, n):
+    make = draw(st.sampled_from((random_monotone, random_convex_mixture)))
+    return make(GroundSet(n), draw(st.integers(0, 2**32)), draw(st.integers(1, 6)))
+
+
+def _den(*qs):
+    return lcm(*(q.denominator for q in qs))
+
+
+def _perturb(draw, change, n, bound, sets, weights, shift):
+    """(sets, weights, shift) with one adversarial change; "overload" adds
+    1/den to a most loaded point of the bound, den the weights' denominator."""
+    sets, weights = list(sets), list(weights)
+    k = draw(st.integers(0, max(len(sets) - 1, 0)))
+    if change == "negative weight" and sets:
+        weights[k] = -weights[k] if weights[k] else F(-1, 2)
+    elif change == "zero weight" and sets:
+        weights[k] = F(0)
+    elif change == "outside bound" and bound & ((1 << n) - 1) != (1 << n) - 1:
+        outside = ~bound & ((1 << n) - 1)
+        sets.append((sets[k] if sets else 0) | outside & -outside)
+        weights.append(F(1, 3))
+    elif change == "outside ground":
+        sets.append(draw(st.sampled_from((1 << n, -1, (1 << n) | 1))))
+        weights.append(draw(st.sampled_from((F(0), F(1, 2)))))
+    elif change == "negative shift":
+        shift = -abs(shift) - F(1, _den(shift, *weights))
+    elif change == "empty family":
+        sets, weights = [], []
+    elif change == "empty set":
+        sets.append(0)
+        weights.append(F(1, 2))
+    elif change == "overload":
+        points = [j for j in range(n) if bound >> j & 1] or [0]
+        j = max(points, key=lambda j: sum((w for a, w in zip(sets, weights) if a >> j & 1), F(0)))
+        sets.append(1 << j)
+        weights.append(F(1, _den(shift, *weights)))
+    return tuple(sets), tuple(weights), shift
+
+
+class TestSharedChecksAgreeWithFractionReference:
+    @given(st.data())
+    def test_families(self, data):
+        """BalancedFamily, ExactnessGap and the weighted cover's certificate
+        on optimal and on random families, each changed adversarially."""
+        draw = data.draw
+        n = draw(st.integers(1, 4))
+        g = GroundSet(n)
+        nu = _table(draw, n)
+        bound = draw(st.integers(1, g.full))
+        best = cover_maximum(nu.values, bound)
+        if draw(st.booleans()):
+            sets, weights = best.sets, best.weights
+        else:
+            sets = draw(st.lists(st.integers(-1, (2 << n) - 1), max_size=5))
+            weights = draw(st.lists(small, min_size=len(sets), max_size=len(sets)))
+            bound = draw(st.integers(0, (2 << n) - 1))  # off the ground too
+        base = sets, weights, draw(small)
+        for change in CHANGES:
+            sets, weights, shift = _perturb(draw, change, n, bound, *base)
+            family = BalancedFamily(sets, weights)
+            assert family.is_admissible_within(bound, g) == fraction_admissible(family, bound, g)
+            assert family.violates(nu, bound) == fraction_violates(family, nu, bound)
+            coeffs = tuple(zip(sets, weights))
+            if all(0 <= a <= g.full for a in sets):  # the gap's bound at its attained total
+                gap_bound = shift + sum((w * nu[a] for a, w in coeffs), F(0))
+            else:
+                gap_bound = draw(small)
+            gap = ExactnessGap(bound, gap_bound, shift, coeffs)
+            assert gap.verify(nu) == fraction_gap_verifies(gap, nu)
+            if 0 < bound <= g.full:
+                cover = replace(best, sets=sets, weights=weights)
+                assert cover_certifies(nu.values, bound, cover) == \
+                    fraction_cover_certifies(nu.values, bound, cover)
+
+    @given(st.data())
+    def test_cover_points(self, data):
+        """The cover's dual point, moved by 1/den on or off the bound."""
+        draw = data.draw
+        n = draw(st.integers(1, 4))
+        nu = _table(draw, n)
+        bound = draw(st.integers(1, (1 << n) - 1))
+        best = cover_maximum(nu.values, bound)
+        y = list(best.point)
+        j = draw(st.integers(0, n - 1))
+        y[j] += draw(st.sampled_from((F(0), F(1), F(-1)))) * F(1, _den(*y))
+        cover = replace(best, point=tuple(y))
+        assert cover_certifies(nu.values, bound, cover) == \
+            fraction_cover_certifies(nu.values, bound, cover)
+
+    @given(st.data())
+    def test_core_certificates(self, data):
+        """A core minimum's point, multipliers and shift, or an empty core's
+        ray, changed adversarially; random points against the core check."""
+        draw = data.draw
+        n = draw(st.integers(2, 4))
+        if draw(st.booleans()):
+            system = capacity_core(_table(draw, n).values)
+        else:
+            system = explicit_system(n, SplitMix64(draw(st.integers(0, 2**32))))
+        subset = draw(st.integers(0, (1 << n) - 1))
+        out = dense_core_minimum(system, subset)
+        shift, ys = (out.shift, out.multipliers) if isinstance(out, CoreMinimum) else out
+        x = draw(st.lists(small, min_size=n - 1, max_size=n - 1))
+        x.append(1 - sum(x, F(0)))  # mass one, often with a negative weight
+        if isinstance(out, CoreMinimum) and draw(st.booleans()):
+            x = list(out.point)  # the optimal point with 1/den moved between two
+            step = F(1, _den(*x))  # points, or taken from one
+            x[draw(st.integers(0, n - 1))] -= step
+            x[draw(st.integers(0, n - 1))] += draw(st.sampled_from((step, F(0))))
+        assert system.admit(x) == fraction_core_point(system, x)
+        for change in ("none", "negative weight", "zero weight", "negative shift", "overload",
+                       "moved point"):
+            k = draw(st.integers(0, len(ys) - 1))
+            shift2, ys2 = shift, list(ys)
+            if change == "negative weight":
+                ys2[k] = -ys2[k] if ys2[k] else F(-1, 2)
+            elif change == "zero weight":
+                ys2[k] = F(0)
+            elif change == "negative shift":
+                shift2 = -abs(shift) - F(1, _den(shift, *ys))
+            elif change == "overload":
+                ys2[k] += F(1, _den(shift, *ys))
+            ys2 = tuple(ys2)
+            if isinstance(out, CoreMinimum):
+                best = replace(out, shift=shift2, multipliers=ys2)
+                if change == "moved point":
+                    best = replace(best, point=tuple(x))
+                assert system.certifies(subset, best) == \
+                    fraction_core_certifies(system, subset, best)
+            else:
+                assert system.refutes(shift2, ys2) == fraction_refutes(system, shift2, ys2)
+
+    @given(st.data())
+    def test_core_witness_of_a_report(self, data):
+        """verify_report's core-witness scan, on the report's own measure and
+        on a measure with 1/den moved between two points."""
+        draw = data.draw
+        n = draw(st.integers(1, 4))
+        nu = _table(draw, n)
+        report = classify_full(nu)
+        if not report.balanced:
+            return
+        w = list(report.core_witness.weights)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        step = min(w[i], F(1, _den(*w)))
+        w[i] -= step
+        w[j] += step
+        mu = Measure(GroundSet(n), w)
+        assert verify_report(nu, replace(report, core_witness=mu)) == fraction_core_witness(mu, nu)
