@@ -263,8 +263,6 @@ class BalancedFamily:
     def violates(self, nu: Capacity, bound_mask: int) -> bool:
         """True when admissible within B yet the weighted total exceeds nu(B);
         False for a B that is not a subset of nu's ground set."""
-        if not nu.ground.contains_subset(bound_mask):
-            return False
         total = self._total(bound_mask, nu.ground.n, map(nu.values.__getitem__, self.sets))
         return total is not None and total > nu.values[bound_mask]
 

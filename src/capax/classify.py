@@ -20,14 +20,14 @@ InternalInconsistency since it can only be a solver bug.  No predicate here
 solves a general LP: `core_lp_feasible`, the generic two-phase primal route,
 is kept as the reference the tests compare against.
 
-Balancedness, exactness and total balancedness share
-`lp.core.shared_capacity_core`.  Its pool of certified core points has four
-sources: the balancedness route's point, the dual point of the full set's
-weighted cover (a core point when the cover value is 1), the minimisers
-`is_exact` certifies, and greedy marginal vectors.  A pooled x with
-x(B) = v(B) settles B for exactness and total balancedness: min mu(B) over
-the core is v(B), and x restricted to B is in the core of the subgame on B,
-so B's cover value is v(B) and B needs no LP.
+Balancedness, exactness and total balancedness share the one-entry memo of
+`lp.core`: a capacity's core system and the full set's weighted cover, each
+solved once.  At value 1 the cover's dual point joins the system's pool of
+certified core points, beside the balancedness route's point, the
+minimisers `is_exact` certifies and greedy marginal vectors.  A pooled x
+with x(B) = v(B) settles B for exactness and total balancedness: min mu(B)
+over the core is v(B), and x restricted to B is in the core of the subgame
+on B, so B's cover value is v(B) and B needs no LP.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import CoreEmpty, EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, family_total, point_masses, subset_indices
 from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
-from .lp.core import check_points, shared_capacity_core
+from .lp.core import check_points, shared_capacity_core, shared_full_cover
 # solve_dualized stays importable here for tools that hook LP solves per module
 from .lp.solver import solve, solve_dualized  # noqa: F401
 
@@ -72,8 +72,6 @@ class ExactnessGap:
     coeffs: tuple[tuple[int, Fraction], ...]
 
     def verify(self, nu: Capacity) -> bool:
-        if not nu.ground.contains_subset(self.subset):
-            return False
         sets = [a for a, _ in self.coeffs]
         attained = family_total(nu.ground.n, sets, [w for _, w in self.coeffs], self.subset,
                                 map(nu.values.__getitem__, sets), self.shift)
@@ -143,7 +141,7 @@ def is_convex(nu: Capacity):
 def _cover_lp(nu: Capacity, bound_mask: int) -> tuple[LinearProgram, list[int]]:
     """max sum lam_A v(A) over lam >= 0 with sum lam_A char(A) <= char(B),
     A ranging over nonempty subsets of B; coordinates outside B are vacuous
-    and dropped.  The weighted cover as a general LP: `_cover_value` solves
+    and dropped.  The weighted cover as a general LP: `cover_maximum` solves
     the same program from masks, and the tests compare the two."""
     members = [mask for mask in nu.ground.nonempty_subsets()
                if mask & ~bound_mask == 0]
@@ -157,20 +155,12 @@ def _cover_lp(nu: Capacity, bound_mask: int) -> tuple[LinearProgram, list[int]]:
     return lp, members
 
 
-def _cover_value(nu: Capacity, bound_mask: int):
-    """The weighted-cover value of B, a family attaining it and the whole
-    `CoverMaximum`, whose dual point y has y >= 0, 0 off B, y(A) >= v(A) for
-    A within B and y(B) = value."""
-    best = cover_maximum(nu.values, bound_mask)
-    return best.value, BalancedFamily(best.sets, best.weights), best
-
-
 def bondareva_value(nu: Capacity, bound_mask: int) -> Fraction:
     """Best weighted cover of B by subsets of B; always >= v(B)."""
     check_subset(bound_mask, nu.ground)
     if bound_mask == 0:
         raise EmptySubset("weighted-cover value needs a nonempty subset")
-    return _cover_value(nu, bound_mask)[0]
+    return cover_maximum(nu.values, bound_mask).value
 
 
 # --- balancedness ----------------------------------------------------------------
@@ -221,20 +211,16 @@ def is_balanced(nu: Capacity):
 
     Returns (True, core Measure) or (False, violating BalancedFamily).
     """
-    return _balanced(nu, _cover_value(nu, nu.ground.full))
-
-
-def _balanced(nu: Capacity, full_cover):
-    """is_balanced with the full set's weighted-cover result already solved."""
-    value, family, _ = full_cover
+    cover = shared_full_cover(nu.values)
     try:  # the second route: minimum(0) over the shared core system
         witness = Measure(nu.ground, shared_capacity_core(nu.values).minimum(0).point)
     except CoreEmpty:  # raised only once the ray passes its Farkas check
         witness = None
     feasible = witness is not None
-    if (value == ONE) != feasible:
+    family = BalancedFamily(cover.sets, cover.weights)
+    if (cover.value == ONE) != feasible:
         raise InternalInconsistency(
-            f"weighted-cover value {value} disagrees with core feasibility {feasible}",
+            f"weighted-cover value {cover.value} disagrees with core feasibility {feasible}",
             family,
             witness,
         )
@@ -261,25 +247,16 @@ def is_exact(nu: Capacity):
     ExactnessGap for the smallest failing subset in subset-code order, or the
     violating BalancedFamily when the core is outright empty.  The empty and
     full sets are automatically attained and skipped.
-    """
-    return _exact(nu, _cover_value(nu, nu.ground.full))
-
-
-def _exact(nu: Capacity, full_cover):
-    """is_exact with the full set's weighted-cover result already solved; at
-    value 1 its dual y (y >= 0, y(A) >= v(A), y(X) = 1) is pooled as a core
-    point, and its final tableau starts the warm minima.
 
     A subset whose bound some certified core point attains needs no LP; the
     rest get a warm minimum (`CoreSystem.least`).  The first that falls short
     is solved again by a cold `minimum`, whose certificate becomes the
-    witness, so the gap's multipliers do not depend on the warm history."""
-    value, family, cover = full_cover
-    if value != ONE:
-        return False, family
+    witness, so the gap's multipliers do not depend on the warm history.
+    """
+    cover = shared_full_cover(nu.values)
+    if cover.value != ONE:
+        return False, BalancedFamily(cover.sets, cover.weights)
     system = shared_capacity_core(nu.values)
-    if not system.admit_cover(cover):
-        raise InternalInconsistency("the full-set cover dual is not a core point", cover.point)
     for subset in nu.ground.proper_nonempty_subsets():
         if system.least(subset) != nu[subset]:
             best = system.minimum(subset)
@@ -293,28 +270,19 @@ def is_totally_balanced(nu: Capacity):
 
     Returns (True, None) or (False, TotalBalanceFailure) for the smallest
     failing subset in subset-code order.
-    """
-    return _totally_balanced(nu, None)
 
-
-def _totally_balanced(nu: Capacity, full_cover):
-    """is_totally_balanced, solving a cover LP only for the subsets no
-    certificate settles.
-
-    The cover value of a singleton {i} is v(i), of a pair {i, j} it is
+    A cover LP runs only for the subsets no certificate settles.  The cover
+    value of a singleton {i} is v(i), of a pair {i, j} it is
     max(v(i) + v(j), v(ij)), so a pair with v(i) + v(j) <= v(ij) holds.  A
     larger B below the full set holds when a certified core point x has
     x(B) = v(B): x restricted to B is in the core of the subgame on B, so its
-    cover value is v(B).  The shared core system's `attains` decides that;
-    it is not asked when `full_cover` shows the core empty (value above 1).
-    Every other subset, each failing one among them, gets its LP, so the
-    first failure and its family are the LP's.  The full set comes last in
-    code order; its result, when already solved (`full_cover`), is used only
-    if reached.
+    cover value is v(B).  The shared core system's `attains` decides that
+    once the shared full-set cover, read again at the full set, shows the
+    core nonempty.  Every other subset, each failing one among them, gets
+    its LP, so the first failure and its family are the LP's.
     """
     values = nu.values
     full = nu.ground.full
-    settles = full_cover is None or full_cover[0] == ONE
     for subset in nu.ground.nonempty_subsets():
         low = subset & -subset
         rest = subset ^ low
@@ -323,14 +291,12 @@ def _totally_balanced(nu: Capacity, full_cover):
         if not rest & (rest - 1):
             if values[low] + values[rest] <= values[subset]:
                 continue
-        elif subset != full and settles and shared_capacity_core(values).attains(subset):
+        elif subset != full and shared_full_cover(values).value == ONE and \
+                shared_capacity_core(values).attains(subset):
             continue
-        if subset == full and full_cover is not None:
-            value, family, _ = full_cover
-        else:
-            value, family, _ = _cover_value(nu, subset)
-        if value != values[subset]:
-            return False, TotalBalanceFailure(subset, family)
+        best = shared_full_cover(values) if subset == full else cover_maximum(values, subset)
+        if best.value != values[subset]:
+            return False, TotalBalanceFailure(subset, BalancedFamily(best.sets, best.weights))
     return True, None
 
 
@@ -344,12 +310,11 @@ def classify_full(nu: Capacity) -> ClassReport:
     be a math outcome and aborts with InternalInconsistency carrying the
     conflicting witnesses.
     """
-    # first, so an oversized table is refused before the scan; serves all three
-    full_cover = _cover_value(nu, nu.ground.full)
+    # first, so an oversized table is refused before the scan
+    balanced, balanced_w = is_balanced(nu)
     convex, convex_w = is_convex(nu)
-    balanced, balanced_w = _balanced(nu, full_cover)
-    exact, exact_w = _exact(nu, full_cover)
-    tb, tb_w = _totally_balanced(nu, full_cover)
+    exact, exact_w = is_exact(nu)
+    tb, tb_w = is_totally_balanced(nu)
     chain = (convex, exact, tb, balanced)
     for name, (stronger, weaker) in {
         "convex => exact": (convex, exact),

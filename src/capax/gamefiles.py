@@ -274,7 +274,8 @@ def parse_second(text: str, strict: bool = True) -> SecondOrderCapacity:
     ground = _parse_ground_size(lineno, size_token)
     if not count_token.isdigit() or int(count_token) < 1:
         raise ParseError(lineno, "support size must be a positive integer")
-    count = int(count_token)
+    game_ground = _parse_ground_size(lineno, count_token)  # the game's points
+    count = game_ground.n
     sections: dict[object, dict] = {}
     current: dict | None = None
     current_ground = ground
@@ -295,7 +296,7 @@ def parse_second(text: str, strict: bool = True) -> SecondOrderCapacity:
             if "game" in sections:
                 raise ParseError(lineno, "duplicate section 'game'")
             current = sections.setdefault("game", {})
-            current_ground = grounds.setdefault("game", GroundSet(count))
+            current_ground = grounds.setdefault("game", game_ground)
         elif current is None:
             raise ParseError(lineno, "value line before any 'support i' or 'game' section")
         else:
@@ -306,7 +307,7 @@ def parse_second(text: str, strict: bool = True) -> SecondOrderCapacity:
     if "game" not in sections:
         raise ValidationError("no 'game' section")
     support = tuple(_build_capacity(ground, sections[i], strict) for i in range(count))
-    game = _build_capacity(GroundSet(count), sections["game"], strict)
+    game = _build_capacity(game_ground, sections["game"], strict)
     try:
         return SecondOrderCapacity(ground, support, game)
     except (CapaxError, ValueError) as exc:

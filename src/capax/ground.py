@@ -117,15 +117,16 @@ def point_masses(x, rows=()):
 
 def family_total(n: int, sets, weights, cap: int, costs=None, shift=ZERO):
     """The load check: shift + the sum of weight * cost over a weighted family
-    of subsets of n points (costs 0 when None), when every set is a subset
-    code over the n points, every weight is >= 0 and each point j's load,
-    shift + the weights of the sets that contain j, is at most 1 for j in
-    `cap` and 0 off it; else None.  Loads are compared in integers over the
+    of subsets of n points (costs 0 when None), when `cap` and every set are
+    subset codes over the n points, every weight is >= 0 and each point j's
+    load, shift + the weights of the sets that contain j, is at most 1 for j
+    in `cap` and 0 off it; else None.  Loads are compared in integers over the
     common denominator of `shift` and the weights.  `costs`, one per set, is
     read after every set has passed, so a lazy `map` over a value table is
     safe."""
     kept = [(k, a, w) for k, (a, w) in enumerate(zip(sets, weights)) if w]
-    if any(a >> n for a in sets) or any(w < 0 for _, _, w in kept):  # a >> n: also a < 0
+    # x >> n is nonzero for a negative x too
+    if cap >> n or any(a >> n for a in sets) or any(w < 0 for _, _, w in kept):
         return None
     den = lcm(shift.denominator, *(w.denominator for _, _, w in kept))
     base = shift.numerator * (den // shift.denominator)

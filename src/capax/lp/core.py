@@ -48,13 +48,10 @@ optimal basis stays dual feasible (pi is a core point), and Lemke's dual
 simplex ("The dual method of solving the linear programming problem", NRLQ
 1954) goes on from it: B^-1 r is written into the rhs column in place, and a
 row with a negative entry leaves (`_dual`).  The system keeps that one
-tableau (`_warm`) and pivots it again on the next call.  The first comes
-with no extra LP: at value 1 the full set's weighted cover ends on a basis
-of the core system's dual.  Its lam_A is y_A and its lam_X is y0+, with the
-same B^-1, and its reduced costs v(A) - y(A) <= 0 and 1 - y(X) = 0 make it
-dual feasible (`admit_cover`).  Without a cover, the first cold optimum
-starts it.  Values are unique, so a warm minimum equals a cold one; only
-the optimal point may differ, and it is certified and pooled the same way.
+tableau (`_warm`) and pivots it again on the next call.  The first is the
+shared full-set cover's (below), or else the first cold optimum.  Values are
+unique, so a warm minimum equals a cold one; only the optimal point may
+differ, and it is certified and pooled the same way.
 
 Every pivot loop records the bases it visits and raises
 `InternalInconsistency` on a repeat, so a kernel fault cannot cycle.
@@ -75,22 +72,26 @@ since every core point has x(B) >= b_B.  The points it looks at come from
 three sources: those `minimum` has certified; for the core of a capacity,
 the marginal vector of the ordering that starts with B's points, which lies
 in the core of every convex capacity (Shapley, "Cores of convex games", IJGT
-1971); and those a caller hands to `admit`, such as the dual point y of the
-full set's weighted cover, a core point when the cover value is 1 (y >= 0,
-y(A) >= v(A), y(X) = 1).  A point counts only after it passes the same
-integer core check as `minimum`'s, and the pool keeps one copy of each.
+1971); and those handed to `admit`.  A point counts only after it passes the
+same integer core check as `minimum`'s, and the pool keeps one copy of each.
 
-`shared_capacity_core` owns the pool of a capacity's core: `classify` and
-`credal` share its one-entry memo, so `is_exact(nu)` and then
-`lower_envelope(core_polytope(nu))` solve each minimum once.  One entry:
-a slot on `Capacity` would keep a pool for every capacity a search report
-holds, and more entries would let callers that cycle through a few
-capacities answer from pools filled by earlier calls.
+`shared_capacity_core` and `shared_full_cover` read a one-entry memo: a
+value table, its core system and the full set's weighted cover, each built
+on first use.  So `classify` and `credal` share one pool, `is_exact(nu)` and
+then `lower_envelope(core_polytope(nu))` solve each minimum once, and each
+capacity solves its cover once.  At value 1 the cover seeds the system once
+both exist (a caller that needs only the cover builds none): its dual y
+(y >= 0, y(A) >= v(A), y(X) = 1) goes to `admit`, and its final tableau,
+a basis of the core system's dual (lam_A is y_A, lam_X is y0+, the same
+B^-1; reduced costs v(A) - y(A) <= 0 and 1 - y(X) = 0), becomes the warm
+one.  One entry: a slot on `Capacity` would keep a pool for every capacity
+a search report holds, and more entries would let callers that cycle
+through a few capacities answer from pools filled by earlier calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -371,24 +372,6 @@ class CoreSystem:
         self._pool_add(table)
         return True
 
-    def admit_cover(self, cover: CoverMaximum) -> bool:
-        """`admit(cover.point)` for `cover`, the full set's weighted cover of
-        the table this system is the core of (`capacity_core`).  Once the
-        point passes, the cover's final tableau is taken over, not copied, as
-        the warm one: lam_A is y_A, lam_X is y0+ and the slacks are the
-        slacks, so the basis inverse is the same, and the reduced costs
-        v(A) - y(A) <= 0 and 1 - y(X) = 0 make it dual feasible."""
-        if not self.admit(cover.point):
-            return False
-        tab, full = cover.tableau, (1 << self.n) - 1
-        if tab is not None and tab.m == self.n and self.masks == tuple(range(1, full)):
-            object.__setattr__(cover, "tableau", None)  # handed over
-            # ids: lam_A is A - 1, y_A is A + 1; lam_X is full - 1, y0+ is 0;
-            # the slacks start at full and at full + 1
-            tab.basis[:] = [0 if t == full - 1 else t + 1 + (t < full) for t in tab.basis]
-            self._warm[:] = (tab,)
-        return True
-
     def _pool_add(self, table) -> None:
         """Pool a certified point's mass table, unless an equal one is pooled."""
         if table not in self._pool:
@@ -502,19 +485,68 @@ def capacity_core(values) -> CoreSystem:
     return CoreSystem(full.bit_length(), range(1, full), values[1:full])
 
 
-_shared_core = None  # (values, capacity_core(values)) of the table last asked for
+class _Shared:
+    """A value table, its core system, its full-set cover and their seed."""
+
+    __slots__ = ("values", "system", "cover", "seed")
+
+    def __init__(self, values):
+        self.values, self.system, self.cover, self.seed = values, None, None, []
+
+
+_shared = None  # the entry of the table last asked for
+
+
+def _entry(values) -> _Shared:
+    """The entry of this very table object, replacing the last one's.  It
+    holds its table, so no recycled id can match, and the memo is read once
+    per call, so no thread switch can pair a table with another's entry."""
+    global _shared
+    entry = _shared
+    if entry is None or entry.values is not values:
+        entry = _shared = _Shared(values)
+    return entry
 
 
 def shared_capacity_core(values) -> CoreSystem:
     """`capacity_core(values)`, one system for all calls with this very table
-    object until a call with another replaces it.  The memo holds its table,
-    so no recycled id can match, and is read once per call, so no thread
-    switch can pair this table with another's system."""
-    global _shared_core
-    last = _shared_core
-    if last is None or last[0] is not values:
-        last = _shared_core = (values, capacity_core(values))
-    return last[1]
+    object until a call with another replaces it."""
+    entry = _entry(values)
+    if entry.system is None:
+        entry.system = capacity_core(values)
+    _seed(entry)
+    return entry.system
+
+
+def shared_full_cover(values) -> CoverMaximum:
+    """`cover_maximum(values, full set)`, solved once for this very table
+    object until a call with another replaces it."""
+    entry = _entry(values)
+    if entry.cover is None:
+        full = len(values) - 1
+        cover, tab = _cover(values, full)
+        if cover.value == 1:
+            # ids: lam_A is A - 1, y_A is A + 1; lam_X is full - 1, y0+ is 0;
+            # the slacks start at full and at full + 1
+            tab.basis[:] = [0 if t == full - 1 else t + 1 + (t < full) for t in tab.basis]
+            entry.seed.append((cover.point, tab))
+        entry.cover = cover
+    _seed(entry)
+    return entry.cover
+
+
+def _seed(entry: _Shared) -> None:
+    """Hand a pending seed to the entry's system, its point to `admit` and
+    its tableau as the warm one; taken by pop, so only once."""
+    if entry.system is None or not entry.seed:
+        return
+    try:
+        point, tab = entry.seed.pop()
+    except IndexError:  # another thread took it
+        return
+    if not entry.system.admit(point):
+        raise InternalInconsistency("the full-set cover dual is not a core point", point)
+    entry.system._warm[:] = (tab,)
 
 
 @dataclass(frozen=True)
@@ -526,13 +558,16 @@ class CoverMaximum:
     sets: tuple[int, ...]  # the A with lam_A > 0, in subset-code order
     weights: tuple[Fraction, ...]  # their lam_A
     point: tuple[Fraction, ...]  # a dual y, one weight per point, 0 off B
-    # the final revised tableau, until `CoreSystem.admit_cover` takes it over
-    tableau: object = field(default=None, compare=False, repr=False)
 
 
 def cover_maximum(values, bound: int) -> CoverMaximum:
     """The weighted-cover LP of `bound` for the set function `values`, a
     table indexed by subset code over n points (2^n entries)."""
+    return _cover(values, bound)[0]
+
+
+def _cover(values, bound: int):
+    """`cover_maximum` and its final tableau."""
     n = len(values).bit_length() - 1
     check_points(n)
     if not 0 < bound < 1 << n:
@@ -552,13 +587,12 @@ def cover_maximum(values, bound: int) -> CoverMaximum:
         sets=tuple(a for a, w in zip(members, lam) if w),
         weights=tuple(w for w in lam if w),
         point=tuple(point),
-        tableau=tab,
     )
     if not _cover_certified(values, bound, best, columns):
         raise InternalInconsistency(
             f"weighted cover of subset {bound:#b} has a failing certificate", best
         )
-    return best
+    return best, tab
 
 
 def _cover_columns(values, members) -> list[tuple[int, int, int, int]]:

@@ -13,3 +13,21 @@ def nustar():
     from capax.selftest import nustar as make
 
     return make()
+
+
+@pytest.fixture
+def cover_bounds(monkeypatch):
+    """The bound of every weighted-cover LP built from then on, in order:
+    each one, shared full-set cover or `cover_maximum`, builds its columns
+    once by `lp.core._cover_columns`, whose members end with the bound (so
+    does `cover_certifies`, which no predicate calls)."""
+    from capax.lp import core
+
+    bounds, build = [], core._cover_columns
+
+    def counted(values, members):
+        bounds.append(members[-1])
+        return build(values, members)
+
+    monkeypatch.setattr(core, "_cover_columns", counted)
+    return bounds

@@ -337,13 +337,14 @@ def fraction_loads_fit(n, family, cap, shift=ZERO) -> bool:
 def fraction_admissible(family: BalancedFamily, bound: int, ground) -> bool:
     """`BalancedFamily.is_admissible_within`."""
     pairs = list(zip(family.sets, family.weights))
-    return (_on_ground(ground.n, family.sets) and not any(a & ~bound for a in family.sets)
+    return (ground.contains_subset(bound) and _on_ground(ground.n, family.sets)
+            and not any(a & ~bound for a in family.sets)
             and fraction_loads_fit(ground.n, pairs, bound))
 
 
 def fraction_violates(family: BalancedFamily, nu: Capacity, bound: int) -> bool:
     """`BalancedFamily.violates`."""
-    return (nu.ground.contains_subset(bound) and fraction_admissible(family, bound, nu.ground)
+    return (fraction_admissible(family, bound, nu.ground)
             and sum((w * nu[a] for a, w in zip(family.sets, family.weights)), ZERO) > nu[bound])
 
 

@@ -189,9 +189,9 @@ class TestBalanced:
             m.setattr(CoreSystem, "minimum", empty)
             with pytest.raises(InternalInconsistency):
                 is_balanced(nustar)
-        original = classify._cover_value
-        monkeypatch.setattr(classify, "_cover_value",
-                            lambda nu, bound: (F(1),) + original(nu, bound)[1:])
+        original = classify.shared_full_cover
+        monkeypatch.setattr(classify, "shared_full_cover",
+                            lambda values: replace(original(values), value=F(1)))
         with pytest.raises(InternalInconsistency):
             is_balanced(nine_tenths())
 
@@ -298,26 +298,28 @@ class TestClassifyFull:
         assert not TotalBalanceFailure(8, BalancedFamily((8,), (F(1),))).verify(nu)
         assert not TotalBalanceFailure(9, BalancedFamily((1,), (F(1),))).verify(nu)
 
-    def test_full_set_cover_solved_once(self, nustar, monkeypatch):
-        solved = []
-        original = classify._cover_value
-
-        def counted(nu, bound_mask):
-            solved.append(bound_mask)
-            return original(nu, bound_mask)
-
-        monkeypatch.setattr(classify, "_cover_value", counted)
+    def test_full_set_cover_solved_once(self, nustar, cover_bounds):
         rng = SplitMix64(5)
         for nu in (dirac(0, g3), nine_tenths(), nustar, random_exact(g4, rng),
                    random_convex_mixture(g4, 9, 5)):
-            solved.clear()
+            cover_bounds.clear()
             report = classify_full(nu)
-            assert solved.count(nu.ground.full) == 1
+            assert cover_bounds.count(nu.ground.full) == 1
             balanced, balanced_w = is_balanced(nu)
             assert (report.balanced, report.core_witness or report.unbalanced_witness) == \
                 (balanced, balanced_w)
             assert (report.totally_balanced, report.tb_witness) == is_totally_balanced(nu)
             assert (report.exact, report.exact_witness) == is_exact(nu)
+            assert cover_bounds.count(nu.ground.full) == 1  # the predicates ask the same one
+
+    def test_the_report_calls_the_public_predicates(self, nustar, monkeypatch):
+        called = []
+        for name in ("is_balanced", "is_convex", "is_exact", "is_totally_balanced"):
+            predicate = getattr(classify, name)
+            monkeypatch.setattr(classify, name, lambda nu, name=name, predicate=predicate:
+                                called.append(name) or predicate(nu))
+        classify_full(nustar)
+        assert called == ["is_balanced", "is_convex", "is_exact", "is_totally_balanced"]
 
     def test_predicate_witnesses_are_the_reports_on_pinned_families(self):
         # the search re-checks a product by one predicate and writes the

@@ -123,27 +123,18 @@ class TestCoreCommand:
         assert "unbalanced-family" in out
 
     def test_prints_the_is_balanced_witness_from_one_cover_lp(
-            self, capsys, tmp_path, monkeypatch, nustar_file):
+            self, capsys, tmp_path, cover_bounds, nustar_file):
         unbalanced = tmp_path / "unbal.game"
         unbalanced.write_text("ground 2\nv {0} = 9/10\nv {1} = 9/10\n")
-        solved = []
-        original = classify._cover_value
-
-        def counted(nu, bound_mask):
-            solved.append(bound_mask)
-            return original(nu, bound_mask)
-
         for path in (nustar_file, unbalanced):
             nu = parse_game(path.read_text())
             balanced, witness = classify.is_balanced(nu)
             expected = (emit_measure(witness) if balanced else
                         f"core empty\nwitness unbalanced-family {_family_text(witness)}\n")
-            monkeypatch.setattr(classify, "_cover_value", counted)
-            solved.clear()
+            cover_bounds.clear()
             code, out, _ = run(capsys, "core", path)
-            monkeypatch.undo()
             assert code == 0
-            assert solved == [nu.ground.full]
+            assert cover_bounds == [nu.ground.full]
             assert out == expected
 
 
@@ -225,6 +216,14 @@ class TestMonadMulCommand:
         code, out, _ = run(capsys, "monad-mul", path)
         assert code == 0
         assert parse_game(out) == nu
+
+    def test_a_support_count_past_the_ground_size_rule_exits_2(self, capsys, tmp_path):
+        # the count is the weight game's ground size, so it is a parse error
+        path = tmp_path / "many.second"
+        path.write_text("second 2 17\n")
+        code, _, err = run(capsys, "monad-mul", path)
+        assert code == 2
+        assert "line 1" in err
 
 
 class TestSearchCommand:

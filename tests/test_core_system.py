@@ -28,7 +28,7 @@ from capax.errors import CoreEmpty, GroundMismatch, InfeasibleCredal, InternalIn
 from capax.ground import GroundSet
 from capax.lp import CoreSystem, cover_maximum
 from capax.lp import core as core_module
-from capax.lp.core import capacity_core, shared_capacity_core
+from capax.lp.core import capacity_core, shared_capacity_core, shared_full_cover
 from capax.lp._tableau_py import Tableau
 from capax.rng import SplitMix64
 
@@ -454,12 +454,14 @@ class TestWarmMinima:
     def test_capacity_tables(self, n, warm_log):
         rng = SplitMix64(40 + n)
         handed = 0
-        for values in capacity_tables(n, rng):
-            system = capacity_core(values)
-            cover = cover_maximum(values, (1 << n) - 1)
-            if system.admit_cover(cover):  # the cover's tableau starts the warm path
-                assert cover.tableau is None and len(system._warm) == 1
-                handed += 1
+        for k, values in enumerate(capacity_tables(n, rng)):
+            # the shared cover seeds the shared system, whichever comes second
+            if k % 2:
+                system, cover = shared_capacity_core(values), shared_full_cover(values)
+            else:
+                cover, system = shared_full_cover(values), shared_capacity_core(values)
+            assert len(system._warm) == len(system._pool) == (cover.value == 1)
+            handed += cover.value == 1
             assert assert_warm_is_cold(system, rng) == (cover.value == 1)
         assert handed and (warm_log.warm or n == 1)
 
@@ -543,14 +545,66 @@ class TestWarmMinima:
         assert not any(t.is_alive() for t in threads)
         assert wrong == [] and failed == []
 
-    def test_only_a_capacity_core_takes_the_cover_tableau(self):
-        values = random_convex_mixture(GroundSet(3), 1, 4).values
-        cover = cover_maximum(values, 0b111)
-        masks = list(range(1, 7))
-        reordered = CoreSystem(3, masks[::-1], [values[a] for a in masks[::-1]])
-        assert reordered.admit_cover(cover) and reordered._warm == []
-        assert cover.tableau is not None
-        assert capacity_core(values).admit_cover(cover) and cover.tableau is None
+    def test_only_the_shared_core_takes_the_cover_seed(self):
+        for nu in seeded_capacities(3, 2, 4):
+            assert shared_full_cover(nu.values).value == 1
+            unshared = capacity_core(nu.values)
+            system = shared_capacity_core(nu.values)
+            assert system._warm and system._pool
+            assert unshared._warm == unshared._pool == []
+            classify_full(nu)
+            fresh = capacity_core(nu.values)
+            assert fresh._warm == fresh._pool == []
+
+    def test_threads_racing_on_one_entry_never_pivot_one_tableau_together(self, monkeypatch):
+        # fresh tables, one at a time, asked by four threads in both orders:
+        # the cover's seed and every warm tableau go to one thread at a time
+        nus = seeded_capacities(5, 6, 13)[1::2]  # lowered: some minima fall short
+        tables = [list(nu.values) for nu in nus]
+        expected = [{b: core_of(nu).minimum(b).value for b in nu.ground.subsets()} for nu in nus]
+        lock, busy, clashes, wrong, failed = threading.Lock(), set(), [], [], []
+        dual = core_module._dual
+
+        def guarded(tab, columns):
+            with lock:
+                if id(tab) in busy:
+                    clashes.append(id(tab))
+                busy.add(id(tab))
+            try:
+                dual(tab, columns)
+            finally:
+                with lock:
+                    busy.discard(id(tab))
+
+        monkeypatch.setattr(core_module, "_dual", guarded)
+        start = threading.Barrier(4)
+
+        def ask(first):
+            rng = SplitMix64(first)
+            try:
+                for k, values in enumerate(tables):
+                    start.wait(timeout=60)
+                    for _ in range(10):
+                        for b in shuffled(expected[k], rng):  # each through the memo
+                            if (first + b) % 2:
+                                shared_full_cover(values)
+                            if shared_capacity_core(values).least(b) != expected[k][b]:
+                                wrong.append((k, b))
+            except Exception as exc:  # a fault in any thread fails the test
+                failed.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert clashes == wrong == failed == []
 
 
 class TestSharedCore:

@@ -13,12 +13,13 @@ from capax.capacity import (
     random_convex_mixture,
     random_monotone,
 )
-from capax.classify import _cover_lp, _cover_value, is_totally_balanced
+from capax.classify import _cover_lp, is_totally_balanced
 from capax.credal import lower_envelope, random_credal
 from capax.errors import GroundMismatch, InternalInconsistency, ShapeMismatch
 from capax.ground import GroundSet, subset_indices
 from capax.lp import OPTIMAL, cover_certifies, cover_maximum, solve
 from capax.lp import core as core_module
+from capax.lp.core import shared_full_cover
 from capax.lp import solver
 from capax.lp._tableau_py import Tableau
 from capax.rng import SplitMix64
@@ -53,7 +54,10 @@ class TestAgainstGeneralLp:
                         tuple(a for a, w in zip(members, out.primal) if w),
                         tuple(w for w in out.primal if w),
                     )
-                    assert _cover_value(nu, bound) == (out.value, family, best)
+                    # the predicates' family, and at the full set the shared cover
+                    assert BalancedFamily(best.sets, best.weights) == family
+                    if bound == nu.ground.full:
+                        assert shared_full_cover(nu.values) == best
 
 
 class TestCertificates:

@@ -86,6 +86,7 @@ CASES = {
     "second-header-arity": (parse_second, "second 2\n", 1,
                             "'second' header needs 2 argument(s)"),
     "second-count": (parse_second, "second 2 0\n", 1, "support size must be a positive integer"),
+    "second-count-size": (parse_second, "second 2 17\n", 1, "ground set size must be 1..16, got 17"),
     "second-support-shape": (parse_second, "second 2 1\nsupport\n", 2, "expected 'support i'"),
     "second-support-index": (parse_second, "second 2 1\nsupport 1\n", 2,
                              "support index 1 out of range 0..0"),

@@ -26,6 +26,7 @@ from capax.ground import (
     PointMap,
     char_vector,
     compose,
+    family_total,
     format_rat,
     format_subset,
     identity_map,
@@ -252,6 +253,18 @@ def _perturb(draw, change, n, bound, sets, weights, shift):
 
 
 class TestSharedChecksAgreeWithFractionReference:
+    def test_a_bound_off_the_ground_admits_no_family(self):
+        # a bound with bits above the n points, or a negative one, is no subset
+        g3, family = GroundSet(3), BalancedFamily((1,), (F(1),))
+        nu = random_monotone(g3, 5, 4)
+        assert family_total(3, (1,), (1,), 1) == 0 and family.is_admissible_within(1, g3)
+        for bound in (9, -1):
+            assert family_total(3, (1,), (1,), bound) is None
+            assert not family.is_admissible_within(bound, g3)
+            assert not fraction_admissible(family, bound, g3)
+            assert not family.violates(nu, bound)
+            assert not ExactnessGap(bound, F(1), F(0), ((1, F(1)),)).verify(nu)
+
     @given(st.data())
     def test_families(self, data):
         """BalancedFamily, ExactnessGap and the weighted cover's certificate

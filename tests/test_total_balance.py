@@ -12,12 +12,12 @@ from oracles import totally_balanced_every_subset
 from test_core_system import damped, random_monotones, seeded_capacities
 from test_search import market_game
 
-from capax import classify
 from capax.capacity import new_capacity, random_convex_mixture, random_monotone
-from capax.classify import classify_full, is_totally_balanced
+from capax.classify import classify_full, is_balanced, is_exact, is_totally_balanced
 from capax.errors import InternalInconsistency, ShapeMismatch
 from capax.ground import GroundSet
 from capax.lp import CoreSystem
+from capax.lp import core as core_module
 from capax.rng import SplitMix64
 from capax.search import _screened_draw
 
@@ -53,41 +53,54 @@ class TestAgainstEverySubset:
             assert 2 in failed_at and max(failed_at) >= 3, failed_at
 
 
+@pytest.fixture
+def systems(monkeypatch):
+    """Every CoreSystem built from then on."""
+    built, init = [], CoreSystem.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(CoreSystem, "__init__", counted)
+    return built
+
+
 class TestLpCounts:
-    def count_covers(self, monkeypatch):
-        calls = []
-        original = classify._cover_value
-
-        def counted(nu, bound_mask):
-            calls.append(bound_mask)
-            return original(nu, bound_mask)
-
-        monkeypatch.setattr(classify, "_cover_value", counted)
-        return calls
-
-    def test_screened_generator_draw_runs_one_cover(self, monkeypatch):
+    def test_screened_generator_draw_runs_one_cover(self, cover_bounds, systems):
         seed = next(s for s in range(10_000) if _screened_draw(g3, s, 16) is not None)
-        calls = self.count_covers(monkeypatch)
         is_totally_balanced(random_monotone(g3, seed, 16))
-        assert calls == [g3.full]
+        assert cover_bounds == [g3.full]
+        assert systems == []  # the cover alone seeds nothing
 
-    def test_convex_n8_runs_only_the_full_cover(self, monkeypatch):
+    def test_convex_n8_runs_only_the_full_cover(self, cover_bounds):
         g = GroundSet(8)
-        calls = self.count_covers(monkeypatch)
         report = classify_full(random_convex_mixture(g, 0, 6))
         assert report.flags() == (True, True, True, True)
-        assert calls == [g.full]
+        assert cover_bounds == [g.full]
 
-    def test_subadditive_pair_is_solved_and_reported(self, monkeypatch):
+    def test_subadditive_pair_is_solved_and_reported(self, cover_bounds):
         nu = subadditive_pair()
-        calls = self.count_covers(monkeypatch)
         ok, failure = is_totally_balanced(nu)
         assert not ok and failure.subset == 0b011 and failure.verify(nu)
-        assert calls == [0b011]
-        calls.clear()
+        assert cover_bounds == [0b011]
+        cover_bounds.clear()
         report = classify_full(nu)
         assert report.tb_witness == failure
-        assert calls == [g3.full, 0b011]
+        assert cover_bounds == [g3.full, 0b011]
+
+    def test_the_three_predicates_share_one_full_cover(self, cover_bounds, systems):
+        unbalanced = new_capacity(g3, {0b011: F(9, 10), 0b101: F(9, 10), 0b110: F(9, 10)},
+                                  strict=False)
+        for nu in (random_convex_mixture(GroundSet(4), 3, 5), subadditive_pair(), unbalanced,
+                   damped(random_monotone(GroundSet(4), 7, 6))):
+            cover_bounds.clear()
+            systems.clear()
+            is_balanced(nu)
+            is_exact(nu)
+            is_totally_balanced(nu)
+            assert cover_bounds.count(nu.ground.full) == 1, nu
+            assert len(systems) == 1, nu
 
 
 class TestCoverDual:
@@ -95,13 +108,13 @@ class TestCoverDual:
         # a tampered dual that passes every check but the core check: the
         # subset masses of (1, 0, 0) at bound {1} fall short of v(1) = 1/4
         nu = new_capacity(g3, {0b010: F(1, 4)}, strict=False)
-        original = classify.cover_maximum
+        original = core_module._cover
 
         def tampered(values, bound):
-            best = original(values, bound)
-            return replace(best, point=(F(1), F(0), F(0))) if bound == g3.full else best
+            best, tab = original(values, bound)
+            return (replace(best, point=(F(1), F(0), F(0))) if bound == g3.full else best), tab
 
-        monkeypatch.setattr(classify, "cover_maximum", tampered)
+        monkeypatch.setattr(core_module, "_cover", tampered)
         with pytest.raises(InternalInconsistency):
             classify_full(nu)
 
