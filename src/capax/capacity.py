@@ -7,7 +7,7 @@ subset code.  All values are immutable after construction and every public
 constructor validates the full invariant set (0 at the empty set, 1 at the
 full set, monotone, range [0, 1]); nothing downstream ever has to re-check.
 Builders of tables valid by construction skip the check through the private
-`Capacity._built`: `random_monotone`, `monad.monad_mul`, the vertex-form
+`Capacity._built`: `random_monotone`, `monad.monad_mul`,
 `credal.lower_envelope` and the search's screened draws.  Every entry point
 takes ints and Fractions only, keeping Fraction objects; a float raises TypeError.
 """

@@ -1,16 +1,15 @@
 """Credal sets (convex sets of probability measures), core polytopes, lower
 envelopes, credal pushforward, and the retraction / naturality checks.
 
-A credal set is held either as a finite vertex list, as a core-style
-constraint system (lower bounds on subset masses over the probability
-simplex), or as a lazy pushforward of another credal set along a point map.
-The vertex form answers every subset at once, in integers: one mass table
-per vertex over a common denominator, then the least entry per subset.
-No vertex enumeration ever happens for constraint systems: every identity
-tested here compares lower (and upper) envelopes, which are per-subset LP
-values, so support-function evaluation is all that is needed.  Two credal
-sets are treated as equal when their lower and upper envelopes agree on every
-subset; deciding full polytope equality is out of scope.
+A credal set is known through its lower envelope: `min_mass` is its one
+primitive, and the upper envelope (1 minus the lower one at complements) and
+equality derive from it.  Each form answers `min_mass` from what it holds: a
+finite vertex list answers every subset at once, in integers (one mass table
+per vertex over a common denominator, then the least entry per subset); a
+core-style constraint system (lower bounds on subset masses over the
+probability simplex) asks its certified core LP, with no vertex enumeration;
+a lazy pushforward along a point map asks its base at the preimage.  Deciding
+full polytope equality is out of scope.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ PUSHED = "pushed"
 class CredalSet:
     """Nonempty closed convex set of probability measures on a finite ground set."""
 
-    __slots__ = ("ground", "kind", "vertices", "system", "base_map", "base_set", "_cache",
-                 "_minima")
+    __slots__ = ("ground", "kind", "vertices", "system", "base_map", "base_set", "_minima")
 
     def __init__(self, ground: GroundSet, kind: str, *, vertices=None, system=None,
                  base_map=None, base_set=None):
@@ -48,8 +46,6 @@ class CredalSet:
         self.system: CoreSystem | None = system  # constraint form
         self.base_map = base_map
         self.base_set = base_set
-        # (mask, lowest) -> min or max mass of mask over the set
-        self._cache: dict[tuple[int, bool], Fraction] = {}
         self._minima: list[Fraction] | None = None  # vertex form, built on first use
         if system is not None:  # nonempty by definition; then no later question fails
             try:
@@ -93,30 +89,20 @@ class CredalSet:
     # --- support-function evaluation ---
 
     def min_mass(self, mask: int) -> Fraction:
-        return self._mass(mask, lowest=True)
+        """min mu(mask) over the set, the value of its lower envelope at mask."""
+        check_subset(mask, self.ground)
+        if self.kind == VERTICES:
+            return self._vertex_minima()[mask]
+        if self.kind == PUSHED:
+            return self.base_set.min_mass(self.base_map.preimage(mask))
+        if mask == 0 or mask == self.ground.full:  # x({}) = 0 and x(X) = 1 on every member
+            return ONE if mask else ZERO
+        return self.system.least(mask)
 
     def max_mass(self, mask: int) -> Fraction:
-        return self._mass(mask, lowest=False)
-
-    def _mass(self, mask: int, lowest: bool) -> Fraction:
+        """max mu(mask) = 1 - min mu(X - mask), as every member has total mass 1."""
         check_subset(mask, self.ground)
-        if mask == 0:
-            return ZERO
-        key = (mask, lowest)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if not lowest:
-            # every member has total mass 1, so max mu(B) = 1 - min mu(X - B)
-            value = ONE - self._mass(self.ground.full & ~mask, True)
-        elif self.kind == VERTICES:
-            value = self._vertex_minima()[mask]
-        elif self.kind == PUSHED:
-            value = self.base_set._mass(self.base_map.preimage(mask), True)
-        else:
-            value = self.system.least(mask)
-        self._cache[key] = value
-        return value
+        return ONE - self.min_mass(self.ground.full & ~mask)
 
     def _vertex_minima(self) -> list[Fraction]:
         """min mu(S) over the vertices for every subset S, by subset code.
@@ -167,11 +153,16 @@ def core_polytope(nu: Capacity) -> CredalSet:
 
 
 def lower_envelope(alpha: CredalSet) -> Capacity:
-    """Pointwise minimum capacity A -> min { mu(A) : mu in alpha }."""
-    if alpha.kind == VERTICES:  # a minimum of measures: valid by construction
-        return Capacity._built(alpha.ground, (ZERO, *alpha._vertex_minima()[1:-1], ONE))
-    subsets = alpha.ground.proper_nonempty_subsets()
-    return Capacity(alpha.ground, [ZERO, *map(alpha.min_mass, subsets), ONE])
+    """Pointwise minimum capacity A -> min { mu(A) : mu in alpha }.
+
+    A minimum over a nonempty set of probability measures is a capacity by
+    construction, and every constraint-form answer is certified in `lp.core`,
+    so the table is not validated again."""
+    if alpha.kind == VERTICES:  # every subset at once
+        inner = alpha._vertex_minima()[1:-1]
+    else:
+        inner = map(alpha.min_mass, alpha.ground.proper_nonempty_subsets())
+    return Capacity._built(alpha.ground, (ZERO, *inner, ONE))
 
 
 def credal_pushforward(f: PointMap, alpha: CredalSet) -> CredalSet:
@@ -191,15 +182,11 @@ def credal_pushforward(f: PointMap, alpha: CredalSet) -> CredalSet:
 
 
 def credal_equal(alpha: CredalSet, beta: CredalSet) -> bool:
-    """Extensional equality: lower and upper envelopes agree on every subset."""
-    if alpha.ground != beta.ground:
-        return False
-    for mask in alpha.ground.nonempty_subsets():
-        if alpha.min_mass(mask) != beta.min_mass(mask):
-            return False
-        if alpha.max_mass(mask) != beta.max_mass(mask):
-            return False
-    return True
+    """Extensional equality: the lower envelopes agree on every subset (the
+    upper envelopes, 1 minus the lower ones at complements, then agree too)."""
+    return alpha.ground == beta.ground and all(
+        alpha.min_mass(mask) == beta.min_mass(mask)
+        for mask in alpha.ground.proper_nonempty_subsets())
 
 
 def check_retraction(nu: Capacity) -> bool:

@@ -207,6 +207,8 @@ def parse_credal(text: str) -> CredalSet:
         bounds: dict[int, Fraction] = {}
         for lineno, line in lines[1:]:
             _parse_v_line(lineno, line, ground, bounds)
+            if 0 in bounds:
+                raise ParseError(lineno, "the empty set cannot carry a lower bound")
         return CredalSet.from_constraints(ground, bounds)  # may raise InfeasibleCredal
     raise ParseError(lineno, f"unknown credal form {parts[2]!r}")
 

@@ -211,9 +211,10 @@ def verify_counterexample(config: SearchConfig, seed: int, tables, witness: str)
 
     `tables` holds the k `cx-support` tables, the `cx-game` and the `cx-mul`
     table; `witness` is the `witness=` text.  Regenerates the seed's
-    second-order capacity and checks each member belongs to the target
-    class: an exact one by its envelope certificate (`_envelope_certifies`,
-    on the vertices the regeneration drew), a totally balanced one by
+    second-order capacity and checks each exact member by its envelope
+    certificate (`_envelope_certifies`, on the vertices the regeneration
+    drew); for a totally balanced member the regeneration is the member
+    check, as `_generate_member` keeps only draws that pass
     `is_totally_balanced`.  Recomputes the product and runs the class
     predicate on it (its witness is the one `classify_full` reports for that
     class).  The record must be byte for byte what the machine report writes
@@ -221,14 +222,11 @@ def verify_counterexample(config: SearchConfig, seed: int, tables, witness: str)
     witness must pass its arithmetic check.
     """
     c2, vertex_lists = _second_order(config, seed)
-    members = (*c2.support, c2.game)
     if config.target_class == EXACT:
-        if not all(map(_envelope_certifies, members, vertex_lists)):
+        if not all(map(_envelope_certifies, (*c2.support, c2.game), vertex_lists)):
             return False
         predicate = is_exact
     else:
-        if not all(is_totally_balanced(nu)[0] for nu in members):
-            return False
         predicate = is_totally_balanced
     mul = monad_mul(c2)
     holds, w = predicate(mul)

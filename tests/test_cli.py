@@ -165,6 +165,13 @@ class TestEnvelopeCommand:
         code, _, err = run(capsys, "envelope", path)
         assert code == 3
 
+    def test_core_of_bounding_the_empty_set_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "empty-bound.credal"
+        path.write_text("credal 2 core-of\nv {} = 0\n")
+        code, out, err = run(capsys, "envelope", path)
+        assert code == 2
+        assert out == "" and "line 2" in err and "empty set" in err
+
     def test_core_of_above_ten_points_exits_4(self, capsys, tmp_path):
         path = tmp_path / "wide.credal"
         path.write_text("credal 11 core-of\nv {0} = 1/2\n")

@@ -149,6 +149,69 @@ class TestCorePolytope:
             core_polytope(new_capacity(g2, {1: F(9, 10), 2: F(9, 10)}))
 
 
+def seeded_sets(n):
+    """A vertex, a constraint and a pushed credal set on n points."""
+    g, rng = GroundSet(n), SplitMix64(4100 + n)
+    vertex_form = random_credal(g, rng, n + 2, 5)
+    constraint_form = core_polytope(random_convex_mixture(g, rng.next_u64(), 6))
+    f = random_point_map(GroundSet(n + 1), g, rng, surjective=True)
+    pushed = credal_pushforward(f, core_polytope(random_convex_mixture(f.domain,
+                                                                       rng.next_u64(), 5)))
+    return vertex_form, constraint_form, pushed
+
+
+class TestEnvelopeOracle:
+    """A credal set answers through `min_mass`: its envelope is built once,
+    without re-validating the table, and the upper envelope derives from it."""
+
+    def test_no_form_revalidates_its_envelope(self, monkeypatch):
+        import capax.capacity
+
+        nu = random_convex_mixture(g3, 51, 6)
+        constraint_form = CredalSet.from_constraints(g3, {0b001: F(1, 4), 0b110: F(1, 2)})
+        pushed = credal_pushforward(PointMap(g3, g2, (0, 1, 1)), constraint_form)
+
+        def refuse(ground, values):
+            raise AssertionError("envelope table validated again")
+
+        monkeypatch.setattr(capax.capacity, "_validate_table", refuse)
+        assert lower_envelope(core_polytope(nu)) == nu
+        assert list(lower_envelope(pushed).values) == [0, F(1, 4), F(1, 2), 1]
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_envelope_passes_full_validation(self, n):
+        from capax.capacity import Capacity
+
+        for alpha in seeded_sets(n):
+            env = lower_envelope(alpha)
+            assert Capacity(env.ground, env.values) == env, alpha.kind
+            assert [alpha.max_mass(a) for a in env.ground.subsets()] == \
+                [1 - env[env.ground.full ^ a] for a in env.ground.subsets()], alpha.kind
+
+    def test_constraint_form_answers_the_trivial_subsets_without_an_lp(self, monkeypatch):
+        import capax.lp.core as core
+
+        alpha = CredalSet.from_constraints(g3, {0b001: F(1, 4), 0b110: F(1, 2)})
+        solves = []
+        for name in ("_dual", "_revised"):
+            kernel = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *a, kernel=kernel, name=name:
+                                solves.append(name) or kernel(*a))
+        assert alpha.min_mass(g3.full) == 1 and alpha.max_mass(0) == 0
+        assert alpha.min_mass(0) == 0 and alpha.max_mass(g3.full) == 1
+        assert solves == []
+        assert alpha.min_mass(0b011) == F(1, 4) and solves
+
+    @pytest.mark.parametrize("form", range(3))
+    def test_off_ground_masks_raise(self, form):
+        alpha = seeded_sets(3)[form]
+        for mask in (-1, 1 << 3):
+            with pytest.raises(GroundMismatch):
+                alpha.max_mass(mask)
+            with pytest.raises(GroundMismatch):
+                alpha.min_mass(mask)
+
+
 class TestPushforward:
     def test_identity(self):
         alpha = two_vertex_set()

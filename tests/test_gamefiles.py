@@ -72,6 +72,8 @@ CASES = {
                        "constraint form header is 'credal n core-of'"),
     "core-of-v-outside": (parse_credal, "credal 2 core-of\nv {5} = 1\n", 2,
                           "subset {5} outside a 2-point ground set"),
+    "core-of-v-empty": (parse_credal, "credal 2 core-of\nv {0} = 1/4\nv {} = 0\n", 3,
+                        "the empty set cannot carry a lower bound"),
     # map files
     "map-empty": (parse_map, "", 1, "empty map file"),
     "map-header-arity": (parse_map, "map 2\n", 1, "'map' header needs 2 argument(s)"),

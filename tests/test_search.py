@@ -474,6 +474,25 @@ class TestWitnessArithmetic:
 
 
 class TestTotallyBalancedSearch:
+    def test_reverification_runs_the_predicate_on_the_product_only(self, monkeypatch):
+        # the regeneration accepts each member by `is_totally_balanced`, so
+        # re-verification runs it once, on the product
+        cfg = SearchConfig(n=3, support_size=2, target_class="totally_balanced",
+                           seed_start=6, seed_end=7, grid=4)
+        outcome = problem1_search(cfg).counterexamples[0]
+        tables, witness = record_of(outcome, cfg.target_class)
+        regenerated = search._second_order(cfg, outcome.seed)
+        monkeypatch.setattr(search, "_second_order", lambda config, seed: regenerated)
+        predicate, calls = search.is_totally_balanced, []
+
+        def counted(nu):
+            calls.append(nu)
+            return predicate(nu)
+
+        monkeypatch.setattr(search, "is_totally_balanced", counted)
+        assert verify_counterexample(cfg, outcome.seed, tables, witness)
+        assert calls == [outcome.multiplied]
+
     def test_small_run_completes(self):
         cfg = SearchConfig(n=3, support_size=2, target_class="totally_balanced",
                            seed_start=0, seed_end=4, grid=4)
