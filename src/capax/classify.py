@@ -22,12 +22,12 @@ is kept as the reference the tests compare against.
 
 Balancedness, exactness and total balancedness share the one-entry memo of
 `lp.core`: a capacity's core system and the full set's weighted cover, each
-solved once.  At value 1 the cover's dual point joins the system's pool of
-certified core points, beside the balancedness route's point, the
-minimisers `is_exact` certifies and greedy marginal vectors.  A pooled x
-with x(B) = v(B) settles B for exactness and total balancedness: min mu(B)
-over the core is v(B), and x restricted to B is in the core of the subgame
-on B, so B's cover value is v(B) and B needs no LP.
+solved once.  The system's pool of certified core points holds the
+balancedness route's point, the minimisers `is_exact` certifies and greedy
+marginal vectors.  A pooled x with x(B) = v(B) settles B for exactness and
+total balancedness: min mu(B) over the core is v(B), and x restricted to B
+is in the core of the subgame on B, so B's cover value is v(B) and B needs
+no LP.
 """
 
 from __future__ import annotations
@@ -185,7 +185,10 @@ def core_lp_feasible(nu: Capacity):
 
     Returns (True, core Measure) or (False, violating BalancedFamily built
     from the Farkas certificate).  Classification never calls it: it is the
-    general-LP reference that `is_balanced`'s core-system route is tested against.
+    general-LP reference that `is_balanced`'s core-system route is tested
+    against, not a predicate.  At the 10-point cap it is slow: 19-23 s on
+    `dirac(0, GroundSet(10))` against 0.003 s for `is_balanced` (Python
+    3.11, one core of a shared 2-CPU machine).
     """
     check_points(nu.ground.n)
     out = solve(_core_min_lp(nu, 0))
@@ -233,11 +236,18 @@ def is_balanced(nu: Capacity):
 
 
 def min_core_value(nu: Capacity, subset: int) -> Fraction:
-    """Minimum of mu(B) over the core; raises CoreEmpty when unbalanced."""
+    """Minimum of mu(B) over the core; raises CoreEmpty when unbalanced.
+
+    Every core measure has mu(empty) = 0 and mu(X) = 1, so both ends answer
+    without an LP once the shared system's pool proves the core nonempty;
+    only an empty pool costs one, `minimum(0)`.
+    """
     check_subset(subset, nu.ground)
-    if subset == 0:
-        return ZERO
-    return shared_capacity_core(nu.values).least(subset)
+    system = shared_capacity_core(nu.values)
+    if subset == 0 or subset == nu.ground.full:
+        system.require_solution()
+        return ONE if subset else ZERO
+    return system.least(subset)
 
 
 def is_exact(nu: Capacity):

@@ -48,10 +48,10 @@ optimal basis stays dual feasible (pi is a core point), and Lemke's dual
 simplex ("The dual method of solving the linear programming problem", NRLQ
 1954) goes on from it: B^-1 r is written into the rhs column in place, and a
 row with a negative entry leaves (`_dual`).  The system keeps that one
-tableau (`_warm`) and pivots it again on the next call.  The first is the
-shared full-set cover's (below), or else the first cold optimum.  Values are
-unique, so a warm minimum equals a cold one; only the optimal point may
-differ, and it is certified and pooled the same way.
+tableau (`_warm`) and pivots it again on the next call; the first is its
+own first optimum, cold.  Values are unique, so a warm minimum equals a cold
+one; only the optimal point may differ, and it is certified and pooled the
+same way.
 
 Every pivot loop records the bases it visits and raises
 `InternalInconsistency` on a repeat, so a kernel fault cannot cycle.
@@ -77,16 +77,12 @@ same integer core check as `minimum`'s, and the pool keeps one copy of each.
 
 `shared_capacity_core` and `shared_full_cover` read a one-entry memo: a
 value table, its core system and the full set's weighted cover, each built
-on first use.  So `classify` and `credal` share one pool, `is_exact(nu)` and
-then `lower_envelope(core_polytope(nu))` solve each minimum once, and each
-capacity solves its cover once.  At value 1 the cover seeds the system once
-both exist (a caller that needs only the cover builds none): its dual y
-(y >= 0, y(A) >= v(A), y(X) = 1) goes to `admit`, and its final tableau,
-a basis of the core system's dual (lam_A is y_A, lam_X is y0+, the same
-B^-1; reduced costs v(A) - y(A) <= 0 and 1 - y(X) = 0), becomes the warm
-one.  One entry: a slot on `Capacity` would keep a pool for every capacity
-a search report holds, and more entries would let callers that cycle
-through a few capacities answer from pools filled by earlier calls.
+on first use and neither touching the other.  So `classify` and `credal`
+share one pool, `is_exact(nu)` and then `lower_envelope(core_polytope(nu))`
+solve each minimum once, and each capacity solves its cover once.  One
+entry: a slot on `Capacity` would keep a pool for every capacity a search
+report holds, and more entries would let callers that cycle through a few
+capacities answer from pools filled by earlier calls.
 """
 
 from __future__ import annotations
@@ -486,12 +482,12 @@ def capacity_core(values) -> CoreSystem:
 
 
 class _Shared:
-    """A value table, its core system, its full-set cover and their seed."""
+    """A value table, its core system and its full-set cover."""
 
-    __slots__ = ("values", "system", "cover", "seed")
+    __slots__ = ("values", "system", "cover")
 
     def __init__(self, values):
-        self.values, self.system, self.cover, self.seed = values, None, None, []
+        self.values, self.system, self.cover = values, None, None
 
 
 _shared = None  # the entry of the table last asked for
@@ -514,7 +510,6 @@ def shared_capacity_core(values) -> CoreSystem:
     entry = _entry(values)
     if entry.system is None:
         entry.system = capacity_core(values)
-    _seed(entry)
     return entry.system
 
 
@@ -523,30 +518,8 @@ def shared_full_cover(values) -> CoverMaximum:
     object until a call with another replaces it."""
     entry = _entry(values)
     if entry.cover is None:
-        full = len(values) - 1
-        cover, tab = _cover(values, full)
-        if cover.value == 1:
-            # ids: lam_A is A - 1, y_A is A + 1; lam_X is full - 1, y0+ is 0;
-            # the slacks start at full and at full + 1
-            tab.basis[:] = [0 if t == full - 1 else t + 1 + (t < full) for t in tab.basis]
-            entry.seed.append((cover.point, tab))
-        entry.cover = cover
-    _seed(entry)
+        entry.cover = cover_maximum(values, len(values) - 1)
     return entry.cover
-
-
-def _seed(entry: _Shared) -> None:
-    """Hand a pending seed to the entry's system, its point to `admit` and
-    its tableau as the warm one; taken by pop, so only once."""
-    if entry.system is None or not entry.seed:
-        return
-    try:
-        point, tab = entry.seed.pop()
-    except IndexError:  # another thread took it
-        return
-    if not entry.system.admit(point):
-        raise InternalInconsistency("the full-set cover dual is not a core point", point)
-    entry.system._warm[:] = (tab,)
 
 
 @dataclass(frozen=True)
@@ -563,11 +536,6 @@ class CoverMaximum:
 def cover_maximum(values, bound: int) -> CoverMaximum:
     """The weighted-cover LP of `bound` for the set function `values`, a
     table indexed by subset code over n points (2^n entries)."""
-    return _cover(values, bound)[0]
-
-
-def _cover(values, bound: int):
-    """`cover_maximum` and its final tableau."""
     n = len(values).bit_length() - 1
     check_points(n)
     if not 0 < bound < 1 << n:
@@ -592,7 +560,7 @@ def _cover(values, bound: int):
         raise InternalInconsistency(
             f"weighted cover of subset {bound:#b} has a failing certificate", best
         )
-    return best, tab
+    return best
 
 
 def _cover_columns(values, members) -> list[tuple[int, int, int, int]]:

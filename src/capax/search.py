@@ -365,9 +365,11 @@ def reverify_report_text(text: str) -> bool:
     The report must be consistent: the seeds with a counterexample record are
     exactly those whose result line says holds=no, in order, and the summary
     counts them.  Each record must be whole, a witness and every table, and
-    pass `verify_counterexample`.  Any other defect, a missing or malformed
-    field included, gives False; only a missing header or config record
-    raises ValueError.
+    pass `verify_counterexample`.  The config and summary records, each
+    seed's counterexample record and each of its tables appear once, so no
+    repeated line can stand in for the one checked.  Any other defect, a
+    missing or malformed field included, gives False; only a missing header
+    or config record raises ValueError.
     """
     config = None
     failing, flagged, tables, counted = [], {}, {}, None
@@ -375,6 +377,8 @@ def reverify_report_text(text: str) -> bool:
     try:
         for kind, fields in records:
             if kind == "config":
+                if config is not None:
+                    return False
                 config = SearchConfig(
                     n=int(fields["n"]),
                     support_size=int(fields["k"]),
@@ -386,10 +390,18 @@ def reverify_report_text(text: str) -> bool:
             elif kind == "result" and fields.get("holds") == "no":
                 failing.append(int(fields["seed"]))
             elif kind == "counterexample":
-                flagged[int(fields["seed"])] = fields.get("witness")
+                seed = int(fields["seed"])
+                if seed in flagged:
+                    return False
+                flagged[seed] = fields.get("witness")
             elif kind.startswith("cx-"):
-                tables[int(fields["seed"]), kind, fields.get("index")] = fields.get("table")
+                key = int(fields["seed"]), kind, fields.get("index")
+                if key in tables:
+                    return False
+                tables[key] = fields.get("table")
             elif kind == "summary":
+                if counted is not None:
+                    return False
                 counted = int(fields["counterexamples"])
     except (KeyError, IndexError, ValueError, ConfigOutOfRange):
         return False

@@ -35,6 +35,7 @@ from capax.errors import (ConfigOutOfRange, CoreEmpty, EmptySubset, GroundMismat
                           InternalInconsistency)
 from capax.ground import GroundSet
 from capax.lp import _tableau_py, solver
+from capax.lp import core as core_module
 from capax.lp.core import CoreSystem, capacity_core
 from capax.monad import monad_mul
 from capax.rng import SplitMix64
@@ -207,8 +208,21 @@ class TestMinCoreValue:
             assert min_core_value(nu, mask) == mu.mass(mask)
 
     def test_core_empty(self):
-        with pytest.raises(CoreEmpty):
-            min_core_value(nine_tenths(), 1)
+        for nu in (nine_tenths(), new_capacity(g2, {1: F(3, 4), 2: F(3, 4)})):
+            for mask in g2.subsets():  # the empty and the full set too
+                with pytest.raises(CoreEmpty):
+                    min_core_value(nu, mask)
+
+    def test_ends_solve_nothing_after_is_exact(self, monkeypatch):
+        nu = random_convex_mixture(g4, 5, 6)
+        assert is_exact(nu) == (True, None)
+        calls = []
+        for name in ("_revised", "_dual"):
+            loop = getattr(core_module, name)
+            monkeypatch.setattr(core_module, name,
+                                lambda *args, loop=loop: calls.append(args) or loop(*args))
+        assert min_core_value(nu, 0) == 0 and min_core_value(nu, nu.ground.full) == 1
+        assert calls == []
 
     def test_subset_code_outside_the_ground_set_rejected(self):
         for mask in (0b1000, 0b1011, -1):

@@ -453,17 +453,17 @@ class TestWarmMinima:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_capacity_tables(self, n, warm_log):
         rng = SplitMix64(40 + n)
-        handed = 0
+        balanced = 0
         for k, values in enumerate(capacity_tables(n, rng)):
-            # the shared cover seeds the shared system, whichever comes second
+            # the shared cover hands the shared system nothing, in either order
             if k % 2:
                 system, cover = shared_capacity_core(values), shared_full_cover(values)
             else:
                 cover, system = shared_full_cover(values), shared_capacity_core(values)
-            assert len(system._warm) == len(system._pool) == (cover.value == 1)
-            handed += cover.value == 1
+            assert system._warm == system._pool == []
+            balanced += cover.value == 1
             assert assert_warm_is_cold(system, rng) == (cover.value == 1)
-        assert handed and (warm_log.warm or n == 1)
+        assert balanced and (warm_log.warm or n == 1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_explicit_systems(self, n, warm_log):
@@ -545,20 +545,21 @@ class TestWarmMinima:
         assert not any(t.is_alive() for t in threads)
         assert wrong == [] and failed == []
 
-    def test_only_the_shared_core_takes_the_cover_seed(self):
+    def test_no_system_holds_anything_before_its_first_question(self):
         for nu in seeded_capacities(3, 2, 4):
             assert shared_full_cover(nu.values).value == 1
             unshared = capacity_core(nu.values)
             system = shared_capacity_core(nu.values)
-            assert system._warm and system._pool
+            assert system._warm == system._pool == []
             assert unshared._warm == unshared._pool == []
             classify_full(nu)
+            assert system._warm and system._pool
             fresh = capacity_core(nu.values)
             assert fresh._warm == fresh._pool == []
 
     def test_threads_racing_on_one_entry_never_pivot_one_tableau_together(self, monkeypatch):
-        # fresh tables, one at a time, asked by four threads in both orders:
-        # the cover's seed and every warm tableau go to one thread at a time
+        # fresh tables, one at a time, asked by four threads, some also
+        # through the shared cover: every warm tableau goes to one thread at a time
         nus = seeded_capacities(5, 6, 13)[1::2]  # lowered: some minima fall short
         tables = [list(nu.values) for nu in nus]
         expected = [{b: core_of(nu).minimum(b).value for b in nu.ground.subsets()} for nu in nus]

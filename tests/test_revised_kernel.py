@@ -122,10 +122,10 @@ class TestNarrowTableau:
         monkeypatch.setattr(core_module, "_dual", counted)
         g = GroundSet(n)
         # exact but not convex: no marginal vector settles every subset, so
-        # the cover's tableau goes on into warm minima
+        # the first cold minimum's tableau goes on into warm minima
         nu = lower_envelope(random_credal(g, SplitMix64(6), n + 1, 8))
         assert is_exact(Capacity(g, list(nu.values)))[0]
-        assert len(widths) == 1 and sum(warm) >= 1  # only the cover's tableau
+        assert len(widths) == 2 and sum(warm) >= 1  # the cover's, the first minimum's
         cover_maximum(nu.values, g.full)
         assert widths and max(widths) <= n + 2
 

@@ -231,6 +231,16 @@ def edit(text, prefix, pattern, repl):
     return "".join(lines)
 
 
+def repeat(text, prefix, pattern="", repl=""):
+    """`text` with a copy of the single line that starts with `prefix` placed
+    before it, with one substitution in the copy when `pattern` is given."""
+    lines = text.splitlines(keepends=True)
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    copy, done = re.subn(pattern, repl, lines[i], count=1) if pattern else (lines[i], 1)
+    assert done
+    return "".join(lines[:i] + [copy] + lines[i:])
+
+
 def table_of(text, prefix):
     (line,) = [line for line in text.splitlines() if line.startswith(prefix)]
     return line.partition("table=")[2]
@@ -243,8 +253,9 @@ def record_of(outcome, target_class):
 
 
 # Each edit leaves a report that still parses, but whose record is wrong,
-# incomplete or inconsistent with its result and summary lines.  `s` is a
-# flagged seed with a failing-subset witness, `h` a seed where the class holds.
+# incomplete, repeated or inconsistent with its result and summary lines.
+# `s` is a flagged seed with a failing-subset witness, `h` a seed where the
+# class holds.
 INCONSISTENT = {
     "altered-cx-mul": lambda t, s, h: edit(t, f"cx-mul seed={s} ", r"table=0,[^,]+",
                                            "table=0,1/1000"),
@@ -267,6 +278,12 @@ INCONSISTENT = {
     "duplicate-support": lambda t, s, h: edit(
         t, f"cx-support seed={s} index=1 ", r"table=.*",
         "table=" + table_of(t, f"cx-support seed={s} index=0 ")),
+    # a repeated record, which a reader keeping the last copy would let pass
+    "bogus-support-before-real": lambda t, s, h: repeat(t, f"cx-support seed={s} index=0 ",
+                                                        r"table=0,[^,]+", "table=0,2"),
+    "repeated-counterexample": lambda t, s, h: repeat(t, f"counterexample seed={s} "),
+    "second-config": lambda t, s, h: repeat(t, "config "),
+    "second-summary": lambda t, s, h: repeat(t, "summary "),
 }
 
 
