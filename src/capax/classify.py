@@ -11,23 +11,19 @@ arithmetic, no LP run needed:
   of mu(B) over the core strictly above v(B);
 * balancedness: a measure lying in the core.
 
-Balancedness is decided through two independent routes which must agree:
-the weighted-cover LP value at the full set, and `minimum(0)` over the
-shared core system, another tableau with its own integer check.  That
-minimum's certified point is the core witness; an empty core is reported
-only after its ray passes a Farkas check.  Disagreement raises
-InternalInconsistency since it can only be a solver bug.  No predicate here
-solves a general LP: `core_lp_feasible`, the generic two-phase primal route,
-is kept as the reference the tests compare against.
+Balancedness is decided by the full set's weighted-cover LP, of value 1
+exactly when the core is nonempty (Bondareva); then a cold `minimum(0)` over
+the shared core system gives the witness.  No predicate here solves a
+general LP: `core_lp_feasible`, the generic two-phase primal route, is the
+reference the tests compare against.
 
-Balancedness, exactness and total balancedness share the one-entry memo of
-`lp.core`: a capacity's core system and the full set's weighted cover, each
-solved once.  The system's pool of certified core points holds the
-balancedness route's point, the minimisers `is_exact` certifies and greedy
-marginal vectors.  A pooled x with x(B) = v(B) settles B for exactness and
-total balancedness: min mu(B) over the core is v(B), and x restricted to B
-is in the core of the subgame on B, so B's cover value is v(B) and B needs
-no LP.
+The predicates share the one-entry memo of `lp.core`: a capacity's core
+system and full-set cover, each solved at most once.  `is_exact` and
+`is_totally_balanced` ask `shared_core_nonempty` and solve the cover only
+for an empty core, whose family is their witness.  A certified core point x
+with x(B) = v(B) settles B for exactness and total balancedness: min mu(B)
+over the core is v(B), and x restricted to B is in the core of the subgame
+on B, so B's cover value is v(B) and B needs no LP.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from .errors import CoreEmpty, EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, family_total, point_masses, subset_indices
 from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
-from .lp.core import check_points, shared_capacity_core, shared_full_cover
+from .lp.core import check_points, shared_capacity_core, shared_core_nonempty, shared_full_cover
 # solve_dualized stays importable here for tools that hook LP solves per module
 from .lp.solver import solve, solve_dualized  # noqa: F401
 
@@ -210,26 +206,15 @@ def core_lp_feasible(nu: Capacity):
 
 
 def is_balanced(nu: Capacity):
-    """Nonempty-core test; both decision routes run and must agree.
-
-    Returns (True, core Measure) or (False, violating BalancedFamily).
-    """
+    """Nonempty-core test by the shared full-set cover: (True, the certified
+    point of a cold `minimum(0)`) at value 1, else (False, its over-1 family)."""
     cover = shared_full_cover(nu.values)
-    try:  # the second route: minimum(0) over the shared core system
-        witness = Measure(nu.ground, shared_capacity_core(nu.values).minimum(0).point)
-    except CoreEmpty:  # raised only once the ray passes its Farkas check
-        witness = None
-    feasible = witness is not None
-    family = BalancedFamily(cover.sets, cover.weights)
-    if (cover.value == ONE) != feasible:
-        raise InternalInconsistency(
-            f"weighted-cover value {cover.value} disagrees with core feasibility {feasible}",
-            family,
-            witness,
-        )
-    if feasible:
-        return True, witness  # the certified point of the core-system route
-    return False, family  # the over-1 family found by the cover route
+    if cover.value != ONE:
+        return False, BalancedFamily(cover.sets, cover.weights)
+    try:
+        return True, Measure(nu.ground, shared_capacity_core(nu.values).minimum(0).point)
+    except CoreEmpty as exc:  # a certified cover value 1 has a core point as its dual
+        raise InternalInconsistency("weighted-cover value 1 but the core is empty") from exc
 
 
 # --- exactness -------------------------------------------------------------------
@@ -239,8 +224,8 @@ def min_core_value(nu: Capacity, subset: int) -> Fraction:
     """Minimum of mu(B) over the core; raises CoreEmpty when unbalanced.
 
     Every core measure has mu(empty) = 0 and mu(X) = 1, so both ends answer
-    without an LP once the shared system's pool proves the core nonempty;
-    only an empty pool costs one, `minimum(0)`.
+    without an LP once the shared system's pool or, for a convex capacity,
+    a marginal vector proves the core nonempty (`require_solution`).
     """
     check_subset(subset, nu.ground)
     system = shared_capacity_core(nu.values)
@@ -253,18 +238,17 @@ def min_core_value(nu: Capacity, subset: int) -> Fraction:
 def is_exact(nu: Capacity):
     """Each subset's value attained by some core measure.
 
-    Returns (True, None), or (False, witness) where the witness is an
-    ExactnessGap for the smallest failing subset in subset-code order, or the
-    violating BalancedFamily when the core is outright empty.  The empty and
-    full sets are automatically attained and skipped.
+    Returns (True, None), or (False, witness): an ExactnessGap for the first
+    failing subset in code order, or the violating BalancedFamily when the
+    core is empty.  The empty and full sets are attained and skipped.
 
-    A subset whose bound some certified core point attains needs no LP; the
-    rest get a warm minimum (`CoreSystem.least`).  The first that falls short
-    is solved again by a cold `minimum`, whose certificate becomes the
-    witness, so the gap's multipliers do not depend on the warm history.
+    A convex capacity runs no LP at all.  A subset whose bound some certified
+    core point attains needs no LP; the rest get a warm minimum (`least`).
+    The first that falls short is solved again by a cold `minimum`, whose
+    certificate becomes the witness, so it does not depend on the history.
     """
-    cover = shared_full_cover(nu.values)
-    if cover.value != ONE:
+    if not shared_core_nonempty(nu.values):
+        cover = shared_full_cover(nu.values)
         return False, BalancedFamily(cover.sets, cover.weights)
     system = shared_capacity_core(nu.values)
     for subset in nu.ground.proper_nonempty_subsets():
@@ -287,9 +271,9 @@ def is_totally_balanced(nu: Capacity):
     larger B below the full set holds when a certified core point x has
     x(B) = v(B): x restricted to B is in the core of the subgame on B, so its
     cover value is v(B).  The shared core system's `attains` decides that
-    once the shared full-set cover, read again at the full set, shows the
-    core nonempty.  Every other subset, each failing one among them, gets
-    its LP, so the first failure and its family are the LP's.
+    once `shared_core_nonempty` shows the core nonempty, which settles the
+    full set too.  Every other subset, each failing one among them, gets its
+    LP, so the first failure and its family are the LP's.
     """
     values = nu.values
     full = nu.ground.full
@@ -301,8 +285,8 @@ def is_totally_balanced(nu: Capacity):
         if not rest & (rest - 1):
             if values[low] + values[rest] <= values[subset]:
                 continue
-        elif subset != full and shared_full_cover(values).value == ONE and \
-                shared_capacity_core(values).attains(subset):
+        elif shared_core_nonempty(values) and \
+                (subset == full or shared_capacity_core(values).attains(subset)):
             continue
         best = shared_full_cover(values) if subset == full else cover_maximum(values, subset)
         if best.value != values[subset]:

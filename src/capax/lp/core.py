@@ -79,7 +79,8 @@ same integer core check as `minimum`'s, and the pool keeps one copy of each.
 value table, its core system and the full set's weighted cover, each built
 on first use and neither touching the other.  So `classify` and `credal`
 share one pool, `is_exact(nu)` and then `lower_envelope(core_polytope(nu))`
-solve each minimum once, and each capacity solves its cover once.  One
+solve each minimum once, each capacity solves its cover at most once, and
+`shared_core_nonempty` reads what the memo holds before it solves.  One
 entry: a slot on `Capacity` would keep a pool for every capacity a search
 report holds, and more entries would let callers that cycle through a few
 capacities answer from pools filled by earlier calls.
@@ -353,8 +354,9 @@ class CoreSystem:
         return best
 
     def require_solution(self) -> None:
-        """Raise CoreEmpty if unsolvable; only an empty pool costs `minimum(0)`."""
-        if not self._pool:
+        """Raise CoreEmpty if unsolvable: a pooled point, then (for a capacity's
+        core) the identity's marginal vector if admitted, else `minimum(0)`."""
+        if not self._pool and not (self._complete and self.admit(self._marginal(0))):
             self.minimum(0)
 
     def admit(self, point) -> bool:
@@ -520,6 +522,20 @@ def shared_full_cover(values) -> CoverMaximum:
     if entry.cover is None:
         entry.cover = cover_maximum(values, len(values) - 1)
     return entry.cover
+
+
+def shared_core_nonempty(values) -> bool:
+    """Whether the core of `values` is nonempty: a pooled point, else a solved
+    full-set cover, else `require_solution` answers.  An empty core then
+    solves the cover, whose family every caller reports."""
+    entry = _entry(values)
+    if entry.cover is None or entry.system is not None and entry.system._pool:
+        try:
+            shared_capacity_core(values).require_solution()
+            return True
+        except CoreEmpty:
+            pass
+    return shared_full_cover(values).value == ONE
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,194 @@
+"""One answer to "is the core nonempty?".
+
+`lp.core.shared_core_nonempty` reads, in order, a pooled certified point, a
+solved full-set cover and, for a capacity's core, the identity ordering's
+marginal vector; it solves `minimum(0)` only when none of them answers, and
+the full-set cover only for an empty core.  The routes differ in cost only:
+no flag and no witness may depend on which one answered, or on what earlier
+calls left in the pool.
+"""
+
+from fractions import Fraction as F
+from itertools import permutations
+from types import SimpleNamespace
+
+import pytest
+
+from test_core_system import damped, random_monotones, seeded_capacities
+
+from capax.capacity import Capacity, new_capacity, random_convex_mixture, random_monotone
+from capax.classify import (classify_full, is_balanced, is_exact, is_totally_balanced,
+                            min_core_value, verify_report)
+from capax.credal import core_polytope, lower_envelope, random_credal
+from capax.errors import CoreEmpty
+from capax.ground import GroundSet
+from capax.lp import CoreSystem, cover_maximum
+from capax.lp import _tableau_py
+from capax.lp import core as core_module
+from capax.lp.core import capacity_core, shared_core_nonempty
+from capax.rng import SplitMix64
+
+g3 = GroundSet(3)
+PREDICATES = {"balanced": is_balanced, "exact": is_exact, "totally_balanced": is_totally_balanced}
+
+
+@pytest.fixture
+def lps(monkeypatch, cover_bounds):
+    """Every LP solved from then on: the bound of each weighted cover, the
+    subset of each cold core minimum, and one entry per warm minimum."""
+    log = SimpleNamespace(covers=cover_bounds, minima=[], warm=[])
+    minimum, dual = CoreSystem.minimum, core_module._dual
+    monkeypatch.setattr(CoreSystem, "minimum",
+                        lambda self, subset: log.minima.append(subset) or minimum(self, subset))
+    monkeypatch.setattr(core_module, "_dual",
+                        lambda tab, columns: log.warm.append(1) or dual(tab, columns))
+    return log
+
+
+def solved(log):
+    return log.covers, log.minima, log.warm
+
+
+def fresh(nu):
+    """nu over a new value table, so the memo holds nothing for it."""
+    copy = Capacity(nu.ground, list(nu.values))
+    assert copy.values is not nu.values
+    return copy
+
+
+def unbalanced_game():
+    """Singletons 0, pairs 9/10: the three pairs, weight 1/2 each, cover 27/20."""
+    return new_capacity(g3, {0b011: F(9, 10), 0b101: F(9, 10), 0b110: F(9, 10)}, strict=False)
+
+
+def balanced_not_convex():
+    """Balanced, but the identity's marginal vector (1/8, 7/16, 7/16) gives
+    {0, 2} only 9/16 < 5/8: no marginal vector of that ordering answers."""
+    nu = random_monotone(g3, 14, 16)
+    assert nu[0b001] + 1 - nu[0b011] < nu[0b101]  # x0 + x2 under v({0, 2})
+    return nu
+
+
+def nine_point_input():
+    """Exact but not convex, on 9 points: a credal envelope scaled by 9/10
+    off the full set."""
+    nu = lower_envelope(random_credal(GroundSet(9), SplitMix64(9), 10, 8))
+    full = nu.ground.full
+    return Capacity(nu.ground, [v if a == full else v * F(9, 10) for a, v in enumerate(nu.values)])
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_convex_n8_is_exact_solves_no_lp(self, lps, seed):
+        nu = random_convex_mixture(GroundSet(8), seed, 3)
+        assert is_exact(nu) == (True, None)
+        assert solved(lps) == ([], [], [])
+
+    def test_convex_min_core_value_and_envelope_solve_no_lp(self, lps):
+        nu = random_convex_mixture(GroundSet(6), 5, 4)
+        assert min_core_value(nu, 0) == 0 and min_core_value(nu, nu.ground.full) == 1
+        assert lower_envelope(core_polytope(fresh(nu))) == nu
+        assert solved(lps) == ([], [], [])
+
+    @pytest.mark.parametrize("nu", [unbalanced_game(), random_monotone(GroundSet(4), 0, 6)],
+                             ids=["pairs-9/10", "random-monotone-4"])
+    def test_unbalanced_is_balanced_solves_one_cover(self, lps, nu):
+        balanced, family = is_balanced(nu)
+        assert not balanced and family.violates(nu, nu.ground.full)
+        assert solved(lps) == ([nu.ground.full], [], [])
+
+    def test_classify_full_of_the_unbalanced_game_solves_only_the_cover(self, lps):
+        nu = unbalanced_game()
+        report = classify_full(nu)
+        assert report.flags() == (False, False, False, False)
+        assert verify_report(nu, report)
+        assert solved(lps) == ([g3.full], [], [])
+
+    @pytest.mark.parametrize("make, nonempty, alone", [
+        (balanced_not_convex, True, ([], [0], [])),
+        (unbalanced_game, False, ([g3.full], [0], [])),  # minimum(0) refutes, the cover follows
+        (lambda: random_convex_mixture(g3, 2, 3), True, ([], [], [])),
+    ], ids=["balanced", "unbalanced", "convex"])
+    def test_helper_alone_and_after_is_balanced(self, lps, make, nonempty, alone):
+        nu = make()
+        assert shared_core_nonempty(nu.values) is nonempty
+        assert solved(lps) == alone
+        assert shared_core_nonempty(nu.values) is nonempty  # a second question is free
+        assert solved(lps) == alone
+        nu = fresh(nu)
+        lps.covers.clear()
+        lps.minima.clear()
+        assert is_balanced(nu)[0] is nonempty
+        after = ([g3.full], [0] if nonempty else [], [])
+        assert solved(lps) == after
+        assert shared_core_nonempty(nu.values) is nonempty
+        assert solved(lps) == after
+
+
+def pool(n):
+    """The seeded capacities of the test pools on n points: exact, lowered,
+    random monotone (mostly unbalanced at n >= 4) and damped."""
+    monotone = random_monotones(n, 4, 50 + n)
+    return seeded_capacities(n, 2, 20 + n) + monotone + [damped(nu) for nu in monotone]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_minimum0_succeeds_exactly_at_cover_value_one(self, n):
+        outcomes = set()
+        for nu in pool(n):
+            try:
+                capacity_core(nu.values).minimum(0)
+                feasible = True
+            except CoreEmpty:
+                feasible = False
+            assert (cover_maximum(nu.values, nu.ground.full).value == 1) is feasible, nu
+            outcomes.add(feasible)
+        assert outcomes == ({True} if n == 1 else {True, False})
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_pool_history_never_moves_a_witness(self, n):
+        rng = SplitMix64(60 + n)
+        capacities = pool(n) + [random_convex_mixture(GroundSet(n), rng.next_u64(), 3)]
+        for nu in capacities:
+            alone = {name: predicate(fresh(nu)) for name, predicate in PREDICATES.items()}
+            for order in permutations(PREDICATES):
+                copy = fresh(nu)
+                assert {name: PREDICATES[name](copy) for name in order} == alone, (nu, order)
+            report = classify_full(fresh(nu))
+            assert (report.balanced, report.core_witness or report.unbalanced_witness) == \
+                alone["balanced"], nu
+            assert (report.exact, report.exact_witness) == alone["exact"], nu
+            assert (report.totally_balanced, report.tb_witness) == alone["totally_balanced"], nu
+            if alone["balanced"][0]:  # the envelope's minima fill the pool first
+                copy = fresh(nu)
+                assert (lower_envelope(core_polytope(copy)) == copy) is alone["exact"][0], nu
+                assert {name: predicate(copy) for name, predicate in PREDICATES.items()} == \
+                    alone, nu
+
+
+class TestNinePointInput:
+    """Pivot bounds on the exact, non-convex 9-point input that CI classifies."""
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        count = [0]
+        pivot = _tableau_py.Tableau.pivot
+
+        def counted(self, r, c):
+            count[0] += 1
+            return pivot(self, r, c)
+
+        monkeypatch.setattr(_tableau_py.Tableau, "pivot", counted)
+        return count
+
+    def test_standalone_is_exact(self, pivots):
+        # its warm minima start from minimum(0); no full-set cover runs
+        assert is_exact(nine_point_input()) == (True, None)
+        assert 0 < pivots[0] <= 761
+
+    def test_classify_full(self, pivots):
+        nu = nine_point_input()
+        report = classify_full(nu)
+        assert report.summary() == "convex:no exact:yes totally-balanced:yes balanced:yes"
+        assert 0 < pivots[0] <= 1023

@@ -125,7 +125,7 @@ class TestNarrowTableau:
         # the first cold minimum's tableau goes on into warm minima
         nu = lower_envelope(random_credal(g, SplitMix64(6), n + 1, 8))
         assert is_exact(Capacity(g, list(nu.values)))[0]
-        assert len(widths) == 2 and sum(warm) >= 1  # the cover's, the first minimum's
+        assert len(widths) == 1 and sum(warm) >= 1  # the first minimum's; no cover
         cover_maximum(nu.values, g.full)
         assert widths and max(widths) <= n + 2
 

@@ -65,11 +65,16 @@ def systems(monkeypatch):
 
 
 class TestLpCounts:
-    def test_screened_generator_draw_runs_one_cover(self, cover_bounds, systems):
+    def test_screened_generator_draw_runs_one_lp(self, cover_bounds, systems, monkeypatch):
+        # balanced but not convex: the identity's marginal vector fails its
+        # core check, so minimum(0) proves the core nonempty and no cover runs
         seed = next(s for s in range(10_000) if _screened_draw(g3, s, 16) is not None)
-        is_totally_balanced(random_monotone(g3, seed, 16))
-        assert cover_bounds == [g3.full]
-        assert systems == []  # the cover alone builds no system
+        minima = []
+        minimum = CoreSystem.minimum
+        monkeypatch.setattr(CoreSystem, "minimum",
+                            lambda self, subset: minima.append(subset) or minimum(self, subset))
+        assert is_totally_balanced(random_monotone(g3, seed, 16)) == (True, None)
+        assert (cover_bounds, minima, len(systems)) == ([], [0], 1)
 
     def test_convex_n8_runs_only_the_full_cover(self, cover_bounds):
         g = GroundSet(8)
@@ -98,7 +103,8 @@ class TestLpCounts:
             is_exact(nu)
             is_totally_balanced(nu)
             assert cover_bounds.count(nu.ground.full) == 1, nu
-            assert len(systems) == 1, nu
+            # an empty core is answered by the cover alone, with no system
+            assert len(systems) == (nu is not unbalanced), nu
 
 
 class TestCoverDual:
