@@ -11,19 +11,20 @@ arithmetic, no LP run needed:
   of mu(B) over the core strictly above v(B);
 * balancedness: a measure lying in the core.
 
-Balancedness is decided by the full set's weighted-cover LP, of value 1
-exactly when the core is nonempty (Bondareva); then a cold `minimum(0)` over
-the shared core system gives the witness.  No predicate here solves a
-general LP: `core_lp_feasible`, the generic two-phase primal route, is the
-reference the tests compare against.
+Balancedness is decided by the full set's weighted-cover LP alone, of value
+1 exactly when the core is nonempty (Bondareva); its certified dual point is
+then a core measure, the witness.  No predicate here solves a general LP:
+`core_lp_feasible`, the generic two-phase primal route, is the reference the
+tests compare against.
 
 The predicates share the one-entry memo of `lp.core`: a capacity's core
 system and full-set cover, each solved at most once.  `is_exact` and
-`is_totally_balanced` ask `shared_core_nonempty` and solve the cover only
-for an empty core, whose family is their witness.  A certified core point x
-with x(B) = v(B) settles B for exactness and total balancedness: min mu(B)
-over the core is v(B), and x restricted to B is in the core of the subgame
-on B, so B's cover value is v(B) and B needs no LP.
+`is_totally_balanced` ask `shared_core_nonempty`, which reads a solved cover
+first, and solve the cover only for an empty core, whose family is their
+witness.  A certified core point x with x(B) = v(B) settles B for exactness
+and total balancedness: min mu(B) over the core is v(B), and x restricted to
+B is in the core of the subgame on B, so B's cover value is v(B) and B needs
+no LP.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import BalancedFamily, Capacity, Measure
-from .errors import CoreEmpty, EmptySubset, InternalInconsistency
+from .errors import EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, family_total, point_masses, subset_indices
 from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
@@ -85,15 +86,30 @@ class TotalBalanceFailure:
 
 @dataclass(frozen=True, slots=True)
 class ClassReport:
-    convex: bool
-    exact: bool
-    totally_balanced: bool
-    balanced: bool
+    """The four class answers, each stated by its witness: a class holds
+    exactly when its failure witness is None, and the core is nonempty
+    exactly when the balancedness witness is a core Measure."""
+
     convex_witness: ConvexityViolation | None
     exact_witness: "ExactnessGap | BalancedFamily | None"
     tb_witness: TotalBalanceFailure | None
-    core_witness: Measure | None
-    unbalanced_witness: BalancedFamily | None
+    balanced_witness: "Measure | BalancedFamily"
+
+    @property
+    def convex(self) -> bool:
+        return self.convex_witness is None
+
+    @property
+    def exact(self) -> bool:
+        return self.exact_witness is None
+
+    @property
+    def totally_balanced(self) -> bool:
+        return self.tb_witness is None
+
+    @property
+    def balanced(self) -> bool:
+        return isinstance(self.balanced_witness, Measure)
 
     def flags(self) -> tuple[bool, bool, bool, bool]:
         return (self.convex, self.exact, self.totally_balanced, self.balanced)
@@ -181,9 +197,9 @@ def core_lp_feasible(nu: Capacity):
 
     Returns (True, core Measure) or (False, violating BalancedFamily built
     from the Farkas certificate).  Classification never calls it: it is the
-    general-LP reference that `is_balanced`'s core-system route is tested
+    general-LP reference that `is_balanced`'s weighted-cover route is tested
     against, not a predicate.  At the 10-point cap it is slow: 19-23 s on
-    `dirac(0, GroundSet(10))` against 0.003 s for `is_balanced` (Python
+    `dirac(0, GroundSet(10))` against 0.0007 s for `is_balanced` (Python
     3.11, one core of a shared 2-CPU machine).
     """
     check_points(nu.ground.n)
@@ -206,15 +222,13 @@ def core_lp_feasible(nu: Capacity):
 
 
 def is_balanced(nu: Capacity):
-    """Nonempty-core test by the shared full-set cover: (True, the certified
-    point of a cold `minimum(0)`) at value 1, else (False, its over-1 family)."""
+    """Nonempty-core test by the shared full-set cover alone: (True, its
+    certified dual point, a core measure) at value 1, else (False, its
+    over-1 family)."""
     cover = shared_full_cover(nu.values)
     if cover.value != ONE:
         return False, BalancedFamily(cover.sets, cover.weights)
-    try:
-        return True, Measure(nu.ground, shared_capacity_core(nu.values).minimum(0).point)
-    except CoreEmpty as exc:  # a certified cover value 1 has a core point as its dual
-        raise InternalInconsistency("weighted-cover value 1 but the core is empty") from exc
+    return True, Measure(nu.ground, cover.point)
 
 
 # --- exactness -------------------------------------------------------------------
@@ -301,69 +315,38 @@ def classify_full(nu: Capacity) -> ClassReport:
     """Run all four predicates and enforce the inclusion chain.
 
     A report violating convex => exact => totally balanced => balanced cannot
-    be a math outcome and aborts with InternalInconsistency carrying the
-    conflicting witnesses.
+    be a math outcome and aborts with InternalInconsistency carrying the report.
     """
     # first, so an oversized table is refused before the scan
-    balanced, balanced_w = is_balanced(nu)
-    convex, convex_w = is_convex(nu)
-    exact, exact_w = is_exact(nu)
-    tb, tb_w = is_totally_balanced(nu)
-    chain = (convex, exact, tb, balanced)
-    for name, (stronger, weaker) in {
-        "convex => exact": (convex, exact),
-        "exact => totally balanced": (exact, tb),
-        "totally balanced => balanced": (tb, balanced),
-    }.items():
+    _, balanced_w = is_balanced(nu)
+    report = ClassReport(is_convex(nu)[1], is_exact(nu)[1], is_totally_balanced(nu)[1], balanced_w)
+    flags = report.flags()
+    for name, stronger, weaker in zip(("convex => exact", "exact => totally balanced",
+                                       "totally balanced => balanced"), flags, flags[1:]):
         if stronger and not weaker:
-            raise InternalInconsistency(
-                f"class chain violated ({name}) for flags {chain}",
-                convex_w, exact_w, tb_w, balanced_w,
-            )
-    return ClassReport(
-        convex=convex,
-        exact=exact,
-        totally_balanced=tb,
-        balanced=balanced,
-        convex_witness=convex_w,
-        exact_witness=exact_w,
-        tb_witness=tb_w,
-        core_witness=balanced_w if balanced else None,
-        unbalanced_witness=None if balanced else balanced_w,
-    )
+            raise InternalInconsistency(f"class chain violated ({name}) for flags {flags}", report)
+    return report
 
 
 def verify_report(nu: Capacity, report: ClassReport) -> bool:
-    """Arithmetic-only re-verification of every witness in a report."""
+    """Arithmetic-only re-verification of every witness in a report.  A class
+    that holds carries no witness: convexity is rescanned, and exactness and
+    total balancedness are trusted."""
     convex_scan, _ = is_convex(nu)  # combinatorial, no LP
     if report.convex != convex_scan:
         return False
-    if not report.convex and (report.convex_witness is None
-                              or not report.convex_witness.verify(nu)):
+    if not report.convex and not report.convex_witness.verify(nu):
         return False
-    if report.balanced:
-        mu = report.core_witness
-        if mu is None or mu.ground != nu.ground:
-            return False
+    w = report.balanced_witness
+    if isinstance(w, Measure):
         rows = [(a, 1, v.numerator, v.denominator) for a, v in enumerate(nu.values)]
-        if point_masses(mu.weights, rows) is None:
+        if w.ground != nu.ground or point_masses(w.weights, rows) is None:
             return False
-    else:
-        if report.unbalanced_witness is None:
-            return False
-        if not report.unbalanced_witness.violates(nu, nu.ground.full):
-            return False
-    if not report.totally_balanced:
-        if report.tb_witness is None or not report.tb_witness.verify(nu):
-            return False
-    if not report.exact:
-        w = report.exact_witness
-        if isinstance(w, ExactnessGap):
-            if not w.verify(nu):
-                return False
-        elif isinstance(w, BalancedFamily):
-            if not w.violates(nu, nu.ground.full):
-                return False
-        else:
-            return False
-    return True
+    elif not isinstance(w, BalancedFamily) or not w.violates(nu, nu.ground.full):
+        return False
+    if not report.totally_balanced and not report.tb_witness.verify(nu):
+        return False
+    w = report.exact_witness
+    if isinstance(w, BalancedFamily):
+        return w.violates(nu, nu.ground.full)
+    return w is None or isinstance(w, ExactnessGap) and w.verify(nu)

@@ -70,25 +70,24 @@ def _family_text(family: BalancedFamily) -> str:
 
 def _witness_lines(report: ClassReport) -> list[str]:
     lines = []
-    if not report.convex and report.convex_witness is not None:
-        w = report.convex_witness
+    w = report.convex_witness
+    if w is not None:
         lines.append(f"witness convex A={format_subset(w.set_a)} B={format_subset(w.set_b)}")
-    if report.balanced and report.core_witness is not None:
-        weights = " ".join(format_rat(x) for x in report.core_witness.weights)
-        lines.append(f"witness core-measure {weights}")
-    if not report.balanced and report.unbalanced_witness is not None:
-        lines.append(f"witness unbalanced-family {_family_text(report.unbalanced_witness)}")
-    if not report.totally_balanced and report.tb_witness is not None:
-        w = report.tb_witness
+    w = report.balanced_witness
+    if report.balanced:
+        lines.append(f"witness core-measure {' '.join(format_rat(x) for x in w.weights)}")
+    else:
+        lines.append(f"witness unbalanced-family {_family_text(w)}")
+    w = report.tb_witness
+    if w is not None:
         lines.append(f"witness totally-balanced subset={format_subset(w.subset)} "
                      f"family {_family_text(w.family)}")
-    if not report.exact and report.exact_witness is not None:
-        w = report.exact_witness
-        if isinstance(w, ExactnessGap):
-            lines.append(f"witness exact subset={format_subset(w.subset)} "
-                         f"core-minimum={format_rat(w.bound)}")
-        else:
-            lines.append("witness exact core-empty")
+    w = report.exact_witness
+    if isinstance(w, ExactnessGap):
+        lines.append(f"witness exact subset={format_subset(w.subset)} "
+                     f"core-minimum={format_rat(w.bound)}")
+    elif w is not None:
+        lines.append("witness exact core-empty")
     return lines
 
 

@@ -79,8 +79,10 @@ same integer core check as `minimum`'s, and the pool keeps one copy of each.
 value table, its core system and the full set's weighted cover, each built
 on first use and neither touching the other.  So `classify` and `credal`
 share one pool, `is_exact(nu)` and then `lower_envelope(core_polytope(nu))`
-solve each minimum once, each capacity solves its cover at most once, and
-`shared_core_nonempty` reads what the memo holds before it solves.  One
+solve each minimum once, and each capacity solves its cover at most once.
+`shared_core_nonempty` answers no from a solved cover above 1; otherwise the
+system's `require_solution` answers, so its warm minima start from a point
+of its own even after the cover proved the core nonempty.  One
 entry: a slot on `Capacity` would keep a pool for every capacity a search
 report holds, and more entries would let callers that cycle through a few
 capacities answer from pools filled by earlier calls.
@@ -525,17 +527,20 @@ def shared_full_cover(values) -> CoverMaximum:
 
 
 def shared_core_nonempty(values) -> bool:
-    """Whether the core of `values` is nonempty: a pooled point, else a solved
-    full-set cover, else `require_solution` answers.  An empty core then
-    solves the cover, whose family every caller reports."""
-    entry = _entry(values)
-    if entry.cover is None or entry.system is not None and entry.system._pool:
-        try:
-            shared_capacity_core(values).require_solution()
-            return True
-        except CoreEmpty:
-            pass
-    return shared_full_cover(values).value == ONE
+    """Whether the core of `values` is nonempty: a solved full-set cover of
+    value other than 1 says no, else `require_solution` answers.  An empty
+    core then solves the cover, whose family every caller reports; a cover
+    of value 1 there has a core point as its dual, a solver bug."""
+    cover = _entry(values).cover
+    if cover is not None and cover.value != ONE:
+        return False
+    try:
+        shared_capacity_core(values).require_solution()
+        return True
+    except CoreEmpty as exc:
+        if shared_full_cover(values).value == ONE:
+            raise InternalInconsistency("weighted-cover value 1 but the core is empty") from exc
+        return False
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ MAX_SUPPORT = 6
 MAX_JOBS = 64
 _REJECTION_CAP = 100_000
 
-REPORT_HEADER = "capax-report v2"
+REPORT_HEADER = "capax-report v3"
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,8 +103,10 @@ class SeedOutcome:
 
     @property
     def verified_counterexample(self) -> bool:
-        """A failing seed is listed only once `verify_counterexample` accepts
-        its record (`run_seed` raises otherwise), so every one is verified."""
+        """Always `not class_holds`: a failing seed is listed only once
+        `verify_counterexample` accepts its record (`run_seed` raises
+        otherwise).  Kept only because the benchmark's search workloads read
+        it, until they stop (ROADMAP item 1(a))."""
         return not self.class_holds
 
 
@@ -297,8 +299,7 @@ def machine_report(report: SearchReport) -> str:
     for o in report.counterexamples:
         tables, witness = _record(o.second_order, o.multiplied,
                                   _class_witness(o.report, cfg.target_class))
-        out.append(f"counterexample seed={o.seed} verified={yn(o.verified_counterexample)} "
-                   f"witness={witness}")
+        out.append(f"counterexample seed={o.seed} witness={witness}")
         out.extend(f"cx-support seed={o.seed} index={i} table={t}"
                    for i, t in enumerate(tables[:-2]))
         out.append(f"cx-game seed={o.seed} table={tables[-2]}")
@@ -316,8 +317,6 @@ def _class_witness(report: ClassReport, target_class: str):
 
 
 def _witness_text(w) -> str:
-    if w is None:
-        return "none"
     if hasattr(w, "subset"):
         return f"failing-subset={format_subset(w.subset)}"
     return "core-empty"

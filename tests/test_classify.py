@@ -34,7 +34,7 @@ from capax.credal import core_polytope, lower_envelope, random_credal
 from capax.errors import (ConfigOutOfRange, CoreEmpty, EmptySubset, GroundMismatch,
                           InternalInconsistency)
 from capax.ground import GroundSet
-from capax.lp import _tableau_py, solver
+from capax.lp import _tableau_py, cover_maximum, solver
 from capax.lp import core as core_module
 from capax.lp.core import CoreSystem, capacity_core
 from capax.monad import monad_mul
@@ -168,33 +168,38 @@ class TestBalanced:
         assert verdicts == ({True} if n == 1 else {True, False})
         assert calls == []
 
-    def test_core_witness_is_the_core_systems_certified_point(self):
+    def test_core_witness_is_the_full_set_covers_certified_dual(self):
         rng = SplitMix64(12)
+        verdicts = set()
         for trial in range(40):
             g = GroundSet(1 + trial % 5)
             nu = random_exact(g, rng) if trial % 2 else random_monotone(g, rng.next_u64(), 5)
             balanced, witness = is_balanced(nu)
-            try:
-                point = capacity_core(nu.values).minimum(0).point
-            except CoreEmpty:
-                assert not balanced and witness.violates(nu, g.full)
-                continue
-            assert balanced and witness.weights == point
-            assert classify_full(nu).core_witness == witness
+            cover = cover_maximum(nu.values, g.full)
+            if balanced:
+                assert cover.value == 1 and witness.weights == cover.point
+            else:
+                assert witness == BalancedFamily(cover.sets, cover.weights)
+                assert witness.violates(nu, g.full)
+            assert classify_full(nu).balanced_witness == witness
+            verdicts.add(balanced)
+        assert verdicts == {True, False}
 
     def test_routes_that_disagree_raise(self, nustar, monkeypatch):
+        # a value-1 cover has a core point as its dual, so a core system
+        # that then finds the core empty is a solver bug, whichever ran first
         def empty(self, subset):
             raise CoreEmpty("forced")
 
-        with monkeypatch.context() as m:
-            m.setattr(CoreSystem, "minimum", empty)
-            with pytest.raises(InternalInconsistency):
-                is_balanced(nustar)
-        original = classify.shared_full_cover
-        monkeypatch.setattr(classify, "shared_full_cover",
-                            lambda values: replace(original(values), value=F(1)))
+        monkeypatch.setattr(CoreSystem, "minimum", empty)
+        system = capacity_core(nustar.values)
+        assert not system.admit(system._marginal(0))  # so minimum(0) must answer
+        assert is_balanced(nustar)[0]  # the cover alone answers
         with pytest.raises(InternalInconsistency):
-            is_balanced(nine_tenths())
+            is_exact(nustar)
+        fresh = Capacity(g4, list(nustar.values))  # no cover solved yet
+        with pytest.raises(InternalInconsistency):
+            is_exact(fresh)
 
 
 class TestMinCoreValue:
@@ -301,11 +306,18 @@ class TestClassifyFull:
             assert (not c or e) and (not e or t) and (not t or b)
             assert verify_report(nu, report), trial
 
-    def test_malformed_witnesses_are_refused_not_raised(self):
+    def test_malformed_witnesses_are_refused_not_raised(self, nustar):
         nu = random_monotone(g3, 5, 4)
         report = classify_full(nu)
         assert not report.convex and verify_report(nu, report)
         assert not verify_report(nu, replace(report, convex_witness=None))
+        # no balancedness witness, or a family whose total v({0}) does not
+        # exceed v(X) = 1, on an unbalanced and on a balanced capacity
+        for game in (nu, nustar):
+            full = classify_full(game)
+            assert verify_report(game, full)
+            for w in (None, BalancedFamily((0b1,), (F(1),))):
+                assert not verify_report(game, replace(full, balanced_witness=w))
         # a member set, or the certified subset, off the three points
         assert not ExactnessGap(1, F(1), F(0), ((8, F(1)),)).verify(nu)
         assert not ExactnessGap(9, nu[1], F(0), ((1, F(1)),)).verify(nu)
@@ -320,7 +332,7 @@ class TestClassifyFull:
             report = classify_full(nu)
             assert cover_bounds.count(nu.ground.full) == 1
             balanced, balanced_w = is_balanced(nu)
-            assert (report.balanced, report.core_witness or report.unbalanced_witness) == \
+            assert (report.balanced, report.balanced_witness) == \
                 (balanced, balanced_w)
             assert (report.totally_balanced, report.tb_witness) == is_totally_balanced(nu)
             assert (report.exact, report.exact_witness) == is_exact(nu)

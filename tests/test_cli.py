@@ -74,7 +74,7 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--format", "machine", nustar_file)
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "capax-report v2"
+        assert lines[0] == "capax-report v3"
         assert lines[2] == "flags convex=no exact=no totally-balanced=no balanced=yes"
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
@@ -239,7 +239,7 @@ class TestSearchCommand:
                            "--k", "2", "--seeds", "0..0", "--out", tmp_path / "run")
         assert code == 0
         report = (tmp_path / "run.report").read_text()
-        assert report.splitlines()[0] == "capax-report v2"
+        assert report.splitlines()[0] == "capax-report v3"
         assert sum(1 for l in report.splitlines() if l.startswith("result seed=")) == 1
         assert (tmp_path / "run.log").exists()
 

@@ -1,11 +1,12 @@
 """One answer to "is the core nonempty?".
 
-`lp.core.shared_core_nonempty` reads, in order, a pooled certified point, a
-solved full-set cover and, for a capacity's core, the identity ordering's
-marginal vector; it solves `minimum(0)` only when none of them answers, and
-the full-set cover only for an empty core.  The routes differ in cost only:
-no flag and no witness may depend on which one answered, or on what earlier
-calls left in the pool.
+`is_balanced` reads the full-set cover alone.  `lp.core.shared_core_nonempty`
+answers no from a solved full-set cover above 1; otherwise it reads, in
+order, a pooled certified point and, for a capacity's core, the identity
+ordering's marginal vector, and solves `minimum(0)` only when neither
+answers, and the full-set cover only for an empty core.  The routes differ
+in cost only: no flag and no witness may depend on which one answered, or
+on what earlier calls left in the pool.
 """
 
 from fractions import Fraction as F
@@ -35,9 +36,12 @@ PREDICATES = {"balanced": is_balanced, "exact": is_exact, "totally_balanced": is
 @pytest.fixture
 def lps(monkeypatch, cover_bounds):
     """Every LP solved from then on: the bound of each weighted cover, the
-    subset of each cold core minimum, and one entry per warm minimum."""
-    log = SimpleNamespace(covers=cover_bounds, minima=[], warm=[])
-    minimum, dual = CoreSystem.minimum, core_module._dual
+    subset of each cold core minimum, and one entry per warm minimum; and the
+    table of each shared core system built."""
+    log = SimpleNamespace(covers=cover_bounds, minima=[], warm=[], systems=[])
+    minimum, dual, build = CoreSystem.minimum, core_module._dual, core_module.capacity_core
+    monkeypatch.setattr(core_module, "capacity_core",
+                        lambda values: log.systems.append(values) or build(values))
     monkeypatch.setattr(CoreSystem, "minimum",
                         lambda self, subset: log.minima.append(subset) or minimum(self, subset))
     monkeypatch.setattr(core_module, "_dual",
@@ -96,6 +100,15 @@ class TestRoutes:
         balanced, family = is_balanced(nu)
         assert not balanced and family.violates(nu, nu.ground.full)
         assert solved(lps) == ([nu.ground.full], [], [])
+        assert lps.systems == []
+
+    @pytest.mark.parametrize("make", [lambda: random_convex_mixture(g3, 2, 3), balanced_not_convex],
+                             ids=["convex", "balanced"])
+    def test_balanced_is_balanced_solves_one_cover(self, lps, make):
+        nu = make()
+        balanced, mu = is_balanced(nu)
+        assert solved(lps) == ([g3.full], [], []) and lps.systems == []
+        assert balanced and mu.weights == cover_maximum(nu.values, g3.full).point
 
     def test_classify_full_of_the_unbalanced_game_solves_only_the_cover(self, lps):
         nu = unbalanced_game()
@@ -103,6 +116,13 @@ class TestRoutes:
         assert report.flags() == (False, False, False, False)
         assert verify_report(nu, report)
         assert solved(lps) == ([g3.full], [], [])
+
+    def test_classify_full_of_a_convex_capacity_solves_only_the_cover(self, lps):
+        nu = random_convex_mixture(GroundSet(5), 7, 4)
+        report = classify_full(nu)
+        assert report.flags() == (True, True, True, True)
+        assert verify_report(nu, report)
+        assert solved(lps) == ([nu.ground.full], [], [])
 
     @pytest.mark.parametrize("make, nonempty, alone", [
         (balanced_not_convex, True, ([], [0], [])),
@@ -119,7 +139,10 @@ class TestRoutes:
         lps.covers.clear()
         lps.minima.clear()
         assert is_balanced(nu)[0] is nonempty
-        after = ([g3.full], [0] if nonempty else [], [])
+        assert solved(lps) == ([g3.full], [], [])
+        # a cover above 1 answers; at 1 the system proves it by its own point
+        after = ([g3.full], alone[1] if nonempty else [], [])
+        assert shared_core_nonempty(nu.values) is nonempty
         assert solved(lps) == after
         assert shared_core_nonempty(nu.values) is nonempty
         assert solved(lps) == after
@@ -156,7 +179,7 @@ class TestOracle:
                 copy = fresh(nu)
                 assert {name: PREDICATES[name](copy) for name in order} == alone, (nu, order)
             report = classify_full(fresh(nu))
-            assert (report.balanced, report.core_witness or report.unbalanced_witness) == \
+            assert (report.balanced, report.balanced_witness) == \
                 alone["balanced"], nu
             assert (report.exact, report.exact_witness) == alone["exact"], nu
             assert (report.totally_balanced, report.tb_witness) == alone["totally_balanced"], nu

@@ -367,10 +367,10 @@ class TestSharedChecksAgreeWithFractionReference:
         report = classify_full(nu)
         if not report.balanced:
             return
-        w = list(report.core_witness.weights)
+        w = list(report.balanced_witness.weights)
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         step = min(w[i], F(1, _den(*w)))
         w[i] -= step
         w[j] += step
         mu = Measure(GroundSet(n), w)
-        assert verify_report(nu, replace(report, core_witness=mu)) == fraction_core_witness(mu, nu)
+        assert verify_report(nu, replace(report, balanced_witness=mu)) == fraction_core_witness(mu, nu)

@@ -13,6 +13,12 @@ The report-v2 bump re-recorded four pins at once: balancedness now takes its
 core witness from the core system's `minimum(0)`, which moves the core
 measures in the core and total balancedness digests, and both search reports
 differ from v1 in their header line only.  The selftest pin did not move.
+
+The report-v3 bump re-recorded the same four: the core witness is now the
+full-set cover's certified dual point, and a `ClassReport` holds its four
+witnesses alone, which moves the core and total balancedness digests (no
+exactness or total balancedness witness moved); both search reports lose
+the `verified=` field of their counterexample records beside the header.
 """
 
 import contextlib
@@ -29,11 +35,11 @@ from capax.ground import GroundSet, subset_indices
 from capax.rng import SplitMix64
 from capax.search import SearchConfig, machine_report, problem1_search
 
-SEARCH_SHA256 = "48302ebbf5f8cf84d907ce57881dc8ba791c2a28740d2773bd55d24e31ca6a9b"
-TB_SEARCH_SHA256 = "7867206650622f094ef88d07c4fbd0185149a19b16ce8850bb808e29329e216e"
+SEARCH_SHA256 = "a37e29b43352b94df65df7347ed1bb24fc114d8533e9e0ca469f5dfef49f23d4"
+TB_SEARCH_SHA256 = "4910c5bea00f8f545991aabc39b7855a37fa4cf991360ae60d7397fbc38c5aaa"
 SELFTEST_SHA256 = "110455ba5c36cc70cf2730798aa2414e3c16adfcab4dbb342846a8840bb78f19"
-CORE_SHA256 = "029f04355e505400ae97aacb9d0ac662a34d9f4942bc2c6c868f7e3caf3b6be5"
-TB_SHA256 = "bc0be8220fcd0e7d4311c12ff0d1648c901a3b2293f119b076ade2c9643e846b"
+CORE_SHA256 = "793cd4ea2bad28917645f2bd37620d1d94b691c59ceb3c6553f0cd02e6301579"
+TB_SHA256 = "ac15ee9882031788d461e1b09daa9b45d16f246d985b10f90b393f582b9fa52e"
 
 
 def _sha256(text: str) -> str:

@@ -525,7 +525,7 @@ class TestReportFormat:
         report = problem1_search(small_config(seed_end=2))
         text = machine_report(report)
         lines = text.splitlines()
-        assert lines[0] == "capax-report v2"
+        assert lines[0] == "capax-report v3"
         assert lines[1].startswith("config command=search class=exact n=3 k=2 seeds=0..2")
         assert sum(1 for l in lines if l.startswith("result seed=")) == 3
         assert lines[-1].startswith(("summary", "note"))
