@@ -335,16 +335,16 @@ def verify_report(nu: Capacity, report: ClassReport) -> bool:
     convex_scan, _ = is_convex(nu)  # combinatorial, no LP
     if report.convex != convex_scan:
         return False
-    if not report.convex and not report.convex_witness.verify(nu):
-        return False
+    failures = (report.convex_witness, ConvexityViolation), (report.tb_witness, TotalBalanceFailure)
+    for w, kind in failures:
+        if w is not None and not (isinstance(w, kind) and w.verify(nu)):
+            return False
     w = report.balanced_witness
     if isinstance(w, Measure):
         rows = [(a, 1, v.numerator, v.denominator) for a, v in enumerate(nu.values)]
         if w.ground != nu.ground or point_masses(w.weights, rows) is None:
             return False
     elif not isinstance(w, BalancedFamily) or not w.violates(nu, nu.ground.full):
-        return False
-    if not report.totally_balanced and not report.tb_witness.verify(nu):
         return False
     w = report.exact_witness
     if isinstance(w, BalancedFamily):

@@ -7,15 +7,17 @@ the subset.  The only scalar type is `fractions.Fraction`, re-exported as
 
 Every capax certificate is a point whose subset masses must meet bounds, or
 a weighted family of subsets whose per-point loads must stay under caps.
-`point_masses` and `family_total` check the two in integers over one common
-denominator, and leave each caller only its own sign and equality rules.
+`scaled_masses` (with `point_masses`, its front end for Fractions) and
+`family_total` check the two in integers over one common denominator, and
+leave each caller only its own sign and equality rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import gt
 from typing import Iterator
 
 from .errors import GroundMismatch
@@ -101,18 +103,24 @@ def subset_sums(ints) -> list[int]:
 
 
 def point_masses(x, rows=()):
-    """The mass check: (den, mass) with mass[S] = den * x(S) for every subset
-    code S of the points of x, den the common denominator of x, when x >= 0
-    and sign * x(A) >= num / bden for every (A, sign, num, bden) in `rows`;
-    else None."""
+    """`scaled_masses` of a point of Fractions, over their common denominator."""
     den = lcm(*(q.denominator for q in x))
-    ints = [q.numerator * (den // q.denominator) for q in x]
+    return scaled_masses([q.numerator * (den // q.denominator) for q in x], den, rows)
+
+
+def scaled_masses(ints, den: int, rows=(), floor=()):
+    """The mass check of x = ints / den: (den, mass) with mass[S] = den * x(S)
+    for every subset code S, in lowest terms so equal points give equal tables,
+    when x >= 0, mass >= floor entrywise and sign * x(A) >= num / bden for
+    every (A, sign, num, bden) in `rows`; else None."""
     if any(v < 0 for v in ints):
         return None
     mass = subset_sums(ints)
-    if any(sign * mass[a] * bden < num * den for a, sign, num, bden in rows):
+    if any(map(gt, floor, mass)) or \
+            any(sign * mass[a] * bden < num * den for a, sign, num, bden in rows):
         return None
-    return den, mass
+    g = gcd(den, *ints)
+    return (den, mass) if g == 1 else (den // g, [v // g for v in mass])
 
 
 def family_total(n: int, sets, weights, cap: int, costs=None, shift=ZERO):

@@ -68,12 +68,15 @@ raised.  The weighted cover is always feasible and bounded.
 
 `attains(B)` answers the common question "is min x(B) equal to the bound of
 B?" without an LP whenever it can: one core point x with x(B) = b_B proves it,
-since every core point has x(B) >= b_B.  The points it looks at come from
-three sources: those `minimum` has certified; for the core of a capacity,
-the marginal vector of the ordering that starts with B's points, which lies
-in the core of every convex capacity (Shapley, "Cores of convex games", IJGT
-1971); and those handed to `admit`.  A point counts only after it passes the
-same integer core check as `minimum`'s, and the pool keeps one copy of each.
+since every core point has x(B) >= b_B.  It looks at the points `minimum` has
+certified, those handed to `admit` and, for the core of a capacity, the
+marginal vector of the ordering that starts with B's points, which lies in
+the core of every convex capacity (Shapley, "Cores of convex games", IJGT
+1971).  That vector is built on one integer scale: a floor table holds L b_A
+(L the lcm of the denominators), so x_j is a difference of two entries and
+its core check one comparison per subset.  Every point passes the integer
+core check of `capax.ground`, which gives its mass table in lowest terms, so
+the pool keeps one copy of each point whichever route found it.
 
 `shared_capacity_core` and `shared_full_cover` read a one-entry memo: a
 value table, its core system and the full set's weighted cover, each built
@@ -95,7 +98,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import ConfigOutOfRange, CoreEmpty, GroundMismatch, InternalInconsistency, ShapeMismatch
-from ..ground import ONE, ZERO, family_total, point_masses, subset_indices, subset_sums
+from ..ground import ONE, ZERO, family_total, point_masses, scaled_masses, subset_indices, subset_sums
 from . import _tableau_py
 
 MAX_POINTS = 10  # a full classification takes seconds at 10 points, minutes at 11
@@ -268,7 +271,7 @@ class CoreMinimum:
 class CoreSystem:
     """{x >= 0, x(X) = 1, x(A) >= bounds[i] for A = masks[i]} over n points."""
 
-    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_complete", "_pool", "_warm")
+    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_floor", "_pool", "_warm")
 
     def __init__(self, n: int, masks, bounds):
         masks = tuple(masks)
@@ -295,8 +298,13 @@ class CoreSystem:
             columns.append((a, 1, num, den))
             if a not in top or b > top[a][0]:
                 top[a] = (b, num, den)
-        # every proper nonempty subset bounded: the core of a capacity
-        self._complete = sum(a != (1 << n) - 1 for a in top) == (1 << n) - 2
+        # every proper nonempty subset bounded, X by at most 1: the core of a
+        # capacity, whose floor table holds L b_A for each such A (L the lcm of
+        # their denominators), 0 at the empty set and L at X
+        self._floor = None
+        if len(top) - (full in top) == full - 1 and top.get(full, (ONE,))[0] <= 1:
+            scale = lcm(*(top[a][2] for a in range(1, full)))
+            self._floor = [0, *(top[a][1] * (scale // top[a][2]) for a in range(1, full)), scale]
         # (den, mass) of every certified core point, mass[S] = den * x(S)
         self._pool: list[tuple[int, list[int]]] = []
         # the last optimal tableau, at most one; taken by pop, so no two
@@ -357,8 +365,8 @@ class CoreSystem:
 
     def require_solution(self) -> None:
         """Raise CoreEmpty if unsolvable: a pooled point, then (for a capacity's
-        core) the identity's marginal vector if admitted, else `minimum(0)`."""
-        if not self._pool and not (self._complete and self.admit(self._marginal(0))):
+        core) the identity's marginal vector if in the core, else `minimum(0)`."""
+        if not self._pool and self._marginal(0) is None:
             self.minimum(0)
 
     def admit(self, point) -> bool:
@@ -383,9 +391,8 @@ class CoreSystem:
 
         False only means no such point is known (or subset carries no bound):
         ask `minimum`.  Tries the certified points first, then, when every
-        proper nonempty subset is bounded, the marginal vector of the
-        ordering "subset's points ascending, then the rest", which joins the
-        certified points once it passes the core check.
+        proper nonempty subset is bounded, `_marginal(subset)`, which joins
+        the certified points once it passes the core check.
         """
         top = self._top.get(subset)
         if top is None:
@@ -394,30 +401,25 @@ class CoreSystem:
         for den, mass in self._pool:
             if mass[subset] * bden == num * den:
                 return True
-        if not self._complete:
-            return False
-        table = self._core_mass(self._marginal(subset))
-        if table is None:
-            return False
-        self._pool_add(table)
-        den, mass = table
-        return mass[subset] * bden == num * den
+        table = self._marginal(subset)
+        return table is not None and table[1][subset] * bden == num * table[0]
 
-    def _marginal(self, subset: int) -> list[Fraction]:
-        """x_j = b(S + j) - b(S) along the ordering "subset's points ascending,
-        then the rest", with b(empty) = 0 and b(X) = 1; so x(subset) = b(subset)."""
-        n = self.n
-        full = (1 << n) - 1
-        order = [j for j in range(n) if subset >> j & 1] + \
-                [j for j in range(n) if not subset >> j & 1]
-        x = [ZERO] * n
-        prefix, before = 0, ZERO
-        for j in order:
+    def _marginal(self, subset: int):
+        """The pooled core mass table of the marginal vector of the ordering
+        "subset's points ascending, then the rest", or None (outside the core,
+        or no floor table): x_j = floor[S + j] - floor[S], S the points before
+        j, so x(subset) = b(subset), x(X) = 1 and the check needs no Fraction."""
+        floor = self._floor
+        if floor is None:
+            return None
+        x, prefix = [0] * self.n, 0
+        for j in sorted(range(self.n), key=lambda j: not subset >> j & 1):
+            x[j] = floor[prefix | 1 << j] - floor[prefix]
             prefix |= 1 << j
-            after = ONE if prefix == full else self._top[prefix][0]
-            x[j] = after - before
-            before = after
-        return x
+        table = scaled_masses(x, floor[-1], floor=floor)
+        if table is not None:
+            self._pool_add(table)
+        return table
 
     def certifies(self, subset: int, best: CoreMinimum) -> bool:
         """Exact check that `best` is optimal for x(subset); never solves."""

@@ -13,7 +13,9 @@ capax computed it before integer mass tables, the superadditivity screen
 over a whole grid table and the monad multiplication's Fraction breakpoint
 walk, as capax ran both before the fused draw and the integer walk, and the
 core minimum and weighted cover on the dense tableau of every column, as
-capax pivoted them before the revised loop.  These
+capax pivoted them before the revised loop, and the marginal vectors of a
+core system by Fraction differences, as capax built them before the
+integer floor table.  These
 re-derive the quantities the package
 computes through simplex pivots or breakpoint walks, by slower but
 structurally unrelated means.  Then the seeded tables and explicit core
@@ -287,6 +289,26 @@ def dense_cover_maximum(values, bound: int) -> CoverMaximum:
         point[j] = -reduced[k + i]
     return CoverMaximum(value=tab.value(), sets=tuple(a for a, w in zip(members, lam) if w),
                         weights=tuple(w for w in lam if w), point=tuple(point))
+
+
+def fraction_marginal(system: CoreSystem, subset: int) -> list[Fraction]:
+    """x_j = b(S + j) - b(S) along the ordering "subset's points ascending,
+    then the rest", S the points before j, b(A) the largest bound on A, with
+    b(empty) = 0 and b(X) = 1; so x(subset) = b(subset).  Every proper
+    nonempty subset of the system must carry a bound."""
+    n = system.n
+    full = (1 << n) - 1
+    order = [j for j in range(n) if subset >> j & 1] + \
+            [j for j in range(n) if not subset >> j & 1]
+    x = [ZERO] * n
+    prefix, before = 0, ZERO
+    for j in order:
+        prefix |= 1 << j
+        after = ONE if prefix == full else \
+            max(b for a, b in zip(system.masks, system.bounds) if a == prefix)
+        x[j] = after - before
+        before = after
+    return x
 
 
 def capacity_tables(n, rng):

@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from oracles import convex_all_pairs
+from oracles import convex_all_pairs, fraction_marginal
 
 from capax.capacity import (
     BalancedFamily,
@@ -193,7 +193,7 @@ class TestBalanced:
 
         monkeypatch.setattr(CoreSystem, "minimum", empty)
         system = capacity_core(nustar.values)
-        assert not system.admit(system._marginal(0))  # so minimum(0) must answer
+        assert not system.admit(fraction_marginal(system, 0))  # so minimum(0) must answer
         assert is_balanced(nustar)[0]  # the cover alone answers
         with pytest.raises(InternalInconsistency):
             is_exact(nustar)
@@ -323,6 +323,17 @@ class TestClassifyFull:
         assert not ExactnessGap(9, nu[1], F(0), ((1, F(1)),)).verify(nu)
         assert not TotalBalanceFailure(8, BalancedFamily((8,), (F(1),))).verify(nu)
         assert not TotalBalanceFailure(9, BalancedFamily((1,), (F(1),))).verify(nu)
+
+    @pytest.mark.parametrize("field, witness", [
+        ("tb_witness", BalancedFamily((1,), (1,))),
+        ("convex_witness", Measure(g3, (1, 0, 0))),
+    ])
+    def test_wrong_typed_witness_is_refused_not_raised(self, field, witness):
+        # not convex and not totally balanced, so both witnesses are read
+        nu = new_capacity(g3, {a: F(1, 2) for a in g3.proper_nonempty_subsets()})
+        report = classify_full(nu)
+        assert not report.convex and not report.totally_balanced and verify_report(nu, report)
+        assert not verify_report(nu, replace(report, **{field: witness}))
 
     def test_full_set_cover_solved_once(self, nustar, cover_bounds):
         rng = SplitMix64(5)

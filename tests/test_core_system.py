@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (capacity_tables, core_vertices, dualized_core_min, explicit_system,
-                     reference_is_exact)
+                     fraction_marginal, reference_is_exact)
 
 from capax.capacity import (
     Capacity,
@@ -25,7 +25,7 @@ from capax.classify import (ExactnessGap, classify_full, is_exact, is_totally_ba
                             min_core_value)
 from capax.credal import CredalSet, core_polytope, lower_envelope, random_credal
 from capax.errors import CoreEmpty, GroundMismatch, InfeasibleCredal, InternalInconsistency
-from capax.ground import GroundSet
+from capax.ground import GroundSet, point_masses
 from capax.lp import CoreSystem, cover_maximum
 from capax.lp import core as core_module
 from capax.lp.core import capacity_core, shared_capacity_core, shared_full_cover
@@ -317,7 +317,7 @@ class TestAttains:
                 continue
             assert isinstance(gap, ExactnessGap)
             system = core_of(nu)
-            x = system._marginal(gap.subset)
+            x = fraction_marginal(system, gap.subset)
             assert sum(x[j] for j in range(4) if gap.subset >> j & 1) == nu[gap.subset]
             assert not system.attains(gap.subset)
             assert system._pool == []
@@ -355,6 +355,87 @@ class TestAttains:
             for subset in masks:
                 assert envelope[subset] == dualized_core_min(n, masks, bounds, subset)[0]
         assert False in verdicts
+
+
+class TestIntegerMarginal:
+    """`_marginal` builds each marginal vector on the floor table's integer
+    scale; its table is the one `point_masses` gives the Fraction vector, or
+    both refuse the vector."""
+
+    @staticmethod
+    def assert_same_tables(system):
+        """Both routes on every subset; returns (refused, reduced): whether
+        some vector left the core, and whether some table came out in lower
+        terms than the floor table's scale."""
+        refused = reduced = False
+        for subset in range(1 << system.n):
+            table = system._marginal(subset)
+            assert table == point_masses(fraction_marginal(system, subset), system._columns), \
+                (system.masks, system.bounds, subset)
+            refused |= table is None
+            reduced |= table is not None and table[0] < system._floor[-1]
+        return refused, reduced
+
+    def test_capacity_cores(self):
+        # monotone (mostly empty cores from 4 points), convex, credal envelopes
+        rng = SplitMix64(70)
+        seen = set()
+        for n in range(1, 7):
+            for _ in range(3):
+                for values in capacity_tables(n, rng):
+                    seen.add(self.assert_same_tables(capacity_core(values)))
+        assert {refused for refused, _ in seen} == {True, False}
+        assert {reduced for _, reduced in seen} == {True, False}
+
+    def test_non_monotone_bounds_refuse_negative_coordinates(self):
+        # b({0}) = 5/4 > 1 = b(X): x = (5/4, -1/4) meets both bounds, and only
+        # its sign keeps it out
+        system = CoreSystem(2, [0b01, 0b10], [F(5, 4), F(-1)])
+        assert fraction_marginal(system, 0) == [F(5, 4), F(-1, 4)]
+        assert self.assert_same_tables(system)[0]
+        assert system._marginal(0) is None
+        rng = SplitMix64(71)
+        negative = False
+        for n in range(1, 6):
+            full = (1 << n) - 1
+            for _ in range(4):
+                masks = shuffled(range(1, full), rng)
+                system = CoreSystem(n, masks, [F(rng.next_below(9) - 2, 8) for _ in masks])
+                self.assert_same_tables(system)
+                negative |= any(min(fraction_marginal(system, s)) < 0 for s in range(full + 1))
+        assert negative
+        # a bound above 1 on X empties the core: no marginal vector is tried
+        system = CoreSystem(2, [0b01, 0b10, 0b11], [F(0), F(0), F(3, 2)])
+        assert system._floor is None and not self.assert_same_tables(system)[1]
+
+    @pytest.mark.parametrize("larger_first", [False, True])
+    def test_duplicated_masks_use_the_larger_bound(self, larger_first):
+        rng = SplitMix64(72)
+        for n in (2, 3, 4):
+            nu = random_convex_mixture(GroundSet(n), rng.next_u64(), 4)
+            masks, bounds = [], []
+            for a in nu.ground.proper_nonempty_subsets():
+                pair = [nu[a], nu[a] / 2 - F(1, 8)]
+                masks += [a, a]
+                bounds += pair if larger_first else pair[::-1]
+            refused, _ = self.assert_same_tables(CoreSystem(n, masks, bounds))
+            assert not refused  # convex: every marginal vector lies in the core
+
+    def test_minimum_equal_to_a_pooled_marginal_vector_is_pooled_once(self):
+        # a certified optimum and an earlier marginal vector at the same point
+        # share one table, also where the marginal table was reduced
+        same_points = reduced = 0
+        for seed in range(8):
+            nu = random_convex_mixture(GroundSet(3), seed, 3)
+            for subset in nu.ground.proper_nonempty_subsets():
+                system = capacity_core(nu.values)
+                assert system.attains(subset) and len(system._pool) == 1
+                den, _ = marginal = system._pool[0]
+                same = point_masses(system.minimum(subset).point) == marginal
+                assert len(system._pool) == 2 - same
+                same_points += same
+                reduced += same and den < system._floor[-1]
+        assert same_points > reduced > 0
 
 
 class TestLpCounts:
