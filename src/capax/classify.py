@@ -19,12 +19,11 @@ tests compare against.
 
 The predicates share the one-entry memo of `lp.core`: a capacity's core
 system and full-set cover, each solved at most once.  `is_exact` and
-`is_totally_balanced` ask `shared_core_nonempty`, which reads a solved cover
-first, and solve the cover only for an empty core, whose family is their
-witness.  A certified core point x with x(B) = v(B) settles B for exactness
-and total balancedness: min mu(B) over the core is v(B), and x restricted to
-B is in the core of the subgame on B, so B's cover value is v(B) and B needs
-no LP.
+`is_totally_balanced` read a solved cover first, and solve the cover only
+for an empty core, whose family is their witness.  A certified core point x
+with x(B) = v(B) settles B for exactness and total balancedness: min mu(B)
+over the core is v(B), and x restricted to B is in the core of the subgame
+on B, so B's cover value is v(B) and B needs no LP.
 """
 
 from __future__ import annotations
@@ -33,11 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import BalancedFamily, Capacity, Measure
-from .errors import EmptySubset, InternalInconsistency
+from .errors import CoreEmpty, EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, family_total, point_masses, subset_indices
 from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
-from .lp.core import check_points, shared_capacity_core, shared_core_nonempty, shared_full_cover
+from .lp.core import (check_points, shared_capacity_core, shared_core_nonempty, shared_full_cover,
+                      solved_full_cover)
 # solve_dualized stays importable here for tools that hook LP solves per module
 from .lp.solver import solve, solve_dualized  # noqa: F401
 
@@ -257,20 +257,26 @@ def is_exact(nu: Capacity):
     core is empty.  The empty and full sets are attained and skipped.
 
     A convex capacity runs no LP at all.  A subset whose bound some certified
-    core point attains needs no LP; the rest get a warm minimum (`least`).
-    The first that falls short is solved again by a cold `minimum`, whose
+    core point attains needs no LP; the rest get a warm minimum (`least`),
+    the first cold: it refutes an empty core that no solved cover has.  The
+    first that falls short is solved again by a cold `minimum`, whose
     certificate becomes the witness, so it does not depend on the history.
     """
-    if not shared_core_nonempty(nu.values):
-        cover = shared_full_cover(nu.values)
-        return False, BalancedFamily(cover.sets, cover.weights)
-    system = shared_capacity_core(nu.values)
-    for subset in nu.ground.proper_nonempty_subsets():
-        if system.least(subset) != nu[subset]:
-            best = system.minimum(subset)
-            coeffs = tuple((a, w) for a, w in zip(system.masks, best.multipliers) if w != 0)
-            return False, ExactnessGap(subset, best.value, best.shift, coeffs)
-    return True, None
+    cover = solved_full_cover(nu.values)
+    if cover is None or cover.value == ONE:
+        system = shared_capacity_core(nu.values)
+        try:
+            for subset in nu.ground.proper_nonempty_subsets():
+                if system.least(subset) != nu[subset]:
+                    best = system.minimum(subset)
+                    coeffs = tuple((a, w) for a, w in zip(system.masks, best.multipliers) if w != 0)
+                    return False, ExactnessGap(subset, best.value, best.shift, coeffs)
+            return True, None
+        except CoreEmpty as exc:
+            cover = shared_full_cover(nu.values)
+            if cover.value == ONE:
+                raise InternalInconsistency("weighted-cover value 1 but the core is empty") from exc
+    return False, BalancedFamily(cover.sets, cover.weights)
 
 
 def is_totally_balanced(nu: Capacity):
@@ -285,9 +291,9 @@ def is_totally_balanced(nu: Capacity):
     larger B below the full set holds when a certified core point x has
     x(B) = v(B): x restricted to B is in the core of the subgame on B, so its
     cover value is v(B).  The shared core system's `attains` decides that
-    once `shared_core_nonempty` shows the core nonempty, which settles the
-    full set too.  Every other subset, each failing one among them, gets its
-    LP, so the first failure and its family are the LP's.
+    once `shared_core_nonempty` shows the core nonempty, and the full set
+    when it `has_point`.  Every other subset, each failing one among them,
+    gets its LP, so the first failure and its family are the LP's.
     """
     values = nu.values
     full = nu.ground.full
@@ -299,8 +305,10 @@ def is_totally_balanced(nu: Capacity):
         if not rest & (rest - 1):
             if values[low] + values[rest] <= values[subset]:
                 continue
-        elif shared_core_nonempty(values) and \
-                (subset == full or shared_capacity_core(values).attains(subset)):
+        elif subset == full:
+            if solved_full_cover(values) is None and shared_capacity_core(values).has_point():
+                continue
+        elif shared_core_nonempty(values) and shared_capacity_core(values).attains(subset):
             continue
         best = shared_full_cover(values) if subset == full else cover_maximum(values, subset)
         if best.value != values[subset]:

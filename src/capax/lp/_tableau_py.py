@@ -47,6 +47,13 @@ class Tableau:
         self.dens.append([1] * (self.ncols + 1))
         self.basis = list(basis)
 
+    def copy(self) -> "Tableau":
+        """An independent tableau with the same cells and basis."""
+        tab = Tableau.__new__(type(self))
+        tab.m, tab.ncols, tab.basis = self.m, self.ncols, list(self.basis)
+        tab.nums, tab.dens = [r[:] for r in self.nums], [r[:] for r in self.dens]
+        return tab
+
     def set_objective(self, costs):
         """Install reduced costs c_j - sum_i c_basis[i] * a_ij for a new phase."""
         m, ncols = self.m, self.ncols

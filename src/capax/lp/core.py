@@ -40,31 +40,30 @@ core system) returns.  An iteration costs O(m^2) for the pivot plus one
 pass over the 2^m walk and the columns, where the full tableau's pivot
 touched m rows of every column.
 
-`CoreSystem.minimum` always starts cold, from the slack basis.  The minima
-that `least` asks for (and through it `is_exact` and the core envelopes)
-start warm instead.  From one subset B to the next only the right-hand
-side [j in B] changes; the reduced costs do not depend on it.  So the last
-optimal basis stays dual feasible (pi is a core point), and Lemke's dual
-simplex ("The dual method of solving the linear programming problem", NRLQ
-1954) goes on from it: B^-1 r is written into the rhs column in place, and a
-row with a negative entry leaves (`_dual`).  The system keeps that one
-tableau (`_warm`) and pivots it again on the next call; the first is its
-own first optimum, cold.  Values are unique, so a warm minimum equals a cold
-one; only the optimal point may differ, and it is certified and pooled the
-same way.
+`CoreSystem.minimum` always starts cold, from the slack basis; the minima
+`least` asks for (`is_exact`, the core envelopes) start warm.  Only the
+right-hand side [j in B] depends on B, so every optimal basis stays dual
+feasible (pi is a core point), and Lemke's dual simplex ("The dual method
+of solving the linear programming problem", NRLQ 1954) goes on from it:
+B^-1 r is written into the rhs column, and a row with a negative entry
+leaves (`_dual`).  Each certified optimum's tableau is stored beside its
+point's mass table (`_warm`); a warm minimum starts from a copy of the one
+with the least x(B).  Values are unique, so it equals a cold one; it is
+certified on its basis alone and answers with its value only.
 
 Every pivot loop records the bases it visits and raises
 `InternalInconsistency` on a repeat, so a kernel fault cannot cycle.
 
 Each outcome is checked once, in integers, before it leaves, by the two
 checks of `capax.ground` that every capax certificate uses: `family_total`
-(the primal weights are nonnegative and load no point beyond its right-hand
-side) and `point_masses` (the point read from the slack reduced costs meets
-every bound, on all subset masses at once by one prefix walk); and the two
-objective values agree.  A failed check raises `InternalInconsistency`
-(a solver bug, never data).  An unbounded core-system dual means an empty
-core; its ray is checked as a Farkas certificate before `CoreEmpty` is
-raised.  The weighted cover is always feasible and bounded.
+(the primal weights, the basic ones of a warm optimum, are nonnegative and
+load no point beyond its right-hand side) and `scaled_masses` (the point
+read from the slack reduced costs meets every bound, on all subset masses at
+once by one prefix walk); and the two objective values agree.  A failed
+check raises `InternalInconsistency` (a solver bug, never data).  An
+unbounded core-system dual means an empty core; its ray is checked as a
+Farkas certificate before `CoreEmpty` is raised.  The weighted cover is
+always feasible and bounded.
 
 `attains(B)` answers the common question "is min x(B) equal to the bound of
 B?" without an LP whenever it can: one core point x with x(B) = b_B proves it,
@@ -83,12 +82,11 @@ value table, its core system and the full set's weighted cover, each built
 on first use and neither touching the other.  So `classify` and `credal`
 share one pool, `is_exact(nu)` and then `lower_envelope(core_polytope(nu))`
 solve each minimum once, and each capacity solves its cover at most once.
-`shared_core_nonempty` answers no from a solved cover above 1; otherwise the
-system's `require_solution` answers, so its warm minima start from a point
-of its own even after the cover proved the core nonempty.  One
-entry: a slot on `Capacity` would keep a pool for every capacity a search
-report holds, and more entries would let callers that cycle through a few
-capacities answer from pools filled by earlier calls.
+`shared_core_nonempty` answers no from a solved cover above 1, else by
+`require_solution`.  One entry: a slot on `Capacity` would keep a pool for
+every capacity a search report holds, and more entries would let callers
+that cycle through a few capacities answer from pools filled by earlier
+calls.
 """
 
 from __future__ import annotations
@@ -307,8 +305,7 @@ class CoreSystem:
             self._floor = [0, *(top[a][1] * (scale // top[a][2]) for a in range(1, full)), scale]
         # (den, mass) of every certified core point, mass[S] = den * x(S)
         self._pool: list[tuple[int, list[int]]] = []
-        # the last optimal tableau, at most one; taken by pop, so no two
-        # threads pivot the same one
+        # ((den, mass), tableau) per certified optimal point, in order found; only ever copied
         self._warm: list = []
 
     def minimum(self, subset: int) -> CoreMinimum:
@@ -326,18 +323,19 @@ class CoreSystem:
         return self._top[subset][0] if self.attains(subset) else self._warm_minimum(subset)
 
     def _warm_minimum(self, subset: int) -> Fraction:
-        """min x(subset) by the dual simplex from the last optimal tableau,
-        whose basis stays dual feasible, since only the right-hand side [j in
-        subset] changes; a cold `minimum` when there is none yet."""
+        """min x(subset) by the dual simplex from a copy of the stored optimum of
+        least x(subset), ties to the earliest, or by a cold `minimum` if none is stored."""
         self._check_code(subset)
-        try:
-            tab = self._warm.pop()
-        except IndexError:
+        start = None
+        for (den, mass), tab in self._warm:
+            if start is None or mass[subset] * best[0] < best[1][subset] * den:
+                start, best = tab, (den, mass)
+        if start is None:
             return self.minimum(subset).value
-        n = self.n
+        tab, n = start.copy(), self.n
         _load(tab, subset_indices(subset), n + 1, 1, range(n + 1))  # B^-1 r, and -pi(r)
         _dual(tab, self._columns)
-        return self._optimum(subset, tab).value
+        return self._basic_value(subset, tab)
 
     def _check_code(self, subset: int) -> None:
         if not 0 <= subset < 1 << self.n:
@@ -345,7 +343,7 @@ class CoreSystem:
 
     def _optimum(self, subset: int, tab) -> CoreMinimum:
         """Read the minimum of x(subset) off an optimal tableau, certify and
-        pool it; the tableau becomes the warm one."""
+        pool it, and store the tableau."""
         n = self.n
         sol = _structural(tab, 2 + len(self.masks))
         best = CoreMinimum(
@@ -359,14 +357,32 @@ class CoreSystem:
             raise InternalInconsistency(
                 f"core minimum of subset {subset:#b} has a failing certificate", best
             )
-        self._pool_add(table)
-        self._warm[:] = (tab,)
+        self._pool_add(table, tab)
         return best
 
+    def _basic_value(self, subset: int, tab) -> Fraction:
+        """The value of an optimal tableau for x(subset), certified on its basis
+        alone (x on one integer scale, the basic multipliers), pooled, stored."""
+        n, value = self.n, tab.value()
+        den = lcm(*tab.dens[n][:n])
+        x = [-v * (den // d) for v, d in zip(tab.nums[n][:n], tab.dens[n])]  # pi, scaled
+        table = scaled_masses(x, den, self._columns)
+        y = {t: tab.cell(i, n + 1) for i, t in enumerate(tab.basis) if t < len(self._columns)}
+        sets = [t - 2 for t in y if t > 1]  # basic y_A; y0+ and y0- are ids 0 and 1
+        total = family_total(n, [self.masks[t] for t in sets], [y[t + 2] for t in sets], subset,
+                             [self.bounds[t] for t in sets], y.get(0, ZERO) - y.get(1, ZERO))
+        if table is None or total != value or Fraction(table[1][subset], table[0]) != value:
+            raise InternalInconsistency(f"warm core minimum of subset {subset:#b} has a failing certificate")
+        self._pool_add(table, tab)
+        return value
+
+    def has_point(self) -> bool:
+        """Whether a certified point is pooled or the identity's marginal vector is one."""
+        return bool(self._pool) or self._marginal(0) is not None
+
     def require_solution(self) -> None:
-        """Raise CoreEmpty if unsolvable: a pooled point, then (for a capacity's
-        core) the identity's marginal vector if in the core, else `minimum(0)`."""
-        if not self._pool and self._marginal(0) is None:
+        """Raise CoreEmpty if unsolvable: `has_point`, else `minimum(0)`."""
+        if not self.has_point():
             self.minimum(0)
 
     def admit(self, point) -> bool:
@@ -380,10 +396,12 @@ class CoreSystem:
         self._pool_add(table)
         return True
 
-    def _pool_add(self, table) -> None:
-        """Pool a certified point's mass table, unless an equal one is pooled."""
+    def _pool_add(self, table, tab=None) -> None:
+        """Pool a certified point's mass table and store its optimal tableau, each once per point."""
         if table not in self._pool:
             self._pool.append(table)
+        if tab is not None and all(kept != table for kept, _ in self._warm):
+            self._warm.append((table, tab))
 
     def attains(self, subset: int) -> bool:
         """True when some certified core point x has x(subset) = b, the
@@ -528,12 +546,16 @@ def shared_full_cover(values) -> CoverMaximum:
     return entry.cover
 
 
+def solved_full_cover(values) -> "CoverMaximum | None":
+    """The full-set cover of `values` if it has been solved, else None."""
+    return _entry(values).cover
+
+
 def shared_core_nonempty(values) -> bool:
     """Whether the core of `values` is nonempty: a solved full-set cover of
-    value other than 1 says no, else `require_solution` answers.  An empty
-    core then solves the cover, whose family every caller reports; a cover
-    of value 1 there has a core point as its dual, a solver bug."""
-    cover = _entry(values).cover
+    value other than 1 says no, else `require_solution` answers; an empty
+    core then solves the cover, and one of value 1 is a solver bug."""
+    cover = solved_full_cover(values)
     if cover is not None and cover.value != ONE:
         return False
     try:

@@ -193,7 +193,7 @@ class TestBalanced:
 
         monkeypatch.setattr(CoreSystem, "minimum", empty)
         system = capacity_core(nustar.values)
-        assert not system.admit(fraction_marginal(system, 0))  # so minimum(0) must answer
+        assert not system.admit(fraction_marginal(system, 0))  # so a cold minimum must answer
         assert is_balanced(nustar)[0]  # the cover alone answers
         with pytest.raises(InternalInconsistency):
             is_exact(nustar)

@@ -4,9 +4,11 @@
 answers no from a solved full-set cover above 1; otherwise it reads, in
 order, a pooled certified point and, for a capacity's core, the identity
 ordering's marginal vector, and solves `minimum(0)` only when neither
-answers, and the full-set cover only for an empty core.  The routes differ
-in cost only: no flag and no witness may depend on which one answered, or
-on what earlier calls left in the pool.
+answers, and the full-set cover only for an empty core.  `is_exact` asks
+neither: a solved cover above 1 answers, else its first cold minimum
+refutes an empty core.  The routes differ in cost only: no flag and no
+witness may depend on which one answered, or on what earlier calls left in
+the pool.
 """
 
 from fractions import Fraction as F
@@ -17,7 +19,7 @@ import pytest
 
 from test_core_system import damped, random_monotones, seeded_capacities
 
-from capax.capacity import Capacity, new_capacity, random_convex_mixture, random_monotone
+from capax.capacity import BalancedFamily, Capacity, new_capacity, random_convex_mixture, random_monotone
 from capax.classify import (classify_full, is_balanced, is_exact, is_totally_balanced,
                             min_core_value, verify_report)
 from capax.credal import core_polytope, lower_envelope, random_credal
@@ -124,6 +126,36 @@ class TestRoutes:
         assert verify_report(nu, report)
         assert solved(lps) == ([nu.ground.full], [], [])
 
+    @pytest.mark.parametrize("make, exact", [(balanced_not_convex, False), (nine_point_input, True),
+                                             (lambda: seeded_capacities(5, 2, 7)[1], False)],
+                             ids=["balanced-3", "nine-point", "lowered-5"])
+    def test_is_exact_solves_no_minimum0(self, lps, make, exact):
+        # the first subset no certified point attains is the first cold LP
+        assert is_exact(make())[0] is exact
+        assert 0 not in lps.minima and lps.minima and lps.covers == []
+
+    def test_a_gap_at_the_first_cold_minimum(self, lps):
+        # the CI gap input: balanced, not exact, and {0} is the first subset
+        # no marginal vector attains, so its cold minimum is solved twice
+        nu = lower_envelope(random_credal(GroundSet(7), SplitMix64(1), 8, 8))
+        nu = Capacity(nu.ground, [v + F(1, 64) if a == 0b111 else v for a, v in enumerate(nu.values)])
+        exact, gap = is_exact(nu)
+        assert not exact and gap.subset == 0b1 and gap.verify(nu)
+        assert solved(lps) == ([], [0b1, 0b1], [])
+        report = classify_full(fresh(nu))
+        assert report.balanced and report.exact_witness == gap and verify_report(nu, report)
+
+    @pytest.mark.parametrize("nu", [unbalanced_game(), random_monotone(GroundSet(4), 0, 6)],
+                             ids=["pairs-9/10", "random-monotone-4"])
+    def test_is_exact_of_an_empty_core_reports_the_cover(self, lps, nu):
+        # the first cold minimum raises a Farkas-checked CoreEmpty
+        nu = fresh(nu)
+        cover = cover_maximum(nu.values, nu.ground.full)
+        lps.covers.clear()
+        assert is_exact(nu) == (False, BalancedFamily(cover.sets, cover.weights))
+        assert solved(lps) == ([nu.ground.full], [lps.minima[0]], [])
+        assert lps.minima[0] != 0
+
     @pytest.mark.parametrize("make, nonempty, alone", [
         (balanced_not_convex, True, ([], [0], [])),
         (unbalanced_game, False, ([g3.full], [0], [])),  # minimum(0) refutes, the cover follows
@@ -206,12 +238,14 @@ class TestNinePointInput:
         return count
 
     def test_standalone_is_exact(self, pivots):
-        # its warm minima start from minimum(0); no full-set cover runs
+        # no minimum(0) and no full-set cover: the first subset no marginal
+        # vector attains is the one cold minimum, and each warm one starts
+        # from the nearest stored optimum
         assert is_exact(nine_point_input()) == (True, None)
-        assert 0 < pivots[0] <= 761
+        assert 0 < pivots[0] <= 600
 
     def test_classify_full(self, pivots):
         nu = nine_point_input()
         report = classify_full(nu)
         assert report.summary() == "convex:no exact:yes totally-balanced:yes balanced:yes"
-        assert 0 < pivots[0] <= 1023
+        assert 0 < pivots[0] <= 862

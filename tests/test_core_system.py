@@ -527,9 +527,82 @@ def assert_warm_is_cold(warm, rng):
     return bool(cold._pool)
 
 
+def snapshot(stored):
+    """Copies of the cells and bases of stored tableaux."""
+    return [(tab.basis[:], [r[:] for r in tab.nums], [r[:] for r in tab.dens]) for _, tab in stored]
+
+
 class TestWarmMinima:
-    """`least`'s dual simplex from the last optimal tableau against cold
-    `minimum`: equal values whatever the warm tableau's history."""
+    """`least`'s dual simplex from the nearest stored optimum against cold
+    `minimum`: equal values whatever the stored tableaux's history."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_stored_tableau_starts_every_minimum(self, n):
+        # monotone (damped, so balanced), convex mixture and envelope tables
+        rng = SplitMix64(110 + n)
+        tables = capacity_tables(n, rng)
+        tables.append(damped(Capacity(GroundSet(n), tables[0])).values)
+        starts = 0
+        for values in tables:
+            system = capacity_core(values)
+            try:
+                cold = [capacity_core(values).minimum(b).value for b in range(1 << n)]
+            except CoreEmpty:
+                continue
+            for b in shuffled(range(1 << n), rng):
+                assert system._warm_minimum(b) == cold[b]
+            stored = list(system._warm)
+            before = snapshot(stored)
+            for entry in stored:
+                for b in range(1 << n):
+                    system._warm[:] = [entry]
+                    assert system._warm_minimum(b) == cold[b], (values, b)
+            assert snapshot(stored) == before  # copied, never pivoted
+            starts += len(stored)
+        assert starts > len(tables)
+
+    def test_the_nearest_stored_point_starts(self, monkeypatch):
+        nu = seeded_capacities(5, 1, 9)[1]  # lowered: some minima fall short
+        system = capacity_core(nu.values)
+        for b in nu.ground.proper_nonempty_subsets():
+            system._warm_minimum(b)
+        assert len(system._warm) >= 2
+        started = []
+        copy = Tableau.copy
+        monkeypatch.setattr(Tableau, "copy", lambda tab: started.append(tab) or copy(tab))
+        for b in nu.ground.proper_nonempty_subsets():
+            stored = list(system._warm)
+            least = min(F(mass[b], den) for (den, mass), _ in stored)
+            started.clear()
+            system._warm_minimum(b)
+            first = next(tab for (den, mass), tab in stored if F(mass[b], den) == least)
+            assert started == [first], b
+
+    @pytest.mark.parametrize("corrupt", ["point", "multiplier"])
+    def test_a_corrupted_warm_optimum_raises(self, corrupt, monkeypatch):
+        nu = seeded_capacities(5, 1, 9)[1]
+        system = capacity_core(nu.values)
+        n, dual = system.n, core_module._dual
+        corrupted = []
+
+        def skewed(tab, columns):
+            dual(tab, columns)
+            nums, dens = tab.nums, tab.dens
+            if corrupt == "point":  # x_0 grows by 1/3, so x(X) = 4/3
+                nums[n][0], dens[n][0] = 3 * nums[n][0] - dens[n][0], 3 * dens[n][0]
+            else:  # the first basic y_A with b_A > 0 grows by 1
+                i = next(i for i, t in enumerate(tab.basis)
+                         if 2 <= t < len(columns) and system.bounds[t - 2] > 0)
+                nums[i][n + 1] += dens[i][n + 1]
+            corrupted.append(tab)
+
+        unattained = lambda: next(b for b in nu.ground.proper_nonempty_subsets()
+                                  if not system.attains(b))
+        system.minimum(unattained())  # a stored optimum, so the next one is warm
+        monkeypatch.setattr(core_module, "_dual", skewed)
+        with pytest.raises(InternalInconsistency, match="warm core minimum"):
+            system.least(unattained())
+        assert corrupted
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_capacity_tables(self, n, warm_log):
@@ -642,11 +715,11 @@ class TestWarmMinima:
             warmed += bool(system._warm)
             fresh = capacity_core(nu.values)
             assert fresh._warm == fresh._pool == []
-        assert warmed  # the non-convex ones keep their last minimum's tableau
+        assert warmed  # the non-convex ones store their optima's tableaux
 
     def test_threads_racing_on_one_entry_never_pivot_one_tableau_together(self, monkeypatch):
         # fresh tables, one at a time, asked by four threads, some also
-        # through the shared cover: every warm tableau goes to one thread at a time
+        # through the shared cover: each thread pivots its own copy of a stored tableau
         nus = seeded_capacities(5, 6, 13)[1::2]  # lowered: some minima fall short
         tables = [list(nu.values) for nu in nus]
         expected = [{b: core_of(nu).minimum(b).value for b in nu.ground.subsets()} for nu in nus]

@@ -165,7 +165,7 @@ class TestBasisRepeatGuard:
 
     def test_dual_row_with_no_entering_column(self, monkeypatch):
         system = CoreSystem(2, [0b01, 0b10], [F(1, 4), F(1, 4)])
-        system.minimum(0)  # its optimum becomes the warm tableau
+        system.minimum(0)  # its optimum's tableau is stored, so the next minimum is warm
         load = core_module._load
 
         def negative_row(tab, loaded, target, sign, rows):

@@ -11,8 +11,9 @@ from oracles import totally_balanced_every_subset
 from test_core_system import damped, random_monotones, seeded_capacities
 from test_search import market_game
 
-from capax.capacity import new_capacity, random_convex_mixture, random_monotone
-from capax.classify import classify_full, is_balanced, is_exact, is_totally_balanced
+from capax.capacity import BalancedFamily, new_capacity, random_convex_mixture, random_monotone
+from capax.classify import (TotalBalanceFailure, classify_full, is_balanced, is_exact,
+                            is_totally_balanced)
 from capax.errors import ShapeMismatch
 from capax.ground import GroundSet
 from capax.lp import CoreSystem
@@ -65,16 +66,28 @@ def systems(monkeypatch):
 
 
 class TestLpCounts:
-    def test_screened_generator_draw_runs_one_lp(self, cover_bounds, systems, monkeypatch):
-        # balanced but not convex: the identity's marginal vector fails its
-        # core check, so minimum(0) proves the core nonempty and no cover runs
-        seed = next(s for s in range(10_000) if _screened_draw(g3, s, 16) is not None)
-        minima = []
-        minimum = CoreSystem.minimum
+    @pytest.fixture
+    def minima(self, monkeypatch):
+        """The subset of every cold core minimum solved from then on."""
+        log, minimum = [], CoreSystem.minimum
         monkeypatch.setattr(CoreSystem, "minimum",
-                            lambda self, subset: minima.append(subset) or minimum(self, subset))
+                            lambda self, subset: log.append(subset) or minimum(self, subset))
+        return log
+
+    def test_screened_generator_draw_runs_one_lp(self, cover_bounds, systems, minima):
+        # balanced but not convex: the identity's marginal vector fails its
+        # core check, so the full set's own LP, its cover, settles it
+        seed = next(s for s in range(10_000) if _screened_draw(g3, s, 16) is not None)
         assert is_totally_balanced(random_monotone(g3, seed, 16)) == (True, None)
-        assert (cover_bounds, minima, len(systems)) == ([], [0], 1)
+        assert (cover_bounds, minima, len(systems)) == ([g3.full], [], 1)
+
+    def test_screened_draw_with_an_empty_core_solves_only_its_cover(self, cover_bounds, minima):
+        # no pooled point and no identity marginal vector: the full-set cover
+        # refutes, with no minimum(0) before it
+        nu = _screened_draw(g3, 160, 16)
+        family = BalancedFamily((0b011, 0b101, 0b110), (F(1, 2),) * 3)
+        assert is_totally_balanced(nu) == (False, TotalBalanceFailure(g3.full, family))
+        assert (cover_bounds, minima) == ([g3.full], [])
 
     def test_convex_n8_runs_only_the_full_cover(self, cover_bounds):
         g = GroundSet(8)
