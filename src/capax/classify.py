@@ -17,8 +17,9 @@ then a core measure, the witness.  No predicate here solves a general LP:
 `core_lp_feasible`, the generic two-phase primal route, is the reference the
 tests compare against.
 
-The predicates share the one-entry memo of `lp.core`: a capacity's core
-system and full-set cover, each solved at most once.  `is_exact` and
+The predicates share the one-entry memo of `lp.core`: a capacity's table on
+one integer scale, its core system and its full-set cover, each built at
+most once.  `is_exact` and
 `is_totally_balanced` read a solved cover first, and solve the cover only
 for an empty core, whose family is their witness.  A certified core point x
 with x(B) = v(B) settles B for exactness and total balancedness: min mu(B)
@@ -37,7 +38,7 @@ from .ground import ONE, ZERO, check_subset, family_total, point_masses, subset_
 from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
 from .lp.core import (check_points, shared_capacity_core, shared_core_nonempty, shared_full_cover,
-                      solved_full_cover)
+                      shared_scaled_table, solved_full_cover)
 # solve_dualized stays importable here for tools that hook LP solves per module
 from .lp.solver import solve, solve_dualized  # noqa: F401
 
@@ -126,23 +127,19 @@ class ClassReport:
 def is_convex(nu: Capacity):
     """Supermodularity test.
 
-    Checks v(A+{i,j}) + v(A) >= v(A+{i}) + v(A+{j}) over all A and pairs
-    i != j outside A, which is equivalent to the all-pairs inequality (the
-    tests compare it with the all-pairs scan).  The witness is a plain
-    violating pair.
+    Checks v(A+{i,j}) - v(A+{j}) >= v(A+{i}) - v(A) over all A and pairs
+    i < j outside A, which is equivalent to the all-pairs inequality (the
+    tests compare it with the all-pairs scan), on the shared integer table
+    L v (`shared_scaled_table`).  The witness is the first violating pair.
     """
-    values = nu.values
-    n = nu.ground.n
+    _, table = shared_scaled_table(nu.values)
+    bits = [1 << i for i in nu.ground.points()]
     for a in nu.ground.subsets():
-        for i in range(n):
-            bi = 1 << i
-            if a & bi:
-                continue
-            for j in range(i + 1, n):
-                bj = 1 << j
-                if a & bj:
-                    continue
-                if values[a | bi | bj] + values[a] < values[a | bi] + values[a | bj]:
+        out = [b for b in bits if not a & b]
+        for k, bi in enumerate(out):
+            gain = table[a | bi] - table[a]
+            for bj in out[k + 1:]:
+                if table[a | bi | bj] - table[a | bj] < gain:
                     return False, ConvexityViolation(a | bi, a | bj)
     return True, None
 
@@ -259,8 +256,8 @@ def is_exact(nu: Capacity):
     A convex capacity runs no LP at all.  A subset whose bound some certified
     core point attains needs no LP; the rest get a warm minimum (`least`),
     the first cold: it refutes an empty core that no solved cover has.  The
-    first that falls short is solved again by a cold `minimum`, whose
-    certificate becomes the witness, so it does not depend on the history.
+    first that falls short gets the certificate of its cold minimum, solved
+    unless it was that first LP, so the witness does not depend on the history.
     """
     cover = solved_full_cover(nu.values)
     if cover is None or cover.value == ONE:
@@ -268,7 +265,7 @@ def is_exact(nu: Capacity):
         try:
             for subset in nu.ground.proper_nonempty_subsets():
                 if system.least(subset) != nu[subset]:
-                    best = system.minimum(subset)
+                    best = system.certificate(subset)
                     coeffs = tuple((a, w) for a, w in zip(system.masks, best.multipliers) if w != 0)
                     return False, ExactnessGap(subset, best.value, best.shift, coeffs)
             return True, None
@@ -287,7 +284,8 @@ def is_totally_balanced(nu: Capacity):
 
     A cover LP runs only for the subsets no certificate settles.  The cover
     value of a singleton {i} is v(i), of a pair {i, j} it is
-    max(v(i) + v(j), v(ij)), so a pair with v(i) + v(j) <= v(ij) holds.  A
+    max(v(i) + v(j), v(ij)), so a pair with v(i) + v(j) <= v(ij), compared on
+    the shared integer table, holds.  A
     larger B below the full set holds when a certified core point x has
     x(B) = v(B): x restricted to B is in the core of the subgame on B, so its
     cover value is v(B).  The shared core system's `attains` decides that
@@ -297,13 +295,14 @@ def is_totally_balanced(nu: Capacity):
     """
     values = nu.values
     full = nu.ground.full
+    _, table = shared_scaled_table(values)
     for subset in nu.ground.nonempty_subsets():
         low = subset & -subset
         rest = subset ^ low
         if not rest:
             continue
         if not rest & (rest - 1):
-            if values[low] + values[rest] <= values[subset]:
+            if table[low] + table[rest] <= table[subset]:
                 continue
         elif subset == full:
             if solved_full_cover(values) is None and shared_capacity_core(values).has_point():
@@ -349,12 +348,13 @@ def verify_report(nu: Capacity, report: ClassReport) -> bool:
             return False
     w = report.balanced_witness
     if isinstance(w, Measure):
-        rows = [(a, 1, v.numerator, v.denominator) for a, v in enumerate(nu.values)]
+        scale, table = shared_scaled_table(nu.values)
+        rows = [(a, 1, t, scale) for a, t in enumerate(table)]
         if w.ground != nu.ground or point_masses(w.weights, rows) is None:
             return False
     elif not isinstance(w, BalancedFamily) or not w.violates(nu, nu.ground.full):
         return False
     w = report.exact_witness
-    if isinstance(w, BalancedFamily):
-        return w.violates(nu, nu.ground.full)
+    if isinstance(w, BalancedFamily):  # the balancedness family, if equal, has passed
+        return w == report.balanced_witness or w.violates(nu, nu.ground.full)
     return w is None or isinstance(w, ExactnessGap) and w.verify(nu)

@@ -48,22 +48,28 @@ of solving the linear programming problem", NRLQ 1954) goes on from it:
 B^-1 r is written into the rhs column, and a row with a negative entry
 leaves (`_dual`).  Each certified optimum's tableau is stored beside its
 point's mass table (`_warm`); a warm minimum starts from a copy of the one
-with the least x(B).  Values are unique, so it equals a cold one; it is
-certified on its basis alone and answers with its value only.
+with the least x(B).  Values are unique, so it equals a cold one; it
+answers with its value only.  While none is stored, `least` solves a cold
+`minimum` and keeps it, so `certificate` hands out that result unsolved.
 
 Every pivot loop records the bases it visits and raises
 `InternalInconsistency` on a repeat, so a kernel fault cannot cycle.
 
-Each outcome is checked once, in integers, before it leaves, by the two
-checks of `capax.ground` that every capax certificate uses: `family_total`
-(the primal weights, the basic ones of a warm optimum, are nonnegative and
-load no point beyond its right-hand side) and `scaled_masses` (the point
-read from the slack reduced costs meets every bound, on all subset masses at
-once by one prefix walk); and the two objective values agree.  A failed
-check raises `InternalInconsistency` (a solver bug, never data).  An
-unbounded core-system dual means an empty core; its ray is checked as a
-Farkas certificate before `CoreEmpty` is raised.  The weighted cover is
-always feasible and bounded.
+Each optimum (a weighted cover, a cold or a warm core minimum) is checked
+once before it leaves, in integers and on its basis alone (`_certify`):
+the dual point pi, read off the objective row on one denominator, passes
+`scaled_masses` of `capax.ground` with every column read as a row (pi >= 0
+and no reduced cost positive, on all subset masses at once by one prefix
+walk); the basic primal weights, read off the rhs column on one
+denominator, are nonnegative and load no row beyond its right-hand side;
+and both objective values equal the tableau's.  Only then are Fractions
+built, for the fields `CoverMaximum` and `CoreMinimum` carry.  `certifies`
+and `cover_certifies` check a certificate handed in from outside, in
+Fractions, by `point_masses` and `family_total`, the two checks every capax
+certificate uses.  A failed check raises `InternalInconsistency` (a solver
+bug, never data).  An unbounded core-system dual means an empty core; its
+ray is checked as a Farkas certificate before `CoreEmpty` is raised.  The
+weighted cover is always feasible and bounded.
 
 `attains(B)` answers the common question "is min x(B) equal to the bound of
 B?" without an LP whenever it can: one core point x with x(B) = b_B proves it,
@@ -77,11 +83,13 @@ its core check one comparison per subset.  Every point passes the integer
 core check of `capax.ground`, which gives its mass table in lowest terms, so
 the pool keeps one copy of each point whichever route found it.
 
-`shared_capacity_core` and `shared_full_cover` read a one-entry memo: a
-value table, its core system and the full set's weighted cover, each built
-on first use and neither touching the other.  So `classify` and `credal`
-share one pool, `is_exact(nu)` and then `lower_envelope(core_polytope(nu))`
-solve each minimum once, and each capacity solves its cover at most once.
+`shared_scaled_table`, `shared_capacity_core` and `shared_full_cover` read
+a one-entry memo: a value table, its integer table L v (L the lcm of its
+denominators, which `classify` scans for convexity), its core system and
+the full set's weighted cover, each built on first use and none touching
+another.  So `classify` and `credal` share one pool, `is_exact(nu)` and
+then `lower_envelope(core_polytope(nu))` solve each minimum once, and each
+capacity solves its cover at most once.
 `shared_core_nonempty` answers no from a solved cover above 1, else by
 `require_solution`.  One entry: a slot on `Capacity` would keep a pool for
 every capacity a search report holds, and more entries would let callers
@@ -237,13 +245,39 @@ def _dual(tab, columns) -> None:
         basis[row] = t
 
 
-def _structural(tab, k: int) -> list[Fraction]:
-    """The values of the k structural columns at the tableau's basis."""
-    z = [ZERO] * k
-    for i, t in enumerate(tab.basis):
-        if t < k:
-            z[t] = tab.cell(i, tab.ncols)
-    return z
+def _certify(tab, rhs: int, columns, what: str, subset: int):
+    """Certify the optimum a tableau of `_revised`'s form holds for the
+    right-hand side [i in rhs] at each row i, in integers and on its basis alone.
+
+    Dual side: pi, read off the objective row's slack block on one
+    denominator, passes `scaled_masses` with every column read as a row,
+    sign_t pi(mask_t) >= c_t.  Primal side: the basic structural weights,
+    read off the rhs column on one denominator, are >= 0 and load no row i
+    beyond [i in rhs].  Both objectives, pi(rhs) and sum_t c_t z_t, equal the
+    tableau's value.  Returns (the (den, mass) table of pi, the value, the
+    basic weights as {t: numerator}, their denominator); a failed check raises
+    InternalInconsistency, naming `what` and `subset`.
+    """
+    m, nums, dens = tab.m, tab.nums, tab.dens
+    onums, odens = nums[m], dens[m]
+    den = lcm(*odens[:m])
+    table = scaled_masses([-v * (den // d) for v, d in zip(onums, odens[:m])], den, columns)
+    basic = [(t, i) for i, t in enumerate(tab.basis) if t < len(columns)]
+    wden = lcm(*(dens[i][m + 1] for _, i in basic))
+    weights = {t: nums[i][m + 1] * (wden // dens[i][m + 1]) for t, i in basic}
+    cden = lcm(*(columns[t][3] for t in weights))
+    load, cost = [0] * m, 0
+    for t, w in weights.items():
+        mask, sign, cn, cd = columns[t]
+        cost += w * cn * (cden // cd)
+        for j in subset_indices(mask):
+            load[j] += sign * w
+    vn, vd = -onums[m + 1], odens[m + 1]
+    if table is None or any(w < 0 for w in weights.values()) or \
+            any(v > wden * (rhs >> j & 1) for j, v in enumerate(load)) or \
+            cost * vd != vn * cden * wden or table[1][rhs] * vd != vn * table[0]:
+        raise InternalInconsistency(f"{what} of subset {subset:#b} has a failing certificate")
+    return table, Fraction(vn, vd), weights, wden
 
 
 def _submasks(bound: int) -> list[int]:
@@ -269,7 +303,7 @@ class CoreMinimum:
 class CoreSystem:
     """{x >= 0, x(X) = 1, x(A) >= bounds[i] for A = masks[i]} over n points."""
 
-    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_floor", "_pool", "_warm")
+    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_floor", "_pool", "_warm", "_first")
 
     def __init__(self, n: int, masks, bounds):
         masks = tuple(masks)
@@ -307,6 +341,8 @@ class CoreSystem:
         self._pool: list[tuple[int, list[int]]] = []
         # ((den, mass), tableau) per certified optimal point, in order found; only ever copied
         self._warm: list = []
+        # (subset, CoreMinimum) of the cold minimum `least` solved while none was stored
+        self._first = None
 
     def minimum(self, subset: int) -> CoreMinimum:
         """Minimise x(subset), cold: from the slack basis, so the result does
@@ -322,6 +358,12 @@ class CoreSystem:
         """min x(subset): its largest bound if `attains` proves it, else a warm minimum."""
         return self._top[subset][0] if self.attains(subset) else self._warm_minimum(subset)
 
+    def certificate(self, subset: int) -> CoreMinimum:
+        """`minimum(subset)`, or the cold minimum `least` solved for subset
+        when no optimum was stored: the same certificate, solved once."""
+        first = self._first
+        return first[1] if first is not None and first[0] == subset else self.minimum(subset)
+
     def _warm_minimum(self, subset: int) -> Fraction:
         """min x(subset) by the dual simplex from a copy of the stored optimum of
         least x(subset), ties to the earliest, or by a cold `minimum` if none is stored."""
@@ -331,59 +373,42 @@ class CoreSystem:
             if start is None or mass[subset] * best[0] < best[1][subset] * den:
                 start, best = tab, (den, mass)
         if start is None:
-            return self.minimum(subset).value
+            self._first = subset, self.minimum(subset)
+            return self._first[1].value
         tab, n = start.copy(), self.n
         _load(tab, subset_indices(subset), n + 1, 1, range(n + 1))  # B^-1 r, and -pi(r)
         _dual(tab, self._columns)
-        return self._basic_value(subset, tab)
+        table, value, _, _ = _certify(tab, subset, self._columns, "warm core minimum", subset)
+        self._pool_add(table, tab)
+        return value
 
     def _check_code(self, subset: int) -> None:
         if not 0 <= subset < 1 << self.n:
             raise GroundMismatch(f"subset code {subset:#b} not valid over {self.n} points")
 
     def _optimum(self, subset: int, tab) -> CoreMinimum:
-        """Read the minimum of x(subset) off an optimal tableau, certify and
-        pool it, and store the tableau."""
-        n = self.n
-        sol = _structural(tab, 2 + len(self.masks))
-        best = CoreMinimum(
-            value=tab.value(),
-            point=tuple(-tab.cell(n, j) for j in range(n)),
-            shift=sol[0] - sol[1],
-            multipliers=tuple(sol[2:]),
-        )
-        table = self._certified(subset, best)
-        if table is None:
-            raise InternalInconsistency(
-                f"core minimum of subset {subset:#b} has a failing certificate", best
-            )
+        """Certify the minimum of x(subset) an optimal tableau holds, pool it,
+        store the tableau, and only then build its Fractions."""
+        table, value, weights, wden = _certify(tab, subset, self._columns, "core minimum", subset)
         self._pool_add(table, tab)
-        return best
-
-    def _basic_value(self, subset: int, tab) -> Fraction:
-        """The value of an optimal tableau for x(subset), certified on its basis
-        alone (x on one integer scale, the basic multipliers), pooled, stored."""
-        n, value = self.n, tab.value()
-        den = lcm(*tab.dens[n][:n])
-        x = [-v * (den // d) for v, d in zip(tab.nums[n][:n], tab.dens[n])]  # pi, scaled
-        table = scaled_masses(x, den, self._columns)
-        y = {t: tab.cell(i, n + 1) for i, t in enumerate(tab.basis) if t < len(self._columns)}
-        sets = [t - 2 for t in y if t > 1]  # basic y_A; y0+ and y0- are ids 0 and 1
-        total = family_total(n, [self.masks[t] for t in sets], [y[t + 2] for t in sets], subset,
-                             [self.bounds[t] for t in sets], y.get(0, ZERO) - y.get(1, ZERO))
-        if table is None or total != value or Fraction(table[1][subset], table[0]) != value:
-            raise InternalInconsistency(f"warm core minimum of subset {subset:#b} has a failing certificate")
-        self._pool_add(table, tab)
-        return value
+        den, mass = table
+        y = [ZERO] * len(self._columns)
+        for t, w in weights.items():
+            if w:
+                y[t] = Fraction(w, wden)
+        return CoreMinimum(value, tuple(Fraction(mass[1 << j], den) for j in range(self.n)),
+                           y[0] - y[1], tuple(y[2:]))
 
     def has_point(self) -> bool:
         """Whether a certified point is pooled or the identity's marginal vector is one."""
         return bool(self._pool) or self._marginal(0) is not None
 
     def require_solution(self) -> None:
-        """Raise CoreEmpty if unsolvable: `has_point`, else `minimum(0)`."""
+        """Raise CoreEmpty if unsolvable: `has_point`, else `least(1)`, a cold
+        minimum of the first subset a lower envelope asks, which stores the
+        optimum its warm minima start from."""
         if not self.has_point():
-            self.minimum(0)
+            self.least(1)
 
     def admit(self, point) -> bool:
         """Pool `point`, a weight per point, as a certified core point when it
@@ -440,12 +465,8 @@ class CoreSystem:
         return table
 
     def certifies(self, subset: int, best: CoreMinimum) -> bool:
-        """Exact check that `best` is optimal for x(subset); never solves."""
-        return self._certified(subset, best) is not None
-
-    def _certified(self, subset: int, best: CoreMinimum):
-        """The core mass table of `best.point` when `best` is a certificate
-        for x(subset), else None.
+        """Exact check that `best`, a certificate handed in, is optimal for
+        x(subset); never solves.
 
         Primal side: `_core_mass`, then x(subset) = value.  Dual side, by
         `family_total`: y_A >= 0, each point's load y0 + sum_{A contains j}
@@ -455,14 +476,9 @@ class CoreSystem:
         if len(best.point) != n or len(best.multipliers) != len(self.masks):
             raise ShapeMismatch("core certificate length mismatch")
         table = self._core_mass(best.point)
-        if table is None:
-            return None
-        den, mass = table
-        if mass[subset] * value.denominator != value.numerator * den:
-            return None
-        if family_total(n, self.masks, best.multipliers, subset, self.bounds, best.shift) != value:
-            return None
-        return table
+        if table is None or table[1][subset] * value.denominator != value.numerator * table[0]:
+            return False
+        return family_total(n, self.masks, best.multipliers, subset, self.bounds, best.shift) == value
 
     def _core_mass(self, x):
         """`point_masses(x)` when x is a core point, else None: the dual
@@ -506,12 +522,12 @@ def capacity_core(values) -> CoreSystem:
 
 
 class _Shared:
-    """A value table, its core system and its full-set cover."""
+    """A value table, its integer scaling, its core system and its full-set cover."""
 
-    __slots__ = ("values", "system", "cover")
+    __slots__ = ("values", "scaled", "system", "cover")
 
     def __init__(self, values):
-        self.values, self.system, self.cover = values, None, None
+        self.values, self.scaled, self.system, self.cover = values, None, None, None
 
 
 _shared = None  # the entry of the table last asked for
@@ -526,6 +542,17 @@ def _entry(values) -> _Shared:
     if entry is None or entry.values is not values:
         entry = _shared = _Shared(values)
     return entry
+
+
+def shared_scaled_table(values) -> tuple[int, list[int]]:
+    """(L, [L * values[S] per subset code S]), L the lcm of the table's
+    denominators, built once for this very table object until a call with
+    another replaces it."""
+    entry = _entry(values)
+    if entry.scaled is None:
+        scale = lcm(*(v.denominator for v in values))
+        entry.scaled = scale, [v.numerator * (scale // v.denominator) for v in values]
+    return entry.scaled
 
 
 def shared_capacity_core(values) -> CoreSystem:
@@ -591,21 +618,14 @@ def cover_maximum(values, bound: int) -> CoverMaximum:
     tab, enter, _ = _revised([1] * len(points), columns)
     if enter >= 0:
         raise InternalInconsistency("weighted-cover LP is always feasible and bounded")
-    lam = _structural(tab, len(members))
+    table, value, weights, wden = _certify(tab, (1 << len(points)) - 1, columns, "weighted cover", bound)
+    den, mass = table
     point = [ZERO] * n
     for i, j in enumerate(points):
-        point[j] = -tab.cell(tab.m, i)
-    best = CoverMaximum(
-        value=tab.value(),
-        sets=tuple(a for a, w in zip(members, lam) if w),
-        weights=tuple(w for w in lam if w),
-        point=tuple(point),
-    )
-    if not _cover_certified(values, bound, best, columns):
-        raise InternalInconsistency(
-            f"weighted cover of subset {bound:#b} has a failing certificate", best
-        )
-    return best
+        point[j] = Fraction(mass[1 << i], den)
+    used = sorted(t for t, w in weights.items() if w)
+    return CoverMaximum(value, tuple(members[t] for t in used),
+                        tuple(Fraction(weights[t], wden) for t in used), tuple(point))
 
 
 def _cover_columns(values, members) -> list[tuple[int, int, int, int]]:
@@ -628,12 +648,6 @@ def cover_certifies(values, bound: int, best: CoverMaximum) -> bool:
     """
     if not 0 < bound < len(values):
         return False
-    return _cover_certified(values, bound, best, _cover_columns(values, _submasks(bound)))
-
-
-def _cover_certified(values, bound: int, best: CoverMaximum, columns) -> bool:
-    """`cover_certifies` with the LP's `_cover_columns`: y(A) >= values[A] is
-    column A read as a row."""
     n = len(values).bit_length() - 1
     value = best.value
     if len(best.sets) != len(best.weights) or len(best.point) != n:
@@ -645,7 +659,8 @@ def _cover_certified(values, bound: int, best: CoverMaximum, columns) -> bool:
         return False
     if any(q for j, q in enumerate(best.point) if not bound >> j & 1):
         return False
-    table = point_masses([best.point[j] for j in subset_indices(bound)], columns)
+    table = point_masses([best.point[j] for j in subset_indices(bound)],
+                         _cover_columns(values, _submasks(bound)))
     if table is None:
         return False
     den, mass = table

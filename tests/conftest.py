@@ -31,3 +31,22 @@ def cover_bounds(monkeypatch):
 
     monkeypatch.setattr(core, "_cover_columns", counted)
     return bounds
+
+
+@pytest.fixture
+def skewed_optimum(monkeypatch):
+    """skew(edit): from then on every tableau `lp.core._revised` returns is
+    passed to edit(tab, columns) first, which changes its integer cells."""
+    from capax.lp import core
+
+    revised = core._revised
+
+    def skew(edit):
+        def skewed(rhs, columns):
+            out = revised(rhs, columns)
+            edit(out[0], columns)
+            return out
+
+        monkeypatch.setattr(core, "_revised", skewed)
+
+    return skew

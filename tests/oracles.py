@@ -49,6 +49,22 @@ def convex_all_pairs(nu: Capacity):
     return True, None
 
 
+def convex_local_pairs(nu: Capacity):
+    """The local supermodularity scan in Fractions: v(A+{i,j}) + v(A) >=
+    v(A+{i}) + v(A+{j}) over all A and pairs i < j outside A, in that order;
+    returns (True, None) or (False, the first violating pair)."""
+    values = nu.values
+    n = nu.ground.n
+    for a in nu.ground.subsets():
+        for i in range(n):
+            for j in range(i + 1, n):
+                bi, bj = 1 << i, 1 << j
+                if not a & (bi | bj) and \
+                        values[a | bi | bj] + values[a] < values[a | bi] + values[a | bj]:
+                    return False, ConvexityViolation(a | bi, a | bj)
+    return True, None
+
+
 def integer_solve(rows, n):
     """Solve an n x n integer system given as rows [a_0 .. a_{n-1} | b] by
     fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
@@ -423,3 +439,9 @@ def fraction_cover_certifies(values, bound: int, best: CoverMaximum) -> bool:
             and all(q >= 0 for q in y) and not any(q for j, q in enumerate(y) if not bound >> j & 1)
             and _mass(y, bound) == best.value
             and all(_mass(y, a) >= values[a] for a in range(1, bound + 1) if a & ~bound == 0))
+
+
+def shift_cell(tab, i, j, q):
+    """Add the Fraction q to cell (i, j) of a kernel tableau, in lowest terms."""
+    x = Fraction(tab.nums[i][j], tab.dens[i][j]) + q
+    tab.nums[i][j], tab.dens[i][j] = x.numerator, x.denominator

@@ -1,9 +1,10 @@
 import warnings
 from dataclasses import replace
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
-from oracles import convex_all_pairs, fraction_marginal
+from oracles import convex_all_pairs, convex_local_pairs, fraction_marginal
 
 from capax.capacity import (
     BalancedFamily,
@@ -13,11 +14,13 @@ from capax.capacity import (
     mix,
     new_capacity,
     random_convex_mixture,
+    random_measure,
     random_monotone,
     unanimity,
 )
 from capax import classify
 from capax.classify import (
+    ConvexityViolation,
     ExactnessGap,
     TotalBalanceFailure,
     bondareva_value,
@@ -53,7 +56,74 @@ def random_exact(ground, rng, grid=8):
     return lower_envelope(random_credal(ground, rng, ground.n + 1, grid))
 
 
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
+
+
+def prime_denominator_capacity(g, rng):
+    """The monotone closure of one draw k / p per subset, p a prime of
+    PRIMES, the full set pinned to 1."""
+    raw = [F(rng.next_below(p), p) for p in (PRIMES[rng.next_below(len(PRIMES))]
+                                           for _ in g.subsets())]
+    values = [max(raw[b] for b in g.subsets() if b & ~a == 0) if a else F(0) for a in g.subsets()]
+    values[g.full] = F(1)
+    return Capacity(g, values)
+
+
+def mixed_denominators(n, seed):
+    """Seeded capacities on n points with large, mixed denominators: a credal
+    envelope, convex mixtures and mixtures of two at a weight of prime
+    denominator, each scaled by 9/10 off the full set, a prime-denominator
+    closure, and an additive and a convex one with one value raised or
+    lowered by 1/L^2 (L the lcm of its denominators): every inequality of the
+    additive one is tight, so its near misses fail, and the convex mixture's
+    hold."""
+    g = GroundSet(n)
+    rng = SplitMix64(seed)
+    convex = [random_convex_mixture(g, rng.next_u64(), grid) for grid in (89, 97)]
+    envelope = lower_envelope(random_credal(g, rng, n + 1, 83))
+    t = F(1 + rng.next_below(100), 101)
+    tables = [*convex, envelope, mix(convex[0], convex[1], t), mix(convex[0], envelope, t)]
+    tables += [Capacity(g, [v if a == g.full else v * F(9, 10) for a, v in enumerate(nu.values)])
+               for nu in tables[2:]]
+    tables.append(prime_denominator_capacity(g, rng))
+    for nu in (random_measure(g, rng, 101).as_capacity(), convex[0]):
+        scale = lcm(*(v.denominator for v in nu.values))
+        for step in (F(1, scale * scale), F(-1, scale * scale)):
+            # the first subset that stays between its neighbours once moved
+            a = next((a for a in g.proper_nonempty_subsets()
+                      if all(nu[a ^ b] <= nu[a] + step if a & b else nu[a] + step <= nu[a | b]
+                             for b in (1 << i for i in g.points()))), None)
+            if a is not None:
+                values = list(nu.values)
+                values[a] += step
+                tables.append(Capacity(g, values))
+    return tables
+
+
 class TestConvex:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_integer_scan_agrees_with_the_fraction_scans(self, n):
+        verdicts = set()
+        for nu in mixed_denominators(n, 900 + n):
+            scan = is_convex(nu)
+            assert scan == convex_local_pairs(nu), nu  # the same first pair
+            assert scan[0] == convex_all_pairs(nu)[0], nu
+            assert scan[0] or scan[1].verify(nu)
+            verdicts.add(scan[0])
+        assert verdicts == ({True} if n <= 1 else {True, False})
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_a_flipped_convex_flag_is_refused(self, n):
+        for nu in mixed_denominators(n, 950 + n):
+            report = classify_full(nu)
+            assert verify_report(nu, report)
+            if report.convex:  # a pair that holds, as the violation
+                flipped = replace(report, convex_witness=ConvexityViolation(1, nu.ground.full))
+            else:
+                flipped = replace(report, convex_witness=None)
+            assert not verify_report(nu, flipped)
+
+
     def test_unanimity_always_convex(self):
         for n in range(1, 5):
             g = GroundSet(n)
@@ -323,6 +393,15 @@ class TestClassifyFull:
         assert not ExactnessGap(9, nu[1], F(0), ((1, F(1)),)).verify(nu)
         assert not TotalBalanceFailure(8, BalancedFamily((8,), (F(1),))).verify(nu)
         assert not TotalBalanceFailure(9, BalancedFamily((1,), (F(1),))).verify(nu)
+
+    def test_an_empty_cores_exactness_family_is_checked_unless_it_is_the_balancedness_one(self):
+        nu = nine_tenths()
+        report = classify_full(nu)
+        assert report.exact_witness == report.balanced_witness and verify_report(nu, report)
+        # a family whose total 9/10 stays below v(X), and one that loads point 0 twice
+        for w in (BalancedFamily((0b01,), (F(1),)), BalancedFamily((0b01, 0b11), (F(1), F(1)))):
+            assert not verify_report(nu, replace(report, exact_witness=w))
+        assert verify_report(nu, replace(report, exact_witness=BalancedFamily((0b01, 0b10), (F(1), F(1)))))
 
     @pytest.mark.parametrize("field, witness", [
         ("tb_witness", BalancedFamily((1,), (1,))),

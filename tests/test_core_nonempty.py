@@ -3,8 +3,9 @@
 `is_balanced` reads the full-set cover alone.  `lp.core.shared_core_nonempty`
 answers no from a solved full-set cover above 1; otherwise it reads, in
 order, a pooled certified point and, for a capacity's core, the identity
-ordering's marginal vector, and solves `minimum(0)` only when neither
-answers, and the full-set cover only for an empty core.  `is_exact` asks
+ordering's marginal vector, and solves the cold minimum of {0} (the first
+LP a lower envelope solves) only when neither answers, and the full-set
+cover only for an empty core.  `is_exact` asks
 neither: a solved cover above 1 answers, else its first cold minimum
 refutes an empty core.  The routes differ in cost only: no flag and no
 witness may depend on which one answered, or on what earlier calls left in
@@ -134,14 +135,25 @@ class TestRoutes:
         assert is_exact(make())[0] is exact
         assert 0 not in lps.minima and lps.minima and lps.covers == []
 
+    @pytest.mark.parametrize("make", [balanced_not_convex, nine_point_input],
+                             ids=["balanced-3", "nine-point"])
+    def test_a_standalone_core_envelope_solves_no_minimum0(self, lps, make):
+        # its set is proved nonempty by the cold minimum of {0}, the first
+        # LP the envelope asks, which then starts every warm one
+        nu = make()
+        envelope = lower_envelope(core_polytope(nu))
+        assert lps.minima == [0b1] and lps.covers == []
+        assert (envelope == nu) is is_exact(fresh(nu))[0]
+
     def test_a_gap_at_the_first_cold_minimum(self, lps):
         # the CI gap input: balanced, not exact, and {0} is the first subset
-        # no marginal vector attains, so its cold minimum is solved twice
+        # no marginal vector attains: its cold minimum is solved once, and its
+        # certificate is the witness
         nu = lower_envelope(random_credal(GroundSet(7), SplitMix64(1), 8, 8))
         nu = Capacity(nu.ground, [v + F(1, 64) if a == 0b111 else v for a, v in enumerate(nu.values)])
         exact, gap = is_exact(nu)
         assert not exact and gap.subset == 0b1 and gap.verify(nu)
-        assert solved(lps) == ([], [0b1, 0b1], [])
+        assert solved(lps) == ([], [0b1], [])
         report = classify_full(fresh(nu))
         assert report.balanced and report.exact_witness == gap and verify_report(nu, report)
 
@@ -157,8 +169,8 @@ class TestRoutes:
         assert lps.minima[0] != 0
 
     @pytest.mark.parametrize("make, nonempty, alone", [
-        (balanced_not_convex, True, ([], [0], [])),
-        (unbalanced_game, False, ([g3.full], [0], [])),  # minimum(0) refutes, the cover follows
+        (balanced_not_convex, True, ([], [0b1], [])),
+        (unbalanced_game, False, ([g3.full], [0b1], [])),  # minimum of {0} refutes, the cover follows
         (lambda: random_convex_mixture(g3, 2, 3), True, ([], [], [])),
     ], ids=["balanced", "unbalanced", "convex"])
     def test_helper_alone_and_after_is_balanced(self, lps, make, nonempty, alone):
@@ -242,6 +254,13 @@ class TestNinePointInput:
         # vector attains is the one cold minimum, and each warm one starts
         # from the nearest stored optimum
         assert is_exact(nine_point_input()) == (True, None)
+        assert 0 < pivots[0] <= 600
+
+    def test_standalone_core_envelope(self, pivots):
+        # the cold minimum of {0} proves the core nonempty and starts the
+        # warm chain: the same 600 pivots as a standalone is_exact
+        nu = nine_point_input()
+        assert lower_envelope(core_polytope(nu)) == nu
         assert 0 < pivots[0] <= 600
 
     def test_classify_full(self, pivots):

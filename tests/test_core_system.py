@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (capacity_tables, core_vertices, dualized_core_min, explicit_system,
-                     fraction_marginal, reference_is_exact)
+                     fraction_marginal, reference_is_exact, shift_cell)
 
 from capax.capacity import (
     Capacity,
@@ -188,29 +188,27 @@ class TestCertificates:
         assert not self.system.certifies(self.subset,
                                          replace(self.best, value=self.best.value + F(1, 9)))
 
-    def test_minimum_raises_on_a_tampered_primal(self, monkeypatch):
-        class Skewed(Tableau):
-            __slots__ = ()
+    # each tamper edits the integer cells of the optimal tableau `_revised`
+    # returns, before the basis check reads them
+    def test_minimum_raises_on_a_tampered_primal(self, skewed_optimum):
+        # the last point's weight grows by 1/3: x(subset) stays the value,
+        # but x(X) = 4/3
+        skewed_optimum(lambda tab, columns: shift_cell(tab, tab.m, tab.m - 1, F(-1, 3)))
+        with pytest.raises(InternalInconsistency, match="core minimum of subset 0b1 "):
+            self.system.minimum(self.subset)
 
-            def cell(self, i, j):
-                if (i, j) == (self.m, self.m - 1):  # the last point's weight grows by 1/3
-                    return super().cell(i, j) - F(1, 3)
-                return super().cell(i, j)
+    def test_minimum_raises_on_a_tampered_dual(self, skewed_optimum):
+        def grow(tab, columns):  # every basic y0 half and y_A grows by 1/5
+            for i in range(tab.m):
+                shift_cell(tab, i, tab.ncols, F(1, 5))
 
-        monkeypatch.setattr(core_module._tableau_py, "Tableau", Skewed)
+        skewed_optimum(grow)
         with pytest.raises(InternalInconsistency):
             self.system.minimum(self.subset)
 
-    def test_minimum_raises_on_a_tampered_dual(self, monkeypatch):
-        class Skewed(Tableau):
-            __slots__ = ()
-
-            def cell(self, i, j):
-                if i < self.m and j == self.ncols:  # every basic y0 half and y_A grows by 1/5
-                    return super().cell(i, j) + F(1, 5)
-                return super().cell(i, j)
-
-        monkeypatch.setattr(core_module._tableau_py, "Tableau", Skewed)
+    def test_minimum_raises_on_a_tampered_value(self, skewed_optimum):
+        # -z grows by 1/9: point and multipliers stay feasible, the objectives do not match
+        skewed_optimum(lambda tab, columns: shift_cell(tab, tab.m, tab.ncols, F(1, 9)))
         with pytest.raises(InternalInconsistency):
             self.system.minimum(self.subset)
 
@@ -578,7 +576,7 @@ class TestWarmMinima:
             first = next(tab for (den, mass), tab in stored if F(mass[b], den) == least)
             assert started == [first], b
 
-    @pytest.mark.parametrize("corrupt", ["point", "multiplier"])
+    @pytest.mark.parametrize("corrupt", ["point", "multiplier", "negative", "overload"])
     def test_a_corrupted_warm_optimum_raises(self, corrupt, monkeypatch):
         nu = seeded_capacities(5, 1, 9)[1]
         system = capacity_core(nu.values)
@@ -590,10 +588,20 @@ class TestWarmMinima:
             nums, dens = tab.nums, tab.dens
             if corrupt == "point":  # x_0 grows by 1/3, so x(X) = 4/3
                 nums[n][0], dens[n][0] = 3 * nums[n][0] - dens[n][0], 3 * dens[n][0]
-            else:  # the first basic y_A with b_A > 0 grows by 1
+            elif corrupt == "multiplier":  # the first basic y_A with b_A > 0 grows by 1
                 i = next(i for i, t in enumerate(tab.basis)
                          if 2 <= t < len(columns) and system.bounds[t - 2] > 0)
                 nums[i][n + 1] += dens[i][n + 1]
+            else:
+                # the first basic y_A with b_A = 0, here y_{1} = 1 at the
+                # minimum of x({1}): y_A -> -y_A - 1 < 0, or y_A + 1, which
+                # loads point 1 with 2; neither objective moves
+                i = next(i for i, t in enumerate(tab.basis)
+                         if 2 <= t < len(columns) and system.bounds[t - 2] == 0)
+                if corrupt == "negative":
+                    nums[i][n + 1] = -nums[i][n + 1] - dens[i][n + 1]
+                else:
+                    nums[i][n + 1] += dens[i][n + 1]
             corrupted.append(tab)
 
         unattained = lambda: next(b for b in nu.ground.proper_nonempty_subsets()

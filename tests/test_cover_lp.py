@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import shift_cell
+
 from capax import classify
 from capax.capacity import (
     BalancedFamily,
@@ -18,10 +20,8 @@ from capax.credal import lower_envelope, random_credal
 from capax.errors import GroundMismatch, InternalInconsistency, ShapeMismatch
 from capax.ground import GroundSet, subset_indices
 from capax.lp import OPTIMAL, cover_certifies, cover_maximum, solve
-from capax.lp import core as core_module
 from capax.lp.core import shared_full_cover
 from capax.lp import solver
-from capax.lp._tableau_py import Tableau
 from capax.rng import SplitMix64
 
 
@@ -134,29 +134,50 @@ class TestCertificates:
         for bound in (0, 4, 5, -1):
             assert not cover_certifies(self.additive, bound, best)
 
-    def test_raises_on_a_tampered_dual(self, monkeypatch):
-        class Skewed(Tableau):
-            __slots__ = ()
+    # each tamper edits the integer cells of the optimal tableau `_revised`
+    # returns, before the basis check reads them
+    def test_raises_on_a_tampered_dual(self, skewed_optimum):
+        # the last point's dual weight grows by 1/3: still a feasible dual
+        # point, but y(bound) no longer equals the value
+        skewed_optimum(lambda tab, columns: shift_cell(tab, tab.m, tab.m - 1, F(-1, 3)))
+        with pytest.raises(InternalInconsistency, match="weighted cover of subset 0b111"):
+            cover_maximum(random_monotone(GroundSet(3), 5, 6).values, 0b111)
 
-            def cell(self, i, j):
-                if (i, j) == (self.m, self.m - 1):  # the last point's dual weight grows by 1/3
-                    return super().cell(i, j) - F(1, 3)
-                return super().cell(i, j)
+    def test_raises_on_a_tampered_primal(self, skewed_optimum):
+        def grow(tab, columns):  # every basic lam_A grows by 1/5
+            for i in range(tab.m):
+                shift_cell(tab, i, tab.ncols, F(1, 5))
 
-        monkeypatch.setattr(core_module._tableau_py, "Tableau", Skewed)
+        skewed_optimum(grow)
         with pytest.raises(InternalInconsistency):
             cover_maximum(random_monotone(GroundSet(3), 5, 6).values, 0b111)
 
-    def test_raises_on_a_tampered_primal(self, monkeypatch):
-        class Skewed(Tableau):
-            __slots__ = ()
+    def test_raises_on_a_light_primal(self, skewed_optimum):
+        def halve(tab, columns):  # every basic lam_A halves: still feasible, but light
+            for i in range(tab.m):
+                tab.dens[i][tab.ncols] *= 2
 
-            def cell(self, i, j):
-                if i < self.m and j == self.ncols:  # every basic lam_A grows by 1/5
-                    return super().cell(i, j) + F(1, 5)
-                return super().cell(i, j)
+        skewed_optimum(halve)
+        with pytest.raises(InternalInconsistency):
+            cover_maximum(random_monotone(GroundSet(3), 5, 6).values, 0b111)
 
-        monkeypatch.setattr(core_module._tableau_py, "Tableau", Skewed)
+    def test_raises_on_an_overloaded_optimum(self, skewed_optimum):
+        # the dual point, the weights and the value all grow by 1/5: the dual
+        # stays feasible and both objectives equal the value, but a point the
+        # dual weighs is a tight row, now loaded 6/5
+        def scale(tab, columns):
+            m = tab.m
+            for i, j in [*((m, j) for j in range(m)), *((i, m + 1) for i in range(m + 1))]:
+                tab.nums[i][j] *= 6
+                tab.dens[i][j] *= 5
+
+        skewed_optimum(scale)
+        with pytest.raises(InternalInconsistency):
+            cover_maximum(random_monotone(GroundSet(3), 5, 6).values, 0b111)
+
+    def test_raises_on_a_tampered_value(self, skewed_optimum):
+        # -z grows by 1/9: point and weights stay feasible, the objectives do not match
+        skewed_optimum(lambda tab, columns: shift_cell(tab, tab.m, tab.ncols, F(1, 9)))
         with pytest.raises(InternalInconsistency):
             cover_maximum(random_monotone(GroundSet(3), 5, 6).values, 0b111)
 
