@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     NotMonotone,
     OutOfRange,
 )
-from .ground import ONE, ZERO, GroundSet, PointMap, family_total
+from .ground import ONE, ZERO, GroundSet, PointMap, _shared_ratio, family_total
 from .rng import SplitMix64
 
 
@@ -280,12 +279,11 @@ class BalancedFamily:
 def random_monotone(ground: GroundSet, seed: int, grid: int) -> Capacity:
     """Deterministic random capacity: `grid_table` over `grid`.
 
-    Same (seed, n, grid) always yields the same table.  Values are shared
-    Fractions from one tuple per grid, so many capacities drawn on one grid
-    hold only grid + 1 distinct value objects between them.
+    Same (seed, n, grid) always yields the same table.  Values are the
+    shared Fractions of `ground._shared_ratio`, built as a table reads them,
+    so capacities drawn on one grid share their value objects.
     """
-    fractions = _grid_fractions(grid)
-    return Capacity._built(ground, tuple(fractions[k] for k in grid_table(ground, seed, grid)))
+    return Capacity._built(ground, tuple(_shared_ratio(k, grid) for k in grid_table(ground, seed, grid)))
 
 
 def grid_table(ground: GroundSet, seed: int, grid: int) -> list[int]:
@@ -304,12 +302,6 @@ def grid_table(ground: GroundSet, seed: int, grid: int) -> list[int]:
         raw[mask] = rng.next_below(grid + 1)
     raw[ground.full] = grid
     return _monotone_closure(ground, raw)
-
-
-@lru_cache(maxsize=None)
-def _grid_fractions(grid: int) -> tuple[Fraction, ...]:
-    """0, 1/grid, ..., 1: the values of every capacity drawn on this grid."""
-    return tuple(Fraction(k, grid) for k in range(grid + 1))
 
 
 def random_convex_mixture(ground: GroundSet, seed: int, grid: int) -> Capacity:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacity import BalancedFamily, Capacity, Measure
-from .errors import CoreEmpty, EmptySubset, InternalInconsistency
+from .errors import EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, family_total, point_masses, subset_indices
 from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
                  cover_maximum)
@@ -232,18 +232,10 @@ def is_balanced(nu: Capacity):
 
 
 def min_core_value(nu: Capacity, subset: int) -> Fraction:
-    """Minimum of mu(B) over the core; raises CoreEmpty when unbalanced.
-
-    Every core measure has mu(empty) = 0 and mu(X) = 1, so both ends answer
-    without an LP once the shared system's pool or, for a convex capacity,
-    a marginal vector proves the core nonempty (`require_solution`).
-    """
+    """Minimum of mu(B) over the core, by the shared system's `least`;
+    raises CoreEmpty when unbalanced."""
     check_subset(subset, nu.ground)
-    system = shared_capacity_core(nu.values)
-    if subset == 0 or subset == nu.ground.full:
-        system.require_solution()
-        return ONE if subset else ZERO
-    return system.least(subset)
+    return shared_capacity_core(nu.values).least(subset)
 
 
 def is_exact(nu: Capacity):
@@ -253,27 +245,23 @@ def is_exact(nu: Capacity):
     failing subset in code order, or the violating BalancedFamily when the
     core is empty.  The empty and full sets are attained and skipped.
 
-    A convex capacity runs no LP at all.  A subset whose bound some certified
-    core point attains needs no LP; the rest get a warm minimum (`least`),
-    the first cold: it refutes an empty core that no solved cover has.  The
-    first that falls short gets the certificate of its cold minimum, solved
-    unless it was that first LP, so the witness does not depend on the history.
+    `shared_core_nonempty` answers first.  A convex capacity runs no LP at
+    all.  A subset whose bound some certified core point attains needs no
+    LP; the rest get a warm minimum (`least`).  The first that falls short
+    gets the certificate of its cold `minimum`, each solved at most once per
+    system, so the witness does not depend on the history.
     """
-    cover = solved_full_cover(nu.values)
-    if cover is None or cover.value == ONE:
-        system = shared_capacity_core(nu.values)
-        try:
-            for subset in nu.ground.proper_nonempty_subsets():
-                if system.least(subset) != nu[subset]:
-                    best = system.certificate(subset)
-                    coeffs = tuple((a, w) for a, w in zip(system.masks, best.multipliers) if w != 0)
-                    return False, ExactnessGap(subset, best.value, best.shift, coeffs)
-            return True, None
-        except CoreEmpty as exc:
-            cover = shared_full_cover(nu.values)
-            if cover.value == ONE:
-                raise InternalInconsistency("weighted-cover value 1 but the core is empty") from exc
-    return False, BalancedFamily(cover.sets, cover.weights)
+    values = nu.values
+    if not shared_core_nonempty(values):
+        cover = shared_full_cover(values)
+        return False, BalancedFamily(cover.sets, cover.weights)
+    system = shared_capacity_core(values)
+    for subset in nu.ground.proper_nonempty_subsets():
+        if system.least(subset) != nu[subset]:
+            best = system.minimum(subset)
+            coeffs = tuple((a, w) for a, w in zip(system.masks, best.multipliers) if w != 0)
+            return False, ExactnessGap(subset, best.value, best.shift, coeffs)
+    return True, None
 
 
 def is_totally_balanced(nu: Capacity):

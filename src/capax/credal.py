@@ -15,13 +15,12 @@ full polytope equality is out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .capacity import Capacity, Measure, _rational, measure_pushforward, pushforward
 from .classify import is_exact
 from .errors import CoreEmpty, GroundMismatch, InfeasibleCredal, NotExact
-from .ground import ONE, ZERO, GroundSet, PointMap, check_subset, point_masses
+from .ground import ONE, ZERO, GroundSet, PointMap, _shared_ratio, check_subset, point_masses
 from .lp.core import CoreSystem, shared_capacity_core
 # LinearProgram, Row and solve_dualized stay importable here for tools that
 # hook LP construction and solves per module
@@ -95,8 +94,6 @@ class CredalSet:
             return self._vertex_minima()[mask]
         if self.kind == PUSHED:
             return self.base_set.min_mass(self.base_map.preimage(mask))
-        if mask == 0 or mask == self.ground.full:  # x({}) = 0 and x(X) = 1 on every member
-            return ONE if mask else ZERO
         return self.system.least(mask)
 
     def max_mass(self, mask: int) -> Fraction:
@@ -127,20 +124,6 @@ class CredalSet:
         if self.kind == PUSHED:
             return measure_pushforward(self.base_map, self.base_set.some_member())
         return Measure(self.ground, self.system.minimum(0).point)
-
-
-def _shared_ratio(num: int, den: int) -> Fraction:
-    """num / den as the one Fraction object `_lowest_terms` holds for it, so
-    envelopes that share a value share its object."""
-    g = gcd(num, den)
-    return _lowest_terms(num // g, den // g)
-
-
-@lru_cache(maxsize=4096)
-def _lowest_terms(num: int, den: int) -> Fraction:
-    """The Fraction num / den, for coprime num and den; the cache is bounded,
-    so a value evicted and met again is a new, equal object."""
-    return Fraction(num, den)
 
 
 def core_polytope(nu: Capacity) -> CredalSet:

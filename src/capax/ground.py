@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import gt
 from typing import Iterator
@@ -43,6 +44,20 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational {text!r}") from None
     except ValueError:
         raise ValueError(f"malformed rational {text!r}") from None
+
+
+def _shared_ratio(num: int, den: int) -> Fraction:
+    """num / den as the one Fraction object `_lowest_terms` holds for it, so
+    tables that share a value share its object."""
+    g = gcd(num, den)
+    return _lowest_terms(num // g, den // g)
+
+
+@lru_cache(maxsize=4096)
+def _lowest_terms(num: int, den: int) -> Fraction:
+    """The Fraction num / den, for coprime num and den; the cache is bounded,
+    so a value evicted and met again is a new, equal object."""
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,17 +40,17 @@ core system) returns.  An iteration costs O(m^2) for the pivot plus one
 pass over the 2^m walk and the columns, where the full tableau's pivot
 touched m rows of every column.
 
-`CoreSystem.minimum` always starts cold, from the slack basis; the minima
-`least` asks for (`is_exact`, the core envelopes) start warm.  Only the
-right-hand side [j in B] depends on B, so every optimal basis stays dual
-feasible (pi is a core point), and Lemke's dual simplex ("The dual method
-of solving the linear programming problem", NRLQ 1954) goes on from it:
-B^-1 r is written into the rhs column, and a row with a negative entry
-leaves (`_dual`).  Each certified optimum's tableau is stored beside its
-point's mass table (`_warm`); a warm minimum starts from a copy of the one
-with the least x(B).  Values are unique, so it equals a cold one; it
-answers with its value only.  While none is stored, `least` solves a cold
-`minimum` and keeps it, so `certificate` hands out that result unsolved.
+`CoreSystem.minimum` always starts cold, from the slack basis, and solves
+each subset at most once: its `CoreMinimum` is kept and handed back.  The
+minima `least` asks for (`is_exact`, the core envelopes) start warm.  Only
+the right-hand side [j in B] depends on B, so every optimal basis stays
+dual feasible (pi is a core point), and Lemke's dual simplex ("The dual
+method of solving the linear programming problem", NRLQ 1954) goes on from
+it: B^-1 r is written into the rhs column, and a row with a negative entry
+leaves (`_dual`).  A warm minimum starts from a copy of the stored optimal
+tableau whose point has the least x(B).  Values are unique, so it equals a
+cold one; it answers with its value only.  While no tableau is stored, or
+once B's cold minimum is solved, `least` answers by `minimum`.
 
 Every pivot loop records the bases it visits and raises
 `InternalInconsistency` on a repeat, so a kernel fault cannot cycle.
@@ -71,6 +71,14 @@ bug, never data).  An unbounded core-system dual means an empty core; its
 ray is checked as a Farkas certificate before `CoreEmpty` is raised.  The
 weighted cover is always feasible and bounded.
 
+A system keeps one record of what it has certified: one list holds each
+certified core point's mass table, with the optimal tableau found at it or
+None.  It only grows, so threads may read it while another appends; a point
+first kept without a tableau gains the first one found at it in place.
+`least(B)` answers every subset code from it: the empty and the full set by
+0 and 1 once `require_solution` shows the system solvable, any other B by
+its bound when `attains(B)`, else by a warm minimum.
+
 `attains(B)` answers the common question "is min x(B) equal to the bound of
 B?" without an LP whenever it can: one core point x with x(B) = b_B proves it,
 since every core point has x(B) >= b_B.  It looks at the points `minimum` has
@@ -81,20 +89,21 @@ the core of every convex capacity (Shapley, "Cores of convex games", IJGT
 (L the lcm of the denominators), so x_j is a difference of two entries and
 its core check one comparison per subset.  Every point passes the integer
 core check of `capax.ground`, which gives its mass table in lowest terms, so
-the pool keeps one copy of each point whichever route found it.
+the list keeps one copy of each point whichever route found it.
 
 `shared_scaled_table`, `shared_capacity_core` and `shared_full_cover` read
 a one-entry memo: a value table, its integer table L v (L the lcm of its
 denominators, which `classify` scans for convexity), its core system and
 the full set's weighted cover, each built on first use and none touching
-another.  So `classify` and `credal` share one pool, `is_exact(nu)` and
-then `lower_envelope(core_polytope(nu))` solve each minimum once, and each
-capacity solves its cover at most once.
+another.  So `classify` and `credal` share one record of points,
+`is_exact(nu)` and then `lower_envelope(core_polytope(nu))` solve each
+minimum once, and each capacity solves its cover at most once.
 `shared_core_nonempty` answers no from a solved cover above 1, else by
-`require_solution`.  One entry: a slot on `Capacity` would keep a pool for
-every capacity a search report holds, and more entries would let callers
-that cycle through a few capacities answer from pools filled by earlier
-calls.
+`require_solution`: a kept point or the identity ordering's marginal
+vector, else the cold minimum of {0}.  One entry: a slot on `Capacity`
+would keep the points of every capacity a search report holds, and more
+entries would let callers that cycle through a few capacities answer from
+points kept by earlier calls.
 """
 
 from __future__ import annotations
@@ -303,7 +312,7 @@ class CoreMinimum:
 class CoreSystem:
     """{x >= 0, x(X) = 1, x(A) >= bounds[i] for A = masks[i]} over n points."""
 
-    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_floor", "_pool", "_warm", "_first")
+    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_floor", "_points", "_minima")
 
     def __init__(self, n: int, masks, bounds):
         masks = tuple(masks)
@@ -337,49 +346,51 @@ class CoreSystem:
         if len(top) - (full in top) == full - 1 and top.get(full, (ONE,))[0] <= 1:
             scale = lcm(*(top[a][2] for a in range(1, full)))
             self._floor = [0, *(top[a][1] * (scale // top[a][2]) for a in range(1, full)), scale]
-        # (den, mass) of every certified core point, mass[S] = den * x(S)
-        self._pool: list[tuple[int, list[int]]] = []
-        # ((den, mass), tableau) per certified optimal point, in order found; only ever copied
-        self._warm: list = []
-        # (subset, CoreMinimum) of the cold minimum `least` solved while none was stored
-        self._first = None
+        # ((den, mass), optimal tableau or None) per certified core point,
+        # mass[S] = den * x(S), in the order found; a tableau is only ever copied
+        self._points: list = []
+        # the CoreMinimum of each cold minimum solved, by subset
+        self._minima: dict[int, CoreMinimum] = {}
 
     def minimum(self, subset: int) -> CoreMinimum:
         """Minimise x(subset), cold: from the slack basis, so the result does
-        not depend on what was asked before.  Raises CoreEmpty when the
-        system has no solution."""
-        self._check_code(subset)
-        tab, enter, col = _revised([subset >> j & 1 for j in range(self.n)], self._columns)
-        if enter >= 0:
-            self._raise_empty(tab, enter, col)
-        return self._optimum(subset, tab)
+        not depend on what was asked before; solved once, then handed back.
+        Raises CoreEmpty when the system has no solution."""
+        best = self._minima.get(subset)
+        if best is None:
+            self._check_code(subset)
+            tab, enter, col = _revised([subset >> j & 1 for j in range(self.n)], self._columns)
+            if enter >= 0:
+                self._raise_empty(tab, enter, col)
+            best = self._minima[subset] = self._optimum(subset, tab)
+        return best
 
     def least(self, subset: int) -> Fraction:
-        """min x(subset): its largest bound if `attains` proves it, else a warm minimum."""
+        """min x(subset) for every subset code: 0 or 1 at the empty or full set
+        once `require_solution` passes, its largest bound if `attains` proves
+        it, else a warm minimum."""
+        if not subset or subset == (1 << self.n) - 1:
+            self.require_solution()
+            return ONE if subset else ZERO
         return self._top[subset][0] if self.attains(subset) else self._warm_minimum(subset)
-
-    def certificate(self, subset: int) -> CoreMinimum:
-        """`minimum(subset)`, or the cold minimum `least` solved for subset
-        when no optimum was stored: the same certificate, solved once."""
-        first = self._first
-        return first[1] if first is not None and first[0] == subset else self.minimum(subset)
 
     def _warm_minimum(self, subset: int) -> Fraction:
         """min x(subset) by the dual simplex from a copy of the stored optimum of
-        least x(subset), ties to the earliest, or by a cold `minimum` if none is stored."""
+        least x(subset), ties to the earliest; by `minimum` if subset's cold
+        minimum was solved or no optimum is stored."""
         self._check_code(subset)
         start = None
-        for (den, mass), tab in self._warm:
-            if start is None or mass[subset] * best[0] < best[1][subset] * den:
-                start, best = tab, (den, mass)
+        if subset not in self._minima:
+            for (den, mass), tab in self._points:
+                if tab is not None and (start is None or mass[subset] * best[0] < best[1][subset] * den):
+                    start, best = tab, (den, mass)
         if start is None:
-            self._first = subset, self.minimum(subset)
-            return self._first[1].value
+            return self.minimum(subset).value
         tab, n = start.copy(), self.n
         _load(tab, subset_indices(subset), n + 1, 1, range(n + 1))  # B^-1 r, and -pi(r)
         _dual(tab, self._columns)
         table, value, _, _ = _certify(tab, subset, self._columns, "warm core minimum", subset)
-        self._pool_add(table, tab)
+        self._keep(table, tab)
         return value
 
     def _check_code(self, subset: int) -> None:
@@ -387,10 +398,10 @@ class CoreSystem:
             raise GroundMismatch(f"subset code {subset:#b} not valid over {self.n} points")
 
     def _optimum(self, subset: int, tab) -> CoreMinimum:
-        """Certify the minimum of x(subset) an optimal tableau holds, pool it,
-        store the tableau, and only then build its Fractions."""
+        """Certify the minimum of x(subset) an optimal tableau holds, keep its
+        point with the tableau, and only then build its Fractions."""
         table, value, weights, wden = _certify(tab, subset, self._columns, "core minimum", subset)
-        self._pool_add(table, tab)
+        self._keep(table, tab)
         den, mass = table
         y = [ZERO] * len(self._columns)
         for t, w in weights.items():
@@ -400,33 +411,37 @@ class CoreSystem:
                            y[0] - y[1], tuple(y[2:]))
 
     def has_point(self) -> bool:
-        """Whether a certified point is pooled or the identity's marginal vector is one."""
-        return bool(self._pool) or self._marginal(0) is not None
+        """Whether a certified point is kept or the identity's marginal vector is one."""
+        return bool(self._points) or self._marginal(0) is not None
 
     def require_solution(self) -> None:
-        """Raise CoreEmpty if unsolvable: `has_point`, else `least(1)`, a cold
-        minimum of the first subset a lower envelope asks, which stores the
-        optimum its warm minima start from."""
+        """Raise CoreEmpty if unsolvable: `has_point`, else `minimum(1)`, the
+        cold minimum of the first subset a lower envelope asks, which stores
+        the optimum its warm minima start from."""
         if not self.has_point():
-            self.least(1)
+            self.minimum(1)
 
     def admit(self, point) -> bool:
-        """Pool `point`, a weight per point, as a certified core point when it
+        """Keep `point`, a weight per point, as a certified core point when it
         passes the same integer core check as `minimum`'s; True if it did."""
         if len(point) != self.n:
             raise ShapeMismatch("core point length mismatch")
         table = self._core_mass(point)
         if table is None:
             return False
-        self._pool_add(table)
+        self._keep(table)
         return True
 
-    def _pool_add(self, table, tab=None) -> None:
-        """Pool a certified point's mass table and store its optimal tableau, each once per point."""
-        if table not in self._pool:
-            self._pool.append(table)
-        if tab is not None and all(kept != table for kept, _ in self._warm):
-            self._warm.append((table, tab))
+    def _keep(self, table, tab=None) -> None:
+        """Keep a certified point's mass table once, with the first optimal
+        tableau found at it: a point kept without one gains it in place."""
+        points = self._points
+        for i, (kept, held) in enumerate(points):
+            if kept == table:
+                if held is None and tab is not None:
+                    points[i] = table, tab
+                return
+        points.append((table, tab))
 
     def attains(self, subset: int) -> bool:
         """True when some certified core point x has x(subset) = b, the
@@ -441,14 +456,14 @@ class CoreSystem:
         if top is None:
             return False
         _, num, bden = top
-        for den, mass in self._pool:
+        for (den, mass), _ in self._points:
             if mass[subset] * bden == num * den:
                 return True
         table = self._marginal(subset)
         return table is not None and table[1][subset] * bden == num * table[0]
 
     def _marginal(self, subset: int):
-        """The pooled core mass table of the marginal vector of the ordering
+        """The kept core mass table of the marginal vector of the ordering
         "subset's points ascending, then the rest", or None (outside the core,
         or no floor table): x_j = floor[S + j] - floor[S], S the points before
         j, so x(subset) = b(subset), x(X) = 1 and the check needs no Fraction."""
@@ -461,7 +476,7 @@ class CoreSystem:
             prefix |= 1 << j
         table = scaled_masses(x, floor[-1], floor=floor)
         if table is not None:
-            self._pool_add(table)
+            self._keep(table)
         return table
 
     def certifies(self, subset: int, best: CoreMinimum) -> bool:

@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .capacity import BalancedFamily, Capacity, _grid_fractions
+from .capacity import BalancedFamily, Capacity
 from .classify import ClassReport, classify_full, is_exact, is_totally_balanced
 # verify_report and random_monotone stay importable here for callers that check
 # a report as capax.search.verify_report and tools that hook candidate draws
@@ -46,7 +46,7 @@ from .capacity import random_monotone  # noqa: F401
 from .classify import verify_report  # noqa: F401
 from .credal import lower_envelope, random_credal
 from .errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
-from .ground import GroundSet, format_rat, format_subset
+from .ground import GroundSet, _shared_ratio, format_rat, format_subset
 from .lp.core import capacity_core
 from .monad import SecondOrderCapacity, monad_mul
 from .rng import SplitMix64
@@ -152,7 +152,7 @@ def _screened_draw(ground: GroundSet, seed: int, grid: int):
             if table[a] + table[b] > v:
                 return None
         table.append(v)
-    return Capacity._built(ground, tuple(map(_grid_fractions(grid).__getitem__, table)))
+    return Capacity._built(ground, tuple(_shared_ratio(v, grid) for v in table))
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +244,7 @@ def _envelope_certifies(nu: Capacity, vertices) -> bool:
     integer core check of nu (x >= 0, x(X) = 1, x(A) >= nu(A) for every A),
     and every proper nonempty subset A has some core point with x(A) = nu(A).
     Then nu is the lower envelope of core points, which is exactness.  The
-    system is new, not the shared one: no point another caller pooled counts."""
+    system is new, not the shared one: no point another caller kept counts."""
     system = capacity_core(nu.values)
     return all(system.admit(mu.weights) for mu in vertices) and \
         all(system.attains(a) for a in nu.ground.proper_nonempty_subsets())

@@ -1,15 +1,13 @@
 """One answer to "is the core nonempty?".
 
-`is_balanced` reads the full-set cover alone.  `lp.core.shared_core_nonempty`
-answers no from a solved full-set cover above 1; otherwise it reads, in
-order, a pooled certified point and, for a capacity's core, the identity
-ordering's marginal vector, and solves the cold minimum of {0} (the first
-LP a lower envelope solves) only when neither answers, and the full-set
-cover only for an empty core.  `is_exact` asks
-neither: a solved cover above 1 answers, else its first cold minimum
-refutes an empty core.  The routes differ in cost only: no flag and no
-witness may depend on which one answered, or on what earlier calls left in
-the pool.
+`is_balanced` reads the full-set cover alone.  `lp.core.shared_core_nonempty`,
+which `is_exact` and `is_totally_balanced` ask, answers no from a solved
+full-set cover above 1; otherwise it reads, in order, a kept certified
+point and, for a capacity's core, the identity ordering's marginal vector,
+and solves the cold minimum of {0} (the first LP a lower envelope solves)
+only when neither answers, and the full-set cover only for an empty core.
+The routes differ in cost only: no flag and no witness may depend on which
+one answered, or on what earlier calls left in the system's record.
 """
 
 from fractions import Fraction as F
@@ -39,14 +37,20 @@ PREDICATES = {"balanced": is_balanced, "exact": is_exact, "totally_balanced": is
 @pytest.fixture
 def lps(monkeypatch, cover_bounds):
     """Every LP solved from then on: the bound of each weighted cover, the
-    subset of each cold core minimum, and one entry per warm minimum; and the
-    table of each shared core system built."""
+    subset of each cold core minimum solved (not each `minimum` call, which
+    hands a solved one back), and one entry per warm minimum; and the table
+    of each shared core system built."""
     log = SimpleNamespace(covers=cover_bounds, minima=[], warm=[], systems=[])
     minimum, dual, build = CoreSystem.minimum, core_module._dual, core_module.capacity_core
     monkeypatch.setattr(core_module, "capacity_core",
                         lambda values: log.systems.append(values) or build(values))
-    monkeypatch.setattr(CoreSystem, "minimum",
-                        lambda self, subset: log.minima.append(subset) or minimum(self, subset))
+
+    def counted(self, subset):
+        if subset not in self._minima:
+            log.minima.append(subset)
+        return minimum(self, subset)
+
+    monkeypatch.setattr(CoreSystem, "minimum", counted)
     monkeypatch.setattr(core_module, "_dual",
                         lambda tab, columns: log.warm.append(1) or dual(tab, columns))
     return log
@@ -144,6 +148,17 @@ class TestRoutes:
         envelope = lower_envelope(core_polytope(nu))
         assert lps.minima == [0b1] and lps.covers == []
         assert (envelope == nu) is is_exact(fresh(nu))[0]
+
+    def test_core_polytope_tries_the_identity_marginal_vector_once(self, monkeypatch):
+        # `has_point` tries it; when it fails, the cold minimum of {0}
+        # proves the core nonempty without trying it again
+        nu = nine_point_input()
+        assert not capacity_core(nu.values).has_point()  # outside the core
+        tried, marginal = [], CoreSystem._marginal
+        monkeypatch.setattr(CoreSystem, "_marginal",
+                            lambda self, subset: tried.append(subset) or marginal(self, subset))
+        core_polytope(nu)
+        assert tried == [0]
 
     def test_a_gap_at_the_first_cold_minimum(self, lps):
         # the CI gap input: balanced, not exact, and {0} is the first subset

@@ -195,7 +195,7 @@ class TestCertificates:
         # but x(X) = 4/3
         skewed_optimum(lambda tab, columns: shift_cell(tab, tab.m, tab.m - 1, F(-1, 3)))
         with pytest.raises(InternalInconsistency, match="core minimum of subset 0b1 "):
-            self.system.minimum(self.subset)
+            core_of(self.nu).minimum(self.subset)  # a new system: the setup's minimum is kept
 
     def test_minimum_raises_on_a_tampered_dual(self, skewed_optimum):
         def grow(tab, columns):  # every basic y0 half and y_A grows by 1/5
@@ -204,13 +204,13 @@ class TestCertificates:
 
         skewed_optimum(grow)
         with pytest.raises(InternalInconsistency):
-            self.system.minimum(self.subset)
+            core_of(self.nu).minimum(self.subset)
 
     def test_minimum_raises_on_a_tampered_value(self, skewed_optimum):
         # -z grows by 1/9: point and multipliers stay feasible, the objectives do not match
         skewed_optimum(lambda tab, columns: shift_cell(tab, tab.m, tab.ncols, F(1, 9)))
         with pytest.raises(InternalInconsistency):
-            self.system.minimum(self.subset)
+            core_of(self.nu).minimum(self.subset)
 
 
 class TestEmptyCore:
@@ -232,6 +232,56 @@ class TestEmptyCore:
         monkeypatch.setattr(CoreSystem, "refutes", lambda self, shift, ys: False)
         with pytest.raises(InternalInconsistency):
             self.system.minimum(1)
+
+    def test_least_raises_at_every_subset_the_ends_included(self):
+        for subset in range(4):
+            with pytest.raises(CoreEmpty):
+                self.system.least(subset)
+
+
+class TestOneRecord:
+    """One list of certified points per system, each cold minimum solved
+    once, and `least` for every subset code."""
+
+    def test_each_cold_minimum_is_solved_once(self, monkeypatch):
+        nu = seeded_capacities(5, 1, 9)[1]  # lowered: some minima fall short
+        system = capacity_core(nu.values)
+        solved, warm = [], []
+        revised, dual = core_module._revised, core_module._dual
+        monkeypatch.setattr(core_module, "_revised",
+                            lambda rhs, columns: solved.append(rhs) or revised(rhs, columns))
+        monkeypatch.setattr(core_module, "_dual",
+                            lambda tab, columns: warm.append(tab) or dual(tab, columns))
+        for subset in nu.ground.subsets():
+            best = system.minimum(subset)
+            assert system.minimum(subset) is best
+            assert system.least(subset) == best.value  # from the kept point or the kept minimum
+        assert len(solved) == 32 and warm == []
+        assert [v for v in map(min_core_value, [nu] * 32, range(32))] == \
+            [system.minimum(b).value for b in range(32)]
+
+    def test_least_answers_both_ends(self, monkeypatch):
+        # a bound on the full set and one on {0}: no floor table, so no marginal
+        # vector; the ends cost the cold minimum of {0}, once
+        system = CoreSystem(2, [0b11, 0b01], [F(1, 2), F(1, 3)])
+        solved, revised = [], core_module._revised
+        monkeypatch.setattr(core_module, "_revised",
+                            lambda rhs, columns: solved.append(rhs) or revised(rhs, columns))
+        assert (system.least(0), system.least(0b11), system.least(0b01)) == (0, 1, F(1, 3))
+        assert solved == [[1, 0]]
+        with pytest.raises(GroundMismatch):
+            system.least(0b100)
+
+    def test_a_kept_point_gains_its_tableau_in_place(self):
+        # the marginal vector the full set's nonemptiness check keeps first
+        # is the cold minimum of {0} on a unanimity game of {0, 1}
+        nu = unanimity(0b011, GroundSet(3))
+        system = capacity_core(nu.values)
+        assert system.least(0b111) == 1
+        assert [tab for _, tab in system._points] == [None]
+        best = system.minimum(0b001)
+        assert len(system._points) == 1 and system._points[0][1] is not None
+        assert system._points[0][0] == point_masses(best.point)
 
 
 class TestEdges:
@@ -318,7 +368,7 @@ class TestAttains:
             x = fraction_marginal(system, gap.subset)
             assert sum(x[j] for j in range(4) if gap.subset >> j & 1) == nu[gap.subset]
             assert not system.attains(gap.subset)
-            assert system._pool == []
+            assert system._points == []
             return
         pytest.fail("no non-exact capacity among the seeds")
 
@@ -427,10 +477,11 @@ class TestIntegerMarginal:
             nu = random_convex_mixture(GroundSet(3), seed, 3)
             for subset in nu.ground.proper_nonempty_subsets():
                 system = capacity_core(nu.values)
-                assert system.attains(subset) and len(system._pool) == 1
-                den, _ = marginal = system._pool[0]
+                assert system.attains(subset) and len(system._points) == 1
+                den, _ = marginal = system._points[0][0]
                 same = point_masses(system.minimum(subset).point) == marginal
-                assert len(system._pool) == 2 - same
+                assert len(system._points) == 2 - same
+                assert (system._points[0][1] is not None) == same  # the kept point gains its tableau
                 same_points += same
                 reduced += same and den < system._floor[-1]
         assert same_points > reduced > 0
@@ -522,7 +573,12 @@ def assert_warm_is_cold(warm, rng):
                 warm._warm_minimum(subset)
             continue
         assert warm._warm_minimum(subset) == expected, (warm.masks, warm.bounds, subset)
-    return bool(cold._pool)
+    return bool(cold._points)
+
+
+def tableaux(system):
+    """The kept points that hold an optimal tableau, as (table, tableau)."""
+    return [entry for entry in system._points if entry[1] is not None]
 
 
 def snapshot(stored):
@@ -549,11 +605,12 @@ class TestWarmMinima:
                 continue
             for b in shuffled(range(1 << n), rng):
                 assert system._warm_minimum(b) == cold[b]
-            stored = list(system._warm)
+            stored = tableaux(system)
             before = snapshot(stored)
             for entry in stored:
                 for b in range(1 << n):
-                    system._warm[:] = [entry]
+                    system._points[:] = [entry]
+                    system._minima.clear()  # so no solved cold minimum answers
                     assert system._warm_minimum(b) == cold[b], (values, b)
             assert snapshot(stored) == before  # copied, never pivoted
             starts += len(stored)
@@ -564,12 +621,13 @@ class TestWarmMinima:
         system = capacity_core(nu.values)
         for b in nu.ground.proper_nonempty_subsets():
             system._warm_minimum(b)
-        assert len(system._warm) >= 2
+        assert len(tableaux(system)) >= 2
+        system._minima.clear()  # so every minimum below starts warm
         started = []
         copy = Tableau.copy
         monkeypatch.setattr(Tableau, "copy", lambda tab: started.append(tab) or copy(tab))
         for b in nu.ground.proper_nonempty_subsets():
-            stored = list(system._warm)
+            stored = tableaux(system)
             least = min(F(mass[b], den) for (den, mass), _ in stored)
             started.clear()
             system._warm_minimum(b)
@@ -622,7 +680,7 @@ class TestWarmMinima:
                 system, cover = shared_capacity_core(values), shared_full_cover(values)
             else:
                 cover, system = shared_full_cover(values), shared_capacity_core(values)
-            assert system._warm == system._pool == []
+            assert system._points == [] and system._minima == {}
             balanced += cover.value == 1
             assert assert_warm_is_cold(system, rng) == (cover.value == 1)
         assert balanced and (warm_log.warm or n == 1)
@@ -716,13 +774,13 @@ class TestWarmMinima:
             assert shared_full_cover(nu.values).value == 1
             unshared = capacity_core(nu.values)
             system = shared_capacity_core(nu.values)
-            assert system._warm == system._pool == []
-            assert unshared._warm == unshared._pool == []
+            assert system._points == [] and system._minima == {}
+            assert unshared._points == [] and unshared._minima == {}
             classify_full(nu)
-            assert system._pool  # is_exact proves the core nonempty by a point of its own
-            warmed += bool(system._warm)
+            assert system._points  # is_exact proves the core nonempty by a point of its own
+            warmed += bool(tableaux(system))
             fresh = capacity_core(nu.values)
-            assert fresh._warm == fresh._pool == []
+            assert fresh._points == [] and fresh._minima == {}
         assert warmed  # the non-convex ones store their optima's tableaux
 
     def test_threads_racing_on_one_entry_never_pivot_one_tableau_together(self, monkeypatch):
@@ -802,11 +860,11 @@ class TestSharedCore:
         for nu in seeded_capacities(4, 2, 11):
             subsets = nu.ground.proper_nonempty_subsets()
             first = is_exact(nu), [min_core_value(nu, b) for b in subsets]
-            pool = shared_capacity_core(nu.values)._pool
+            pool = shared_capacity_core(nu.values)._points
             size = len(pool)
             for _ in range(50):
                 assert (is_exact(nu), [min_core_value(nu, b) for b in subsets]) == first
-            assert shared_capacity_core(nu.values)._pool is pool
+            assert shared_capacity_core(nu.values)._points is pool
             assert len(pool) == size
 
     def test_threads_never_pair_a_table_with_another_system(self):

@@ -176,4 +176,4 @@ class TestBasisRepeatGuard:
 
         monkeypatch.setattr(core_module, "_load", negative_row)
         with pytest.raises(InternalInconsistency, match="no entering column"):
-            system.least(0b11)  # no bound on the full set, so no pooled point settles it
+            system._warm_minimum(0b11)  # from the tableau of minimum(0)

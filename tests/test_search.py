@@ -1,21 +1,27 @@
 import dataclasses
 import operator
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from oracles import random_monotone_fractions, superadditive
 
+import capax
 from capax import search
 from capax.capacity import (BalancedFamily, Capacity, Measure, grid_table, point_mass,
                             random_convex_mixture, random_monotone)
-from capax.classify import ExactnessGap, TotalBalanceFailure, is_exact, is_totally_balanced
+from capax.classify import ExactnessGap, TotalBalanceFailure, is_balanced, is_exact, is_totally_balanced
 from capax.credal import CredalSet, lower_envelope
-from capax.errors import ConfigOutOfRange, GeneratorExhausted
+from capax.errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
 from capax.ground import GroundSet, subset_indices
 from capax.lp.core import capacity_core
-from capax.monad import monad_mul
+from capax.monad import SecondOrderCapacity, monad_mul
 from capax.rng import SplitMix64
 from capax.search import (
     SearchConfig,
@@ -445,6 +451,9 @@ class TestEnvelopeCertificate:
 
         monkeypatch.setattr(search, "_second_order", with_point_mass)
         assert not verify_counterexample(cfg, outcome.seed, tables, witness)
+        # the search itself refuses to list the seed
+        with pytest.raises(InternalInconsistency, match=f"seed {outcome.seed}: "):
+            search.run_seed(cfg, outcome.seed)
 
 
 def forged(witness, nu):
@@ -518,6 +527,111 @@ class TestTotallyBalancedSearch:
         for o in report.outcomes:
             if not o.class_holds:
                 assert o.verified_counterexample
+
+
+class TestLargeGrid:
+    def test_a_large_grid_draws_without_a_value_table(self):
+        # a draw builds only the Fractions its table reads, so a grid of 10^12
+        # draws under a 1 GiB address-space cap, in a child process
+        code = """
+import resource
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from fractions import Fraction
+from capax.capacity import grid_table, random_monotone
+from capax.ground import GroundSet
+from capax.search import SearchConfig, problem1_search
+g, grid = GroundSet(2), 10 ** 12
+nu = random_monotone(g, 0, grid)
+assert nu.values == tuple(Fraction(k, grid) for k in grid_table(g, 0, grid))
+report = problem1_search(SearchConfig(1, 1, "totally_balanced", 0, 0, grid=grid))
+assert [o.class_holds for o in report.outcomes] == [True]
+"""
+        src = str(Path(capax.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
+# `problem1_search` at n = 3, k = 2, grid 1, seed 5: the members 1/2 d0 + 1/2 d1
+# and 1/2 d1 + 1/2 d2 under the additive weight game (1/2, 1/2)
+SEED5_RECORD = """\
+capax-report v3
+config command=search class=exact n=3 k=2 seeds=5..5 grid=1
+result seed=5 convex=no exact=no totally-balanced=no balanced=no holds=no
+counterexample seed=5 witness=core-empty
+cx-support seed=5 index=0 table=0,1/2,1/2,1,0,1/2,1/2,1
+cx-support seed=5 index=1 table=0,0,1/2,1/2,1/2,1/2,1,1
+cx-game seed=5 table=0,1/2,1/2,1
+cx-mul seed=5 table=0,1/2,1/2,1/2,1/2,1/2,1/2,1
+summary seeds=1 counterexamples=1 verdict=counterexample-found
+"""
+
+
+def grid_members(n, grid):
+    """Every monotone capacity on n points with values on the grid."""
+    g, full = GroundSet(n), (1 << n) - 1
+    out = []
+    for inner in product(range(grid + 1), repeat=full - 1):
+        v = (0, *inner, grid)
+        if all(v[a] <= v[a | 1 << i] for a in range(full) for i in range(n)):
+            out.append(Capacity(g, [Fraction(x, grid) for x in v]))
+    return out
+
+
+class TestSmallEnd:
+    """Where the submonad question turns: never at two points, on the census
+    below, and already for measures at three."""
+
+    @pytest.mark.parametrize("predicate, games", [(is_exact, 90), (is_balanced, 200)],
+                             ids=["exact", "balanced"])
+    def test_two_point_census_has_no_counterexample(self, predicate, games):
+        # every exact 2-point member on grid 3, three at a time, under every
+        # exact or balanced 3-point weight game on grid 3
+        members = [nu for nu in grid_members(2, 3) if is_exact(nu)[0]]
+        weights = [nu for nu in grid_members(3, 3) if predicate(nu)[0]]
+        assert (len(members), len(weights)) == (10, games)
+        # at two points every class is the one condition v({0}) + v({1}) <= 1
+        for nu in grid_members(2, 3):
+            assert is_exact(nu)[0] is is_balanced(nu)[0] is (nu[0b01] + nu[0b10] <= 1)
+        products = 0
+        for support in combinations(members, 3):
+            for game in weights:
+                mu = monad_mul(SecondOrderCapacity(GroundSet(2), support, game))
+                assert mu[0b01] + mu[0b10] <= 1, (support, game)
+                products += 1
+        assert products == 120 * games
+
+    def test_two_points_fail_under_an_unbalanced_game(self):
+        # so the census needs its weight game balanced
+        members = [nu for nu in grid_members(2, 3) if is_exact(nu)[0]]
+        def fails(support, game):
+            mu = monad_mul(SecondOrderCapacity(GroundSet(2), support, game))
+            return mu[0b01] + mu[0b10] > 1
+
+        assert any(fails(support, game) for game in grid_members(3, 3) if not is_balanced(game)[0]
+                   for support in combinations(members, 3))
+
+    def test_three_points_fail_with_two_measures(self):
+        cfg = SearchConfig(n=3, support_size=2, target_class="exact",
+                           seed_start=5, seed_end=5, grid=1)
+        report = problem1_search(cfg)
+        assert machine_report(report) == SEED5_RECORD
+        assert reverify_report_text(SEED5_RECORD)
+        c2 = report.outcomes[0].second_order
+        half = Fraction(1, 2)
+        assert [nu.values for nu in c2.support] == [(0, half, half, 1, 0, half, half, 1),
+                                                   (0, 0, half, half, half, half, 1, 1)]
+        assert c2.game.values == (0, half, half, 1)
+        # by hand: mu(A) is the largest t with G({i : nu_i(A) >= t}) >= t; at
+        # {0} only member 0 reaches 1/2 (G({0}) = 1/2), at {1} both do
+        # (G = 1), at {2} only member 1 (G({1}) = 1/2): 1/2 each, 3/2 in all,
+        # so no measure lies above the product and its core is empty
+        mu = report.outcomes[0].multiplied
+        assert (mu[0b001], mu[0b010], mu[0b100]) == (half, half, half)
+        assert mu[0b001] + mu[0b010] + mu[0b100] > 1 and not is_balanced(mu)[0]
 
 
 class TestReportFormat:
