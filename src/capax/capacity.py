@@ -8,14 +8,17 @@ constructor validates the full invariant set (0 at the empty set, 1 at the
 full set, monotone, range [0, 1]); nothing downstream ever has to re-check.
 Builders of tables valid by construction skip the check through the private
 `Capacity._built`: `random_monotone`, `monad.monad_mul`,
-`credal.lower_envelope` and the search's screened draws.  Every entry point
-takes ints and Fractions only, keeping Fraction objects; a float raises TypeError.
+`credal.lower_envelope` and the search's screened draws; `Measure._built` is
+its twin for the seeded measures of `random_measure` and `credal.random_credal`.
+Every entry point takes ints and Fractions only, keeping Fraction objects; a
+float raises TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -27,6 +30,7 @@ from .errors import (
     OutOfRange,
 )
 from .ground import ONE, ZERO, GroundSet, PointMap, _shared_ratio, family_total
+from .lp.core import shared_scaled_table
 from .rng import SplitMix64
 
 
@@ -200,6 +204,13 @@ class Measure:
         self.ground = ground
         self.weights = weights
 
+    @classmethod
+    def _built(cls, ground: GroundSet, weights: tuple[Fraction, ...]) -> Measure:
+        """A measure over a Fraction tuple that is valid by construction."""
+        mu = object.__new__(cls)
+        mu.ground, mu.weights = ground, weights
+        return mu
+
     def mass(self, mask: int) -> Fraction:
         total = ZERO
         for i, w in enumerate(self.weights):
@@ -245,7 +256,8 @@ class BalancedFamily:
     The family is *admissible within B* when the weighted characteristic
     vectors stay below the characteristic vector of B pointwise; it violates
     balancedness of `nu` relative to B when its weighted capacity total
-    exceeds nu(B).  Verification is plain arithmetic, no LP involved.
+    exceeds nu(B).  Verification is plain arithmetic, no LP involved, on nu's
+    integer table.
     """
 
     sets: tuple[int, ...]
@@ -261,9 +273,12 @@ class BalancedFamily:
 
     def violates(self, nu: Capacity, bound_mask: int) -> bool:
         """True when admissible within B yet the weighted total exceeds nu(B);
-        False for a B that is not a subset of nu's ground set."""
-        total = self._total(bound_mask, nu.ground.n, map(nu.values.__getitem__, self.sets))
-        return total is not None and total > nu.values[bound_mask]
+        False for a B that is not a subset of nu's ground set.  The total is
+        taken over nu's integer table L v (`lp.core.shared_scaled_table`), so
+        its costs are integers, and compared with L v(B)."""
+        _, table = shared_scaled_table(nu.values)
+        total = self._total(bound_mask, nu.ground.n, map(table.__getitem__, self.sets))
+        return total is not None and total > table[bound_mask]
 
     def _total(self, bound_mask: int, n: int, costs=None):
         """`family_total` with caps B over n points; None also when a member
@@ -331,8 +346,23 @@ def random_convex_mixture(ground: GroundSet, seed: int, grid: int) -> Capacity:
 
 def random_measure(ground: GroundSet, rng: SplitMix64, grid: int) -> Measure:
     """Random rational point of the probability simplex (all-zero draws retried)."""
+    return _row_measure(ground, _measure_row(ground, rng, grid))
+
+
+def _measure_row(ground: GroundSet, rng: SplitMix64, grid: int) -> tuple[int, tuple[int, ...]]:
+    """The draw of `random_measure` as an integer row (total, raw), weights
+    raw / total: one draw from 0..grid per point, retried while all are 0,
+    then divided by gcd(total, *raw), so equal measures give equal rows."""
     while True:
         raw = [rng.next_below(grid + 1) for _ in ground.points()]
         total = sum(raw)
         if total:
-            return Measure(ground, [Fraction(r, total) for r in raw])
+            g = gcd(total, *raw)
+            return total // g, tuple(r // g for r in raw)
+
+
+def _row_measure(ground: GroundSet, row) -> Measure:
+    """The measure of an integer row (total, raw) of `_measure_row`, its weights
+    the shared Fractions of `ground._shared_ratio`."""
+    total, raw = row
+    return Measure._built(ground, tuple(_shared_ratio(r, total) for r in raw))

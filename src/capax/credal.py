@@ -4,12 +4,19 @@ envelopes, credal pushforward, and the retraction / naturality checks.
 A credal set is known through its lower envelope: `min_mass` is its one
 primitive, and the upper envelope (1 minus the lower one at complements) and
 equality derive from it.  Each form answers `min_mass` from what it holds: a
-finite vertex list answers every subset at once, in integers (one mass table
-per vertex over a common denominator, then the least entry per subset); a
+finite vertex list answers every subset at once, in integers (each vertex an
+integer row over the vertices' common denominator, one mass table per row by
+`subset_sums`, then the least entry per subset); a
 core-style constraint system (lower bounds on subset masses over the
 probability simplex) asks its certified core LP, with no vertex enumeration;
 a lazy pushforward along a point map asks its base at the preimage.  Deciding
 full polytope equality is out of scope.
+
+`random_credal` never reads a Fraction back: it keeps each draw as the integer
+row (total, raw) of `capacity._measure_row`, in lowest terms, so equal
+measures give equal rows.  It deduplicates the rows in first-seen order, as
+`from_vertices` deduplicates measures, builds the vertices from them unchecked
+(`Measure._built`) and fills the minima table straight from the rows.
 """
 
 from __future__ import annotations
@@ -17,10 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .capacity import Capacity, Measure, _rational, measure_pushforward, pushforward
+from .capacity import (Capacity, Measure, _measure_row, _rational, _row_measure,
+                       measure_pushforward, pushforward)
 from .classify import is_exact
 from .errors import CoreEmpty, GroundMismatch, InfeasibleCredal, NotExact
-from .ground import ONE, ZERO, GroundSet, PointMap, _shared_ratio, check_subset, point_masses
+from .ground import ONE, ZERO, GroundSet, PointMap, _shared_ratio, check_subset, integer_point, subset_sums
 from .lp.core import CoreSystem, shared_capacity_core
 # LinearProgram, Row and solve_dualized stay importable here for tools that
 # hook LP construction and solves per module
@@ -102,19 +110,10 @@ class CredalSet:
         return ONE - self.min_mass(self.ground.full & ~mask)
 
     def _vertex_minima(self) -> list[Fraction]:
-        """min mu(S) over the vertices for every subset S, by subset code.
-
-        Each vertex gets an integer mass table from one prefix walk (as the
-        core check builds it), rescaled to the vertices' common denominator,
-        so the least mass per subset is an integer minimum.  Equal values
-        come back as one shared Fraction object (see `_shared_ratio`).
-        """
+        """min mu(S) over the vertices for every subset S, by subset code
+        (`_row_minima` of the vertices' integer rows)."""
         if self._minima is None:
-            tables = [point_masses(mu.weights) for mu in self.vertices]
-            den = lcm(*(d for d, _ in tables))
-            scaled = [mass if d == den else [v * (den // d) for v in mass]
-                      for d, mass in tables]
-            self._minima = [_shared_ratio(m, den) for m in map(min, zip(*scaled))]
+            self._minima = _row_minima([integer_point(mu.weights) for mu in self.vertices])
         return self._minima
 
     def some_member(self) -> Measure:
@@ -124,6 +123,18 @@ class CredalSet:
         if self.kind == PUSHED:
             return measure_pushforward(self.base_map, self.base_set.some_member())
         return Measure(self.ground, self.system.minimum(0).point)
+
+
+def _row_minima(rows) -> list[Fraction]:
+    """min x(S) over the points x = ints / den of `rows`, pairs (den, ints),
+    for every subset code S.  Each row is rescaled to the rows' common
+    denominator and gets an integer mass table from one prefix walk
+    (`subset_sums`), so the least mass per subset is an integer minimum.
+    Equal values come back as one shared Fraction object (see
+    `_shared_ratio`)."""
+    den = lcm(*(d for d, _ in rows))
+    tables = [subset_sums(ints if d == den else [v * (den // d) for v in ints]) for d, ints in rows]
+    return [_shared_ratio(m, den) for m in map(min, zip(*tables))]
 
 
 def core_polytope(nu: Capacity) -> CredalSet:
@@ -195,10 +206,11 @@ def check_naturality(f: PointMap, alpha: CredalSet) -> bool:
 
 
 def random_credal(ground: GroundSet, rng, max_vertices: int, grid: int) -> CredalSet:
-    """Seeded vertex-form credal set with 1..max_vertices random measures."""
-    from .capacity import random_measure
-
+    """Seeded vertex-form credal set with 1..max_vertices random measures: the
+    `random_measure` draws, as integer rows deduplicated in first-seen order,
+    so its vertices are those `from_vertices` gives the drawn measures."""
     count = 1 + rng.next_below(max_vertices)
-    return CredalSet.from_vertices(
-        [random_measure(ground, rng, grid) for _ in range(count)]
-    )
+    rows = list(dict.fromkeys(_measure_row(ground, rng, grid) for _ in range(count)))
+    alpha = CredalSet(ground, VERTICES, vertices=tuple(_row_measure(ground, row) for row in rows))
+    alpha._minima = _row_minima(rows)
+    return alpha

@@ -7,9 +7,10 @@ the subset.  The only scalar type is `fractions.Fraction`, re-exported as
 
 Every capax certificate is a point whose subset masses must meet bounds, or
 a weighted family of subsets whose per-point loads must stay under caps.
-`scaled_masses` (with `point_masses`, its front end for Fractions) and
-`family_total` check the two in integers over one common denominator, and
-leave each caller only its own sign and equality rules.
+`scaled_masses` (with `point_masses`, its front end for Fractions, which
+`integer_point` puts over their common denominator) and `family_total` check
+the two in integers over one common denominator, and leave each caller only
+its own sign and equality rules.
 """
 
 from __future__ import annotations
@@ -117,10 +118,17 @@ def subset_sums(ints) -> list[int]:
     return sums
 
 
+def integer_point(x) -> tuple[int, list[int]]:
+    """(den, ints) with x = ints / den, den the common denominator of the
+    Fractions x."""
+    den = lcm(*(q.denominator for q in x))
+    return den, [q.numerator * (den // q.denominator) for q in x]
+
+
 def point_masses(x, rows=()):
     """`scaled_masses` of a point of Fractions, over their common denominator."""
-    den = lcm(*(q.denominator for q in x))
-    return scaled_masses([q.numerator * (den // q.denominator) for q in x], den, rows)
+    den, ints = integer_point(x)
+    return scaled_masses(ints, den, rows)
 
 
 def scaled_masses(ints, den: int, rows=(), floor=()):

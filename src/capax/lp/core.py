@@ -312,7 +312,8 @@ class CoreMinimum:
 class CoreSystem:
     """{x >= 0, x(X) = 1, x(A) >= bounds[i] for A = masks[i]} over n points."""
 
-    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_floor", "_points", "_minima")
+    __slots__ = ("n", "masks", "bounds", "_columns", "_top", "_floor", "_points", "_minima",
+                 "_identity_out")
 
     def __init__(self, n: int, masks, bounds):
         masks = tuple(masks)
@@ -351,6 +352,8 @@ class CoreSystem:
         self._points: list = []
         # the CoreMinimum of each cold minimum solved, by subset
         self._minima: dict[int, CoreMinimum] = {}
+        # whether the identity ordering's marginal vector failed its core check
+        self._identity_out = False
 
     def minimum(self, subset: int) -> CoreMinimum:
         """Minimise x(subset), cold: from the slack basis, so the result does
@@ -466,9 +469,14 @@ class CoreSystem:
         """The kept core mass table of the marginal vector of the ordering
         "subset's points ascending, then the rest", or None (outside the core,
         or no floor table): x_j = floor[S + j] - floor[S], S the points before
-        j, so x(subset) = b(subset), x(X) = 1 and the check needs no Fraction."""
+        j, so x(subset) = b(subset), x(X) = 1 and the check needs no Fraction.
+
+        Every prefix {0, .., i-1} (the empty and full sets too) gives the
+        identity ordering, the one ordering two subset codes share; once its
+        vector fails, it is not built again."""
         floor = self._floor
-        if floor is None:
+        identity = not subset & (subset + 1)
+        if floor is None or identity and self._identity_out:
             return None
         x, prefix = [0] * self.n, 0
         for j in sorted(range(self.n), key=lambda j: not subset >> j & 1):
@@ -477,6 +485,8 @@ class CoreSystem:
         table = scaled_masses(x, floor[-1], floor=floor)
         if table is not None:
             self._keep(table)
+        elif identity:
+            self._identity_out = True
         return table
 
     def certifies(self, subset: int, best: CoreMinimum) -> bool:

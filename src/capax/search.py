@@ -17,11 +17,14 @@ assembled in seed order, which makes the machine report byte-identical for
 any worker count.
 
 Re-verification checks each claim of the record by a certificate.  An exact
-member comes with the vertices whose lower envelope it is; it is exact when
-every vertex passes the integer core check and every proper nonempty subset
-is attained by one of them, with no LP.  The product is checked by its class
-predicate alone, whose witness is the one `classify_full` reports for that
-class, and the witness is re-checked by arithmetic.
+member comes with the vertices whose lower envelope it is.  It is exact when
+one integer pass over one common denominator shows that every vertex sums
+to 1, that its mass table is at least the member's scaled table L v at every
+subset, and that the least of those tables meets L v at every subset: the
+member is then the vertices' envelope, with no LP and no core system, and
+no point other than the vertices counts.  The product is checked by its
+class predicate alone, whose witness is the one `classify_full` reports for
+that class, and the witness is re-checked by arithmetic.
 
 The rejection filter screens each draw for superadditivity, nu(A) + nu(B) <=
 nu(A | B) over disjoint A and B, as it draws: each subset's grid value is
@@ -37,6 +40,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from math import lcm
+from operator import le, lt
 
 from .capacity import BalancedFamily, Capacity
 from .classify import ClassReport, classify_full, is_exact, is_totally_balanced
@@ -46,8 +51,8 @@ from .capacity import random_monotone  # noqa: F401
 from .classify import verify_report  # noqa: F401
 from .credal import lower_envelope, random_credal
 from .errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
-from .ground import GroundSet, _shared_ratio, format_rat, format_subset
-from .lp.core import capacity_core
+from .ground import GroundSet, _shared_ratio, format_rat, format_subset, integer_point, subset_sums
+from .lp.core import shared_scaled_table
 from .monad import SecondOrderCapacity, monad_mul
 from .rng import SplitMix64
 
@@ -240,14 +245,30 @@ def verify_counterexample(config: SearchConfig, seed: int, tables, witness: str)
 
 
 def _envelope_certifies(nu: Capacity, vertices) -> bool:
-    """True when `vertices` prove nu exact by arithmetic: each one passes the
-    integer core check of nu (x >= 0, x(X) = 1, x(A) >= nu(A) for every A),
-    and every proper nonempty subset A has some core point with x(A) = nu(A).
-    Then nu is the lower envelope of core points, which is exactness.  The
-    system is new, not the shared one: no point another caller kept counts."""
-    system = capacity_core(nu.values)
-    return all(system.admit(mu.weights) for mu in vertices) and \
-        all(system.attains(a) for a in nu.ground.proper_nonempty_subsets())
+    """True when `vertices`, measures on nu's ground set, prove nu exact by
+    arithmetic: each is a core point of nu, x(X) = 1 and x(A) >= nu(A) for
+    every A (so x >= 0, as nu >= 0 at the singletons), and every subset A has
+    one with x(A) <= nu(A), hence = nu(A).  Then nu is the lower envelope of
+    core points, which is exactness.
+
+    One integer pass over one denominator D, the lcm of the vertices'
+    denominators and of L: each vertex's mass table by `subset_sums` against
+    nu's scaled table L v (`shared_scaled_table`) rescaled to D.  The minima
+    are recomputed from the vertices, never read from a credal set, and no
+    LP or core system is asked, so no point another caller kept counts."""
+    if not vertices or any(mu.ground != nu.ground for mu in vertices):
+        return False
+    scale, table = shared_scaled_table(nu.values)
+    rows = [integer_point(mu.weights) for mu in vertices]
+    den = lcm(scale, *(d for d, _ in rows))
+    floor = table if den == scale else [v * (den // scale) for v in table]
+    masses = []
+    for d, ints in rows:
+        mass = subset_sums([v * (den // d) for v in ints])
+        if mass[-1] != den or any(map(lt, mass, floor)):
+            return False
+        masses.append(mass)
+    return all(map(le, map(min, zip(*masses)), floor))
 
 
 def problem1_search(config: SearchConfig) -> SearchReport:

@@ -22,11 +22,16 @@ class Mutant(NamedTuple):
 CORE = "lp/core.py"
 CLASSIFY = "classify.py"
 GROUND = "ground.py"
+CAPACITY = "capacity.py"
+CREDAL = "credal.py"
+SEARCH = "search.py"
 
 CORE_NONEMPTY = "tests/test_core_nonempty.py"
 CORE_SYSTEM = "tests/test_core_system.py"
 TEST_CLASSIFY = "tests/test_classify.py"
 COVER_LP = "tests/test_cover_lp.py"
+TEST_CREDAL = "tests/test_credal.py"
+ENVELOPE = "tests/test_search.py::TestEnvelopeCertificate"
 
 MUTANTS = (
     # --- the certificate of every LP optimum (`_certify`) ---
@@ -118,6 +123,10 @@ MUTANTS = (
            "return bool(self._points) or self._marginal(0) is not None",
            "return True",
            (f"{CORE_SYSTEM}::TestEmptyCore", CORE_NONEMPTY)),
+    Mutant("the identity marginal vector built again after it failed", CORE,
+           "if floor is None or identity and self._identity_out:",
+           "if floor is None:",
+           (f"{CORE_NONEMPTY}::TestRoutes::test_is_exact_builds_the_identity_marginal_vector_once",)),
     Mutant("require_solution without the marginal step", CORE,
            "return bool(self._points) or self._marginal(0) is not None",
            "return bool(self._points)",
@@ -172,4 +181,37 @@ MUTANTS = (
            "rows = [(a, 1, t, scale) for a, t in enumerate(table)]",
            "rows = [(a, 1, t, 1) for a, t in enumerate(table)]",
            (TEST_CLASSIFY,)),
+    Mutant("a family total equal to v(B) violates", CAPACITY,
+           "return total is not None and total > table[bound_mask]",
+           "return total is not None and total >= table[bound_mask]",
+           ("tests/test_capacity.py::TestBalancedFamily::test_a_total_equal_to_the_bound_is_refused",)),
+    # --- exact search members as integer rows ---
+    Mutant("measure rows left unreduced before dedup", CAPACITY,
+           "g = gcd(total, *raw)",
+           "g = 1",
+           (f"{TEST_CREDAL}::TestIntegerDraws",)),
+    Mutant("random_credal without the dedup", CREDAL,
+           "rows = list(dict.fromkeys(_measure_row(ground, rng, grid) for _ in range(count)))",
+           "rows = [_measure_row(ground, rng, grid) for _ in range(count)]",
+           (f"{TEST_CREDAL}::TestIntegerDraws",)),
+    Mutant("vertex rows not rescaled to the common denominator", CREDAL,
+           "subset_sums(ints if d == den else [v * (den // d) for v in ints])",
+           "subset_sums(ints)",
+           (f"{TEST_CREDAL}::TestLowerEnvelope::test_integer_envelope_is_the_fraction_minimum",)),
+    Mutant("envelope core check with <=", SEARCH,
+           "any(map(lt, mass, floor))",
+           "any(map(le, mass, floor))",
+           (f"{ENVELOPE}::test_a_vertex_equal_to_the_capacity_is_a_core_point",)),
+    Mutant("envelope core check loosened by one", SEARCH,
+           "any(map(lt, mass, floor))",
+           "any(m + 1 < f for m, f in zip(mass, floor))",
+           (f"{ENVELOPE}::test_rejects_a_vertex_one_unit_below",)),
+    Mutant("envelope without the every-subset-attained check", SEARCH,
+           "return all(map(le, map(min, zip(*masses)), floor))",
+           "return True",
+           (f"{ENVELOPE}::test_rejects_a_dropped_vertex", f"{ENVELOPE}::test_no_marginal_vector_fills_a_gap")),
+    Mutant("envelope without the sums-to-denominator check", SEARCH,
+           "if mass[-1] != den or any(",
+           "if any(",
+           (f"{ENVELOPE}::test_rejects_a_vertex_of_mass_above_one",)),
 )

@@ -9,7 +9,9 @@ multiplication, the core minimum through the general LP layer
 capax decided it before certificates settled subsets), `random_monotone`
 drawn as Fractions, as capax drew it before it drew grid numerators, and the
 lower envelope of a vertex list by Fraction sums per vertex and subset, as
-capax computed it before integer mass tables, the superadditivity screen
+capax computed it before integer mass tables, `random_credal` from validated
+Fraction measures and the envelope certificate on a new core system, as capax
+ran both before integer rows, the superadditivity screen
 over a whole grid table and the monad multiplication's Fraction breakpoint
 walk, as capax ran both before the fused draw and the integer walk, and the
 core minimum and weighted cover on the dense tableau of every column, as
@@ -28,12 +30,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from capax.capacity import BalancedFamily, Capacity, random_convex_mixture, random_monotone
+from capax.capacity import BalancedFamily, Capacity, Measure, random_convex_mixture, random_monotone
 from capax.classify import ConvexityViolation, ExactnessGap, TotalBalanceFailure
-from capax.credal import lower_envelope, random_credal
+from capax.credal import CredalSet, lower_envelope, random_credal
 from capax.lp import (EQ, GE, INFEASIBLE, NONNEG, CoreMinimum, CoreSystem, CoverMaximum,
                       LinearProgram, Row, cover_maximum, solve_dualized)
 from capax.lp import _tableau_py
+from capax.lp.core import capacity_core
 from capax.ground import ONE, ZERO, GroundSet, subset_indices
 from capax.rng import SplitMix64
 
@@ -250,6 +253,36 @@ def vertex_envelope(ground, vertices) -> list[Fraction]:
     """The lower envelope of a vertex list: min mu(A) over the vertices for
     every subset A, each mass a Fraction sum of the point weights."""
     return [min(mu.mass(a) for mu in vertices) for a in ground.subsets()]
+
+
+def fraction_random_credal(ground, rng, max_vertices: int, grid: int) -> CredalSet:
+    """`random_credal` as capax drew it before integer rows: the same
+    splitmix64 draws, each measure built by the public, validating `Measure`
+    from the Fractions raw / total, and deduplicated by
+    `CredalSet.from_vertices`."""
+    count = 1 + rng.next_below(max_vertices)
+    measures = []
+    for _ in range(count):
+        raw = [0]
+        while not sum(raw):
+            raw = [rng.next_below(grid + 1) for _ in ground.points()]
+        measures.append(Measure(ground, [Fraction(r, sum(raw)) for r in raw]))
+    return CredalSet.from_vertices(measures)
+
+
+def core_system_envelope_certifies(nu: Capacity, vertices, marginals: bool = True) -> bool:
+    """`search._envelope_certifies` as capax checked it before the integer
+    pass: each vertex admitted to a new core system of nu (`admit`), then
+    every proper nonempty subset attained (`attains`).  `attains` also builds
+    the system's marginal vectors, core points that are not vertices, so this
+    route accepts a vertex list whose envelope lies above nu wherever such a
+    vector fills the gap.  With `marginals=False` the system has no floor
+    table, so only the vertices count, as in the integer pass."""
+    system = capacity_core(nu.values)
+    if not marginals:
+        system._floor = None
+    return all(system.admit(mu.weights) for mu in vertices) and \
+        all(system.attains(a) for a in nu.ground.proper_nonempty_subsets())
 
 
 def _dense_tableau(rows, rhs, costs):

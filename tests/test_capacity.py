@@ -20,6 +20,7 @@ from capax.capacity import (
     unanimity,
     _validate_table,
 )
+from capax.classify import TotalBalanceFailure
 from capax.credal import CredalSet
 from capax.errors import (
     BadNormalization,
@@ -304,6 +305,18 @@ class TestBalancedFamily:
         assert fam.is_admissible_within(0b11, g2)
         assert family_total(2, fam.sets, fam.weights, 0b11, [nu[a] for a in fam.sets]) == F(9, 5)
         assert fam.violates(nu, 0b11)
+
+    def test_a_total_equal_to_the_bound_is_refused(self):
+        # {0} and {1} at weight 1 total 1/4 + 1/6 = 5/12 = v({0, 1}): on the
+        # integer table 12 v that is 3 + 2 against 5, no violation
+        values = {0b001: F(1, 4), 0b010: F(1, 6), 0b011: F(5, 12)}
+        fam = BalancedFamily((0b001, 0b010), (F(1), F(1)))
+        nu = new_capacity(g3, values, strict=False)
+        assert fam.is_admissible_within(0b011, g3)
+        assert not fam.violates(nu, 0b011)
+        assert not TotalBalanceFailure(0b011, fam).verify(nu)
+        above = new_capacity(g3, {**values, 0b010: F(1, 6) + F(1, 10**9)}, strict=False)
+        assert fam.violates(above, 0b011) and TotalBalanceFailure(0b011, fam).verify(above)
 
     def test_negative_weight_is_inadmissible(self):
         fam = BalancedFamily((0b01,), (F(-1),))

@@ -160,6 +160,24 @@ class TestRoutes:
         core_polytope(nu)
         assert tried == [0]
 
+    def test_is_exact_builds_the_identity_marginal_vector_once(self, monkeypatch):
+        # every prefix {0}, {0,1}, ... that no kept point attains asks for
+        # the identity ordering's vector; it lies outside this core (the test
+        # above), and once it has failed it is not built again
+        nu = nine_point_input()
+        floor = capacity_core(nu.values)._floor
+        identity = tuple(floor[(2 << j) - 1] - floor[(1 << j) - 1] for j in range(9))
+        built, check = [], core_module.scaled_masses
+
+        def spied(ints, den, rows=(), floor=()):
+            if floor:  # a marginal vector's core check
+                built.append(tuple(ints))
+            return check(ints, den, rows, floor)
+
+        monkeypatch.setattr(core_module, "scaled_masses", spied)
+        assert is_exact(nu) == (True, None)
+        assert built.count(identity) == 1
+
     def test_a_gap_at_the_first_cold_minimum(self, lps):
         # the CI gap input: balanced, not exact, and {0} is the first subset
         # no marginal vector attains: its cold minimum is solved once, and its

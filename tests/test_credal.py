@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import vertex_envelope
+from oracles import fraction_random_credal, vertex_envelope
 
 from capax.capacity import (
     Measure,
@@ -122,6 +122,32 @@ class TestLowerEnvelope:
         a, b = lower_envelope(one_set), lower_envelope(other)
         assert a[0b01] == b[0b10] == F(1, 3)
         assert a[0b01] is b[0b10]
+
+
+class TestIntegerDraws:
+    """`random_credal` keeps its draws as integer rows and builds its
+    vertices unchecked; they must be the measures the validating Fraction
+    draw gives, in the same order, from the same stream."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_vertices_are_the_validated_fraction_draws(self, n):
+        g = GroundSet(n)
+        for grid in (1, 2, 16, 97):
+            for seed in range(200):
+                rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+                alpha = random_credal(g, rng, n + 1, grid)
+                assert alpha.vertices == fraction_random_credal(g, reference_rng, n + 1, grid).vertices
+                assert rng.next_u64() == reference_rng.next_u64()  # as many draws
+                assert all(Measure(mu.ground, mu.weights) == mu for mu in alpha.vertices)
+                assert lower_envelope(alpha) == lower_envelope(CredalSet.from_vertices(list(alpha.vertices)))
+
+    def test_equal_draws_are_one_vertex(self):
+        # grid 2, seed 9 draws the raw rows (1, 0), (0, 2), (1, 1), (0, 1),
+        # (2, 2): (0, 2) and (0, 1) are one measure, (1, 1) and (2, 2) another
+        alpha = random_credal(g2, SplitMix64(9), 6, 2)
+        assert alpha.vertices == (Measure(g2, [1, 0]), Measure(g2, [0, 1]),
+                                  Measure(g2, [F(1, 2), F(1, 2)]))
+        assert all(isinstance(w, F) for mu in alpha.vertices for w in mu.weights)
 
 
 class TestCorePolytope:

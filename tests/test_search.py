@@ -10,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import random_monotone_fractions, superadditive
+from oracles import core_system_envelope_certifies, random_monotone_fractions, superadditive
 
 import capax
 from capax import search
 from capax.capacity import (BalancedFamily, Capacity, Measure, grid_table, point_mass,
                             random_convex_mixture, random_monotone)
 from capax.classify import ExactnessGap, TotalBalanceFailure, is_balanced, is_exact, is_totally_balanced
-from capax.credal import CredalSet, lower_envelope
+from capax.credal import CredalSet, lower_envelope, random_credal
 from capax.errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
 from capax.ground import GroundSet, subset_indices
 from capax.lp.core import capacity_core
@@ -33,6 +33,9 @@ from capax.search import (
     text_log,
     verify_counterexample,
 )
+
+
+g2 = GroundSet(2)
 
 
 def small_config(**overrides):
@@ -390,6 +393,23 @@ def envelope_member():
     return lower_envelope(CredalSet.from_vertices(vertices)), vertices
 
 
+def tampered(vertices):
+    """The vertex list with its first vertex dropped (if others remain); with
+    half of that vertex's first positive weight moved to the next point; and
+    with that weight made -1, its loss moved likewise."""
+    first, rest = vertices[0], vertices[1:]
+    g, weights = first.ground, first.weights
+    lists = [rest] if rest else []
+    if g.n > 1:
+        i = next(i for i, w in enumerate(weights) if w)
+        for moved in (weights[i] / 2, weights[i] + 1):
+            x = list(weights)
+            x[i] -= moved
+            x[(i + 1) % g.n] += moved
+            lists.append((Measure._built(g, tuple(x)), *rest))
+    return lists
+
+
 class TestEnvelopeCertificate:
     """The exactness check `verify_counterexample` makes of an exact member."""
 
@@ -433,6 +453,52 @@ class TestEnvelopeCertificate:
         system = capacity_core(raised.values)
         assert not all(system.admit(mu.weights) for mu in vertices)
         assert not search._envelope_certifies(raised, vertices)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_the_core_system_route(self, n):
+        # on the vertices alone; with its marginal vectors the old route also
+        # accepts lists the integer pass refuses, never the other way round
+        g, verdicts = GroundSet(n), set()
+        for grid, seed in product((1, 2, 16, 97), range(200)):
+            alpha = random_credal(g, SplitMix64(seed), n + 1, grid)
+            nu = lower_envelope(alpha)
+            assert search._envelope_certifies(nu, alpha.vertices)
+            for vertices in (alpha.vertices, *tampered(alpha.vertices)):
+                accepted = search._envelope_certifies(nu, vertices)
+                assert accepted == core_system_envelope_certifies(nu, vertices, marginals=False)
+                assert not accepted or core_system_envelope_certifies(nu, vertices)
+                verdicts.add(accepted)
+        assert verdicts == ({True, False} if n > 1 else {True})  # one point: no tampering
+
+    def test_no_marginal_vector_fills_a_gap(self):
+        # the least capacity on two points is the envelope of (1, 0) and
+        # (0, 1); (1, 0) alone gives 1 at {0}, where the marginal vector of
+        # the ordering 0, 1 is (0, 1), a core point that is not a vertex
+        nu = Capacity(g2, [0, 0, 0, 1])
+        assert search._envelope_certifies(nu, (Measure(g2, [1, 0]), Measure(g2, [0, 1])))
+        assert core_system_envelope_certifies(nu, (Measure(g2, [1, 0]),))
+        assert not search._envelope_certifies(nu, (Measure(g2, [1, 0]),))
+
+    def test_a_vertex_equal_to_the_capacity_is_a_core_point(self):
+        nu = Capacity(g2, [0, Fraction(1, 3), Fraction(2, 3), 1])
+        assert search._envelope_certifies(nu, (Measure(g2, [Fraction(1, 3), Fraction(2, 3)]),))
+
+    def test_rejects_a_vertex_one_unit_below(self):
+        # (1/4, 3/4) is below the additive (1/2, 1/2) at {0} by one quarter,
+        # one unit of the common denominator 4; (1/2, 1/2) still attains
+        nu = Capacity(g2, [0, Fraction(1, 2), Fraction(1, 2), 1])
+        half, low = Measure(g2, [Fraction(1, 2)] * 2), Measure(g2, [Fraction(1, 4), Fraction(3, 4)])
+        assert search._envelope_certifies(nu, (half,))
+        assert not search._envelope_certifies(nu, (half, low))
+
+    def test_rejects_a_vertex_of_mass_above_one(self):
+        # every vertex kept, so every subset is attained, and one more of
+        # mass 5/4 above the capacity everywhere
+        nu, vertices = envelope_member()
+        *head, last = vertices[0].weights
+        heavy = Measure._built(nu.ground, (*head, last + Fraction(1, 4)))
+        assert search._envelope_certifies(nu, vertices)
+        assert not search._envelope_certifies(nu, (*vertices, heavy))
 
     def test_verification_rejects_a_member_outside_its_certificate(self, found, monkeypatch):
         # a vertex list with a point mass added that misses some member's
