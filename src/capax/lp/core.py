@@ -33,12 +33,16 @@ column's reduced cost is c_A - pi(A) (with the sign of y0-): b_A - pi(A) or
 v(A) - pi(A), and one integer prefix walk of pi prices all 2^n columns.  The
 entering column's B^-1 a goes into the scratch column and is pivoted there.
 In exact arithmetic every reduced cost, ratio and slack-block entry equals
-the full tableau's, so Bland's rule (first improving column in the order
-above, ratio ties to the smallest column id) takes the same pivots, and
-every value, point and multiplier equals what `solve` (of the dual, for the
-core system) returns.  An iteration costs O(m^2) for the pivot plus one
-pass over the 2^m walk and the columns, where the full tableau's pivot
-touched m rows of every column.
+the full tableau's, so the loop follows Bland's path (first improving
+column in the order above, ratio ties to the smallest column id), and every
+value, point and multiplier equals what `solve` (of the dual, for the core
+system) returns.  A weighted cover takes that path's singleton prefix in
+closed form: the singletons {j} with v(j) > 0 enter first, in order, until
+a member is worth more than its points, and B^-1 stays I while they do (see
+`cover_maximum`); its loop starts there, and most covers never leave the
+prefix, so they build no tableau.  An iteration costs O(m^2) for the pivot
+plus one pass over the 2^m walk and the columns, where the full tableau's
+pivot touched m rows of every column.
 
 `CoreSystem.minimum` always starts cold, from the slack basis, and solves
 each subset at most once: its `CoreMinimum` is kept and handed back.  The
@@ -55,8 +59,9 @@ once B's cold minimum is solved, `least` answers by `minimum`.
 Every pivot loop records the bases it visits and raises
 `InternalInconsistency` on a repeat, so a kernel fault cannot cycle.
 
-Each optimum (a weighted cover, a cold or a warm core minimum) is checked
-once before it leaves, in integers and on its basis alone (`_certify`):
+Each optimum a tableau holds (a weighted cover that leaves its singleton
+prefix, a cold or a warm core minimum) is checked once before it leaves, in
+integers and on its basis alone (`_certify`):
 the dual point pi, read off the objective row on one denominator, passes
 `scaled_masses` of `capax.ground` with every column read as a row (pi >= 0
 and no reduced cost positive, on all subset masses at once by one prefix
@@ -67,9 +72,10 @@ built, for the fields `CoverMaximum` and `CoreMinimum` carry.  `certifies`
 and `cover_certifies` check a certificate handed in from outside, in
 Fractions, by `point_masses` and `family_total`, the two checks every capax
 certificate uses.  A failed check raises `InternalInconsistency` (a solver
-bug, never data).  An unbounded core-system dual means an empty core; its
-ray is checked as a Farkas certificate before `CoreEmpty` is raised.  The
-weighted cover is always feasible and bounded.
+bug, never data).  A cover that ends on its singleton prefix is certified
+by the integer scan that found it.  An unbounded core-system dual means an
+empty core; its ray is checked as a Farkas certificate before `CoreEmpty` is
+raised.  The weighted cover is always feasible and bounded.
 
 A system keeps one record of what it has certified: one list holds each
 certified core point's mass table, with the optimal tableau found at it or
@@ -93,11 +99,12 @@ the list keeps one copy of each point whichever route found it.
 
 `shared_scaled_table`, `shared_capacity_core` and `shared_full_cover` read
 a one-entry memo: a value table, its integer table L v (L the lcm of its
-denominators, which `classify` scans for convexity), its core system and
-the full set's weighted cover, each built on first use and none touching
-another.  So `classify` and `credal` share one record of points,
-`is_exact(nu)` and then `lower_envelope(core_polytope(nu))` solve each
-minimum once, and each capacity solves its cover at most once.
+denominators, which `classify` scans for convexity and every cover scans
+for its singleton prefix), its core system and the full set's weighted
+cover, each built on first use and none replacing another.  So `classify`
+and `credal` share one record of points, `is_exact(nu)` and then
+`lower_envelope(core_polytope(nu))` solve each minimum once, and each
+capacity solves its cover at most once.
 `shared_core_nonempty` answers no from a solved cover above 1, else by
 `require_solution`: a kept point or the identity ordering's marginal
 vector, else the cold minimum of {0}.  One entry: a slot on `Capacity`
@@ -168,7 +175,7 @@ def _enter(tab, t: int, columns, den: int, mass) -> int:
     return m
 
 
-def _revised(rhs, columns):
+def _revised(rhs, columns, start=()):
     """Bland's rule on max sum_t c_t z_t over z >= 0 with
     sum_t sign_t [i in mask_t] z_t <= rhs_i at each row i (rhs >= 0, a slack
     per row), pivoting only the basis inverse.
@@ -180,6 +187,10 @@ def _revised(rhs, columns):
     structural column, len(columns) + i for the slack of row i.  `enter` is -1
     at an optimum, else the id of an improving column with no leaving row,
     whose B^-1 a is tableau column `col`.
+
+    The loop starts from the slack basis with column t basic at row r for
+    each (r, t) in `start`, each such column the unit vector of its row with
+    sign 1: B^-1 is still I, pi_r = c_t, and z = the sum of c_t rhs_r.
     """
     m, k = len(rhs), len(columns)
     matrix = []
@@ -188,7 +199,13 @@ def _revised(rhs, columns):
         row[r], row[m + 1] = 1, b
         matrix.append(row)
     tab = _tableau_py.Tableau(matrix, range(k, k + m), m + 1)
-    onums, basis = tab.nums[m], tab.basis
+    onums, odens, basis = tab.nums[m], tab.dens[m], tab.basis
+    z = ZERO
+    for r, t in start:
+        _, _, cn, cd = columns[t]
+        basis[r], onums[r], odens[r] = t, -cn, cd
+        z += Fraction(cn * rhs[r], cd)
+    onums[m + 1], odens[m + 1] = -z.numerator, z.denominator
     seen = set()
     while True:
         _tableau_py.visit(seen, basis)
@@ -632,15 +649,40 @@ class CoverMaximum:
 
 def cover_maximum(values, bound: int) -> CoverMaximum:
     """The weighted-cover LP of `bound` for the set function `values`, a
-    table indexed by subset code over n points (2^n entries)."""
+    table indexed by subset code over n points (2^n entries), on Bland's
+    path from the slack basis, its singleton prefix taken in closed form.
+
+    That path enters singleton {j} whenever v(j) > 0, in subset-code order,
+    and leaves it only at the first member A with v(A) above the sum of
+    max(v(j), 0) over its points.  One integer scan of the members on the
+    memo's table L v (`shared_scaled_table`, so a table other than the
+    memo's replaces its entry) finds that member with no tableau.  With
+    none, the scan is the certificate: y_j = max(v(j), 0) is a dual point
+    with y(A) >= v(A) at every member, the singletons with v(j) > 0 at
+    weight 1 load no row beyond 1, and both objectives are y(B).  Else
+    `_revised` starts at the path's basis there, those singletons basic, and
+    its Bland loop goes on to an optimum `_certify` checks.  Either way the
+    value, family, weights and dual point are those of Bland's path."""
     n = len(values).bit_length() - 1
     check_points(n)
     if not 0 < bound < 1 << n:
         raise GroundMismatch(f"subset code {bound:#b} not a nonempty subset of {n} points")
     members = _submasks(bound)
     points = subset_indices(bound)
+    scale, scaled = shared_scaled_table(values)
+    # sums[c] = L y(member c), the c-th submask of B, y_j = max(v(j), 0)
+    sums = subset_sums([max(scaled[1 << j], 0) for j in points])
+    stop = next((c for c, a in enumerate(members, 1) if scaled[a] > sums[c]), 0)
+    if not stop:
+        point = [ZERO] * n
+        for i, j in enumerate(points):
+            point[j] = Fraction(sums[1 << i], scale)
+        sets = tuple(1 << j for j in points if point[j])
+        return CoverMaximum(Fraction(sums[-1], scale), sets, (ONE,) * len(sets), tuple(point))
     columns = _cover_columns(values, members)
-    tab, enter, _ = _revised([1] * len(points), columns)
+    # the singletons entered before member `stop`, each basic at its own row
+    start = [(i, (1 << i) - 1) for i in range(stop.bit_length()) if sums[1 << i]]
+    tab, enter, _ = _revised([1] * len(points), columns, start)
     if enter >= 0:
         raise InternalInconsistency("weighted-cover LP is always feasible and bounded")
     table, value, weights, wden = _certify(tab, (1 << len(points)) - 1, columns, "weighted cover", bound)

@@ -15,21 +15,40 @@ def nustar():
     return make()
 
 
+class CoverLog(list):
+    """The bound of every weighted-cover answer, in order; `built` holds, in
+    order, the bounds of the answers that built LP columns."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
+    def clear(self):
+        super().clear()
+        self.built.clear()
+
+
 @pytest.fixture
 def cover_bounds(monkeypatch):
-    """The bound of every weighted-cover LP built from then on, in order:
-    each one, shared full-set cover or `cover_maximum`, builds its columns
-    once by `lp.core._cover_columns`, whose members end with the bound (so
-    does `cover_certifies`, which no predicate calls)."""
+    """A CoverLog from then on.  Each weighted-cover answer, shared full-set
+    cover or `cover_maximum`, lists its members once by `lp.core._submasks`,
+    which ends with the bound (so does `cover_certifies`, which no predicate
+    calls).  Only an answer whose Bland path leaves the singletons builds its
+    LP columns, once, by `lp.core._cover_columns`."""
     from capax.lp import core
 
-    bounds, build = [], core._cover_columns
+    bounds, members, build = CoverLog(), core._submasks, core._cover_columns
 
-    def counted(values, members):
-        bounds.append(members[-1])
+    def listed(bound):
+        bounds.append(bound)
+        return members(bound)
+
+    def built(values, members):
+        bounds.built.append(members[-1])
         return build(values, members)
 
-    monkeypatch.setattr(core, "_cover_columns", counted)
+    monkeypatch.setattr(core, "_submasks", listed)
+    monkeypatch.setattr(core, "_cover_columns", built)
     return bounds
 
 
@@ -42,8 +61,8 @@ def skewed_optimum(monkeypatch):
     revised = core._revised
 
     def skew(edit):
-        def skewed(rhs, columns):
-            out = revised(rhs, columns)
+        def skewed(rhs, columns, start=()):
+            out = revised(rhs, columns, start)
             edit(out[0], columns)
             return out
 

@@ -340,6 +340,28 @@ def dense_cover_maximum(values, bound: int) -> CoverMaximum:
                         weights=tuple(w for w in lam if w), point=tuple(point))
 
 
+def singleton_path(values, bound: int) -> tuple[int, int]:
+    """(prefix, stop): Bland's rule on the weighted cover of `bound` from the
+    slack basis, walked in Fractions.  Its dual point starts at y = 0; the
+    walk goes through the nonempty subsets A of `bound` in subset-code order,
+    entering {j} (one pivot, y_j = v(j)) when v(j) > 0, and stops at the
+    first A with v(A) > y(A), the first column that is no singleton to enter.
+    `prefix` counts the singletons entered before it, `stop` is that A, or 0
+    when the walk ends at an optimum with no other column entered."""
+    y = [ZERO] * (len(values).bit_length() - 1)
+    prefix = 0
+    for a in range(1, bound + 1):
+        if a & bound != a:
+            continue
+        points = subset_indices(a)
+        if len(points) == 1 and values[a] > 0:
+            y[points[0]] = values[a]
+            prefix += 1
+        elif values[a] > sum(y[j] for j in points):
+            return prefix, a
+    return prefix, 0
+
+
 def fraction_marginal(system: CoreSystem, subset: int) -> list[Fraction]:
     """x_j = b(S + j) - b(S) along the ordering "subset's points ascending,
     then the rest", S the points before j, b(A) the largest bound on A, with

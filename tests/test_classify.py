@@ -416,17 +416,22 @@ class TestClassifyFull:
 
     def test_full_set_cover_solved_once(self, nustar, cover_bounds):
         rng = SplitMix64(5)
-        for nu in (dirac(0, g3), nine_tenths(), nustar, random_exact(g4, rng),
-                   random_convex_mixture(g4, 9, 5)):
+        # the covers that build LP columns: a point worth 1, or two worth
+        # 9/10, covers every set by its singletons, so no path leaves them
+        for nu, built in ((dirac(0, g3), []), (nine_tenths(), []), (nustar, [g4.full, 0b0111]),
+                          (random_exact(g4, rng), [g4.full]),
+                          (random_convex_mixture(g4, 9, 5), [g4.full])):
             cover_bounds.clear()
             report = classify_full(nu)
             assert cover_bounds.count(nu.ground.full) == 1
+            assert cover_bounds.built == built
             balanced, balanced_w = is_balanced(nu)
             assert (report.balanced, report.balanced_witness) == \
                 (balanced, balanced_w)
             assert (report.totally_balanced, report.tb_witness) == is_totally_balanced(nu)
             assert (report.exact, report.exact_witness) == is_exact(nu)
             assert cover_bounds.count(nu.ground.full) == 1  # the predicates ask the same one
+            assert cover_bounds.built.count(nu.ground.full) == built.count(nu.ground.full)
 
     def test_the_report_calls_the_public_predicates(self, nustar, monkeypatch):
         called = []

@@ -135,6 +135,8 @@ class TestCoreCommand:
             code, out, _ = run(capsys, "core", path)
             assert code == 0
             assert cover_bounds == [nu.ground.full]
+            # two points worth 9/10 each: the cover is their singletons, no LP
+            assert cover_bounds.built == ([nu.ground.full] if balanced else [])
             assert out == expected
 
 

@@ -1,11 +1,13 @@
 """The revised Bland loop behind `CoreSystem.minimum` and `cover_maximum`
-against the dense tableau it replaced: equal results and the same pivots."""
+against the dense tableau it replaced: equal results and the same pivots,
+less a cover's singleton prefix, which `cover_maximum` takes with none."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import capacity_tables, dense_core_minimum, dense_cover_maximum, explicit_system
+from oracles import (capacity_tables, dense_core_minimum, dense_cover_maximum, explicit_system,
+                     singleton_path)
 
 from capax.capacity import Capacity
 from capax.classify import is_exact
@@ -89,14 +91,18 @@ class TestAgainstDenseTableau:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_cover_maximum(self, n, log):
-        pivots = 0
+        # the singleton prefix of Bland's path is taken with no pivot
+        pivots = prefixes = 0
         for values in capacity_tables(n, SplitMix64(17 * n)):
             for bound in subsets(n):
                 if bound:
-                    got = log.solved(lambda: cover_maximum(values, bound))
-                    assert got == log.solved(lambda: dense_cover_maximum(values, bound))
-                    pivots += got[1]
-        assert pivots
+                    got, spent = log.solved(lambda: cover_maximum(values, bound))
+                    dense, dense_spent = log.solved(lambda: dense_cover_maximum(values, bound))
+                    prefix, _ = singleton_path(values, bound)
+                    assert got == dense and spent + prefix == dense_spent
+                    pivots += spent
+                    prefixes += prefix
+        assert prefixes and (pivots or n == 1)  # one point: its path is all singleton
 
 
 class TestNarrowTableau:

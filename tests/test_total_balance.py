@@ -80,6 +80,7 @@ class TestLpCounts:
         seed = next(s for s in range(10_000) if _screened_draw(g3, s, 16) is not None)
         assert is_totally_balanced(random_monotone(g3, seed, 16)) == (True, None)
         assert (cover_bounds, minima, len(systems)) == ([g3.full], [], 1)
+        assert cover_bounds.built == [g3.full]
 
     def test_screened_draw_with_an_empty_core_solves_only_its_cover(self, cover_bounds, minima):
         # no pooled point and no identity marginal vector: the full-set cover
@@ -88,27 +89,32 @@ class TestLpCounts:
         family = BalancedFamily((0b011, 0b101, 0b110), (F(1, 2),) * 3)
         assert is_totally_balanced(nu) == (False, TotalBalanceFailure(g3.full, family))
         assert (cover_bounds, minima) == ([g3.full], [])
+        assert cover_bounds.built == [g3.full]  # the pairs leave the singletons' path
 
     def test_convex_n8_runs_only_the_full_cover(self, cover_bounds):
         g = GroundSet(8)
         report = classify_full(random_convex_mixture(g, 0, 6))
         assert report.flags() == (True, True, True, True)
-        assert cover_bounds == [g.full]
+        assert cover_bounds == cover_bounds.built == [g.full]
 
     def test_subadditive_pair_is_solved_and_reported(self, cover_bounds):
         nu = subadditive_pair()
         ok, failure = is_totally_balanced(nu)
         assert not ok and failure.subset == 0b011 and failure.verify(nu)
-        assert cover_bounds == [0b011]
+        assert cover_bounds == [0b011] and cover_bounds.built == []
         cover_bounds.clear()
         report = classify_full(nu)
         assert report.tb_witness == failure
         assert cover_bounds == [g3.full, 0b011]
+        # every set is worth at most its points: both covers are the
+        # singletons of Bland's path, and neither builds LP columns
+        assert cover_bounds.built == []
 
     def test_the_three_predicates_share_one_full_cover(self, cover_bounds, systems):
         unbalanced = new_capacity(g3, {0b011: F(9, 10), 0b101: F(9, 10), 0b110: F(9, 10)},
                                   strict=False)
-        for nu in (random_convex_mixture(GroundSet(4), 3, 5), subadditive_pair(), unbalanced,
+        pair = subadditive_pair()
+        for nu in (random_convex_mixture(GroundSet(4), 3, 5), pair, unbalanced,
                    damped(random_monotone(GroundSet(4), 7, 6))):
             cover_bounds.clear()
             systems.clear()
@@ -116,6 +122,8 @@ class TestLpCounts:
             is_exact(nu)
             is_totally_balanced(nu)
             assert cover_bounds.count(nu.ground.full) == 1, nu
+            # every cover but the subadditive pair's leaves the singletons' path
+            assert cover_bounds.built == ([] if nu is pair else [nu.ground.full]), nu
             # an empty core is answered by the cover alone, with no system
             assert len(systems) == (nu is not unbalanced), nu
 
