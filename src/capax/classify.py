@@ -14,8 +14,7 @@ arithmetic, no LP run needed:
 Balancedness is decided by the full set's weighted-cover LP alone, of value
 1 exactly when the core is nonempty (Bondareva); its certified dual point is
 then a core measure, the witness.  No predicate here solves a general LP:
-`core_lp_feasible`, the generic two-phase primal route, is the reference the
-tests compare against.
+every LP is one of the two shapes of `lp.core`.
 
 The predicates share the one-entry memo of `lp.core`: a capacity's table on
 one integer scale, its core system and its full-set cover, each built at
@@ -35,11 +34,12 @@ from fractions import Fraction
 from .capacity import BalancedFamily, Capacity, Measure
 from .errors import EmptySubset, InternalInconsistency
 from .ground import ONE, ZERO, check_subset, family_total, point_masses, subset_indices
-from .lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, Row, LinearProgram, NONNEG,
-                 cover_maximum)
-from .lp.core import (check_points, shared_capacity_core, shared_core_nonempty, shared_full_cover,
+from .lp.core import (cover_maximum, shared_capacity_core, shared_core_nonempty, shared_full_cover,
                       shared_scaled_table, solved_full_cover)
-# solve_dualized stays importable here for tools that hook LP solves per module
+# Pinned by the benchmark, which hooks or imports them here: solve,
+# solve_dualized, Row and LinearProgram (hooked per module), and the general
+# programs _cover_lp and _core_min_lp.  No predicate calls any of them.
+from .lp.model import EQ, GE, LE, NONNEG, LinearProgram, Row
 from .lp.solver import solve, solve_dualized  # noqa: F401
 
 
@@ -178,8 +178,8 @@ def bondareva_value(nu: Capacity, bound_mask: int) -> Fraction:
 def _core_min_lp(nu: Capacity, subset: int) -> LinearProgram:
     """min mu(subset) over the core as a general LP: the mass-one row, then one
     row per nonempty proper subset in code order.  Subset 0 gives the
-    feasibility program of `core_lp_feasible`; `CoreSystem` solves the same
-    program without building it."""
+    feasibility program of the tests' `core_lp_feasible`; `CoreSystem` solves
+    the same program without building it."""
     n = nu.ground.n
     rows = [Row((ONE,) * n, EQ, ONE)]
     for a in nu.ground.proper_nonempty_subsets():
@@ -187,35 +187,6 @@ def _core_min_lp(nu: Capacity, subset: int) -> LinearProgram:
         rows.append(Row(coeffs, GE, nu[a]))
     objective = tuple(ONE if subset >> i & 1 else ZERO for i in range(n))
     return LinearProgram("min", objective, tuple(rows), (NONNEG,) * n)
-
-
-def core_lp_feasible(nu: Capacity):
-    """Direct feasibility of {mu >= 0, mu(X) = 1, mu(A) >= v(A)} by the generic `solve`.
-
-    Returns (True, core Measure) or (False, violating BalancedFamily built
-    from the Farkas certificate).  Classification never calls it: it is the
-    general-LP reference that `is_balanced`'s weighted-cover route is tested
-    against, not a predicate.  At the 10-point cap it is slow: 19-23 s on
-    `dirac(0, GroundSet(10))` against 0.0007 s for `is_balanced` (Python
-    3.11, one core of a shared 2-CPU machine).
-    """
-    check_points(nu.ground.n)
-    out = solve(_core_min_lp(nu, 0))
-    if out.status == OPTIMAL:
-        return True, Measure(nu.ground, out.primal)
-    if out.status != INFEASIBLE:
-        raise InternalInconsistency("core system cannot be unbounded under min 0")
-    lam0 = out.farkas[0]
-    if lam0 >= 0:
-        raise InternalInconsistency("Farkas certificate of the core system needs a negative mass multiplier")
-    scale = -lam0
-    sets = []
-    weights = []
-    for a, lam in zip(nu.ground.proper_nonempty_subsets(), out.farkas[1:]):
-        if lam != 0:
-            sets.append(a)
-            weights.append(lam / scale)
-    return False, BalancedFamily(tuple(sets), tuple(weights))
 
 
 def is_balanced(nu: Capacity):
@@ -326,23 +297,30 @@ def classify_full(nu: Capacity) -> ClassReport:
 def verify_report(nu: Capacity, report: ClassReport) -> bool:
     """Arithmetic-only re-verification of every witness in a report.  A class
     that holds carries no witness: convexity is rescanned, and exactness and
-    total balancedness are trusted."""
+    total balancedness are trusted.  A failure family at the full set equal
+    to the balancedness family, which has passed by then, is not checked
+    again."""
     convex_scan, _ = is_convex(nu)  # combinatorial, no LP
     if report.convex != convex_scan:
         return False
-    failures = (report.convex_witness, ConvexityViolation), (report.tb_witness, TotalBalanceFailure)
-    for w, kind in failures:
-        if w is not None and not (isinstance(w, kind) and w.verify(nu)):
-            return False
-    w = report.balanced_witness
-    if isinstance(w, Measure):
+    w = report.convex_witness
+    if w is not None and not (isinstance(w, ConvexityViolation) and w.verify(nu)):
+        return False
+    full, balanced = nu.ground.full, report.balanced_witness
+    if isinstance(balanced, Measure):
         scale, table = shared_scaled_table(nu.values)
         rows = [(a, 1, t, scale) for a, t in enumerate(table)]
-        if w.ground != nu.ground or point_masses(w.weights, rows) is None:
+        masses = point_masses(balanced.weights, rows) if balanced.ground == nu.ground else None
+        # the rows give x(X) >= 1; a core measure has x(X) = 1
+        if masses is None or masses[1][-1] != masses[0]:
             return False
-    elif not isinstance(w, BalancedFamily) or not w.violates(nu, nu.ground.full):
+    elif not isinstance(balanced, BalancedFamily) or not balanced.violates(nu, full):
+        return False
+    w = report.tb_witness
+    if w is not None and not (isinstance(w, TotalBalanceFailure) and (
+            w.subset == full and w.family == balanced or w.verify(nu))):
         return False
     w = report.exact_witness
-    if isinstance(w, BalancedFamily):  # the balancedness family, if equal, has passed
-        return w == report.balanced_witness or w.violates(nu, nu.ground.full)
+    if isinstance(w, BalancedFamily):
+        return w == balanced or w.violates(nu, full)
     return w is None or isinstance(w, ExactnessGap) and w.verify(nu)

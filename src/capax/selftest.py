@@ -2,11 +2,14 @@
 
 Each check is a named zero-argument callable returning True/False; the runner
 prints one PASS/FAIL line per check in a fixed order with no timing, so two
-runs of a healthy build produce identical output.
+runs of a healthy build produce identical output.  The LP checks run the two
+shapes capax solves, the core system and the weighted cover, on fixtures
+with hand-known optima; no check runs the generic solver of `lp.solver`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 from .capacity import (
@@ -19,11 +22,13 @@ from .capacity import (
     random_monotone,
     unanimity,
 )
-from .classify import bondareva_value, classify_full, core_lp_feasible, verify_report
+from .classify import bondareva_value, classify_full, verify_report
 from .credal import check_naturality, check_retraction, lower_envelope, random_credal
+from .errors import CoreEmpty, InternalInconsistency
 from .ground import GroundSet, PointMap
-from .lp import linear_program, verify_outcome
-from .lp.solver import solve
+from .lp import CoreSystem, CoverMaximum, cover_certifies, cover_maximum
+from .lp._tableau_py import visit
+from .lp.core import capacity_core
 from .monad import lift_unit, monad_mul, unit_second
 from .rng import SplitMix64
 
@@ -43,28 +48,61 @@ def nustar():
     return new_capacity(g4, table)
 
 
-def _check_lp_basics() -> bool:
-    lp1 = linear_program("max", [1], [([1], "<=", 1)])
-    out1 = solve(lp1)
-    if out1.value != 1 or not verify_outcome(lp1, out1):
+def _pairs_game(pair: F) -> tuple[F, ...]:
+    """Value table of the 3-point game with singletons 0, pairs `pair`, X 1."""
+    return tuple(F(1) if a == 7 else pair if bin(a).count("1") == 2 else F(0) for a in range(8))
+
+
+def _solvable(system: CoreSystem) -> bool:
+    try:
+        system.require_solution()
+    except CoreEmpty:
         return False
-    lp2 = linear_program("max", [1, 1], [([1, 1], "=", 1)])
-    out2 = solve(lp2)
-    if out2.value != 1 or out2.dual != (F(1),) or not verify_outcome(lp2, out2):
+    return True
+
+
+def _check_lp_shapes() -> bool:
+    """Both LP shapes on fixtures with hand-known optima and certificates."""
+    # pairs at 9/10: the pairs at weight 1/2 cover X with 27/20, so the core is empty
+    values = _pairs_game(F(9, 10))
+    best = cover_maximum(values, 0b111)
+    if best != CoverMaximum(F(27, 20), (0b011, 0b101, 0b110), (F(1, 2),) * 3, (F(9, 20),) * 3) \
+            or not cover_certifies(values, 0b111, best):
         return False
-    lp3 = linear_program("max", [0], [([1], ">=", 1), ([1], "<=", 0)])
-    out3 = solve(lp3)
-    if out3.status != "infeasible" or not verify_outcome(lp3, out3):
+    # the right total, but y({1,2}) = 27/40 < 9/10: the dual side must refuse it
+    if cover_certifies(values, 0b111, replace(best, point=(F(27, 40), F(27, 40), F(0)))):
         return False
-    beale = linear_program(
-        "max",
-        [F(3, 4), -150, F(1, 50), -6],
-        [([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
-         ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
-         ([0, 0, 1, 0], "<=", 1)],
-    )
-    out4 = solve(beale)
-    return out4.status == "optimal" and out4.value == F(1, 20) and verify_outcome(beale, out4)
+    # the cover family with y0 = -1 is a Farkas certificate of the empty core;
+    # `require_solution` ends in `minimum(1)`, whose CoreEmpty comes only
+    # once its own ray has passed `refutes`
+    system = capacity_core(values)
+    family = dict(zip(best.sets, best.weights))
+    if not system.refutes(F(-1), [family.get(a, F(0)) for a in system.masks]) or _solvable(system):
+        return False
+    # pairs at 3/5: cover value 1, and min x({0}) = 2 * 3/5 - 1
+    values = _pairs_game(F(3, 5))
+    system = capacity_core(values)
+    low = system.minimum(0b001)
+    if cover_maximum(values, 0b111).value != 1 or low.value != F(1, 5) or \
+            not system.certifies(0b001, low):
+        return False
+    # a degenerate core, the simplex on {0, 1, 2}: without the implied bound
+    # on {3} no marginal vector applies, so `least` runs warm minima
+    nu = unanimity(0b0111, GroundSet(4))
+    masks = [a for a in range(1, 15) if a != 0b1000]
+    cold, warm = (CoreSystem(4, masks, [nu[a] for a in masks]) for _ in range(2))
+    for subset in range(16):
+        low = cold.minimum(subset)
+        if not low.value == warm.least(subset) == nu[subset] or not cold.certifies(subset, low):
+            return False
+    # the guard every pivot loop runs: a revisited basis raises
+    seen = set()
+    visit(seen, [0, 1, 2])
+    try:
+        visit(seen, [0, 1, 2])
+    except InternalInconsistency:
+        return True
+    return False
 
 
 def _check_nustar() -> bool:
@@ -89,9 +127,8 @@ def _check_duality_routes() -> bool:
     for seed in range(40):
         g = GroundSet(2 + seed % 3)
         nu = random_monotone(g, seed * 31 + 7, 5)
-        cover_one = bondareva_value(nu, g.full) == 1
-        feasible, _ = core_lp_feasible(nu)
-        if cover_one != feasible:
+        # a fresh system: the memo's answers read the solved cover
+        if (bondareva_value(nu, g.full) == 1) != _solvable(capacity_core(nu.values)):
             return False
     return True
 
@@ -157,7 +194,7 @@ def _check_mixture_and_push() -> bool:
 
 
 CHECKS: tuple[tuple[str, object], ...] = (
-    ("lp-basics-and-cycling", _check_lp_basics),
+    ("lp-basics-and-cycling", _check_lp_shapes),
     ("fixture-nustar", _check_nustar),
     ("class-chain", _check_chain),
     ("balancedness-two-routes", _check_duality_routes),

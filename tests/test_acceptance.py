@@ -10,7 +10,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from oracles import mul_candidate_scan
+from oracles import core_lp_feasible, mul_candidate_scan
 
 from capax.capacity import (
     pushforward,
@@ -20,7 +20,6 @@ from capax.capacity import (
 from capax.classify import (
     bondareva_value,
     classify_full,
-    core_lp_feasible,
     is_balanced,
     is_exact,
     is_totally_balanced,
@@ -35,7 +34,8 @@ from capax.credal import (
     random_credal,
 )
 from capax.ground import GroundSet, random_point_map
-from capax.lp import dual_of, linear_program, solve, verify_outcome
+from capax.lp.model import dual_of, linear_program, verify_outcome
+from capax.lp.solver import solve
 from capax.monad import SecondOrderCapacity, lift_unit, monad_mul, unit_second
 from capax.rng import SplitMix64
 from capax.search import SearchConfig, machine_report, problem1_search, reverify_report_text

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from oracles import convex_all_pairs, convex_local_pairs, fraction_marginal
+from oracles import convex_all_pairs, convex_local_pairs, core_lp_feasible, fraction_marginal
 
 from capax.capacity import (
     BalancedFamily,
@@ -25,7 +25,6 @@ from capax.classify import (
     TotalBalanceFailure,
     bondareva_value,
     classify_full,
-    core_lp_feasible,
     is_balanced,
     is_convex,
     is_exact,
@@ -403,6 +402,29 @@ class TestClassifyFull:
             assert not verify_report(nu, replace(report, exact_witness=w))
         assert verify_report(nu, replace(report, exact_witness=BalancedFamily((0b01, 0b10), (F(1), F(1)))))
 
+    def test_a_core_measure_must_weigh_exactly_one(self):
+        # (1, 1, 1) meets every bound v(A) <= 1 but weighs 3 at X
+        nu = mix(unanimity(0b011, g3), dirac(2, g3), F(1, 3))
+        report = classify_full(nu)
+        assert report.balanced and verify_report(nu, report)
+        assert not verify_report(nu, replace(report, balanced_witness=Measure._built(g3, (1, 1, 1))))
+
+    def test_a_full_set_failure_equal_to_the_balancedness_family_is_checked_once(self, monkeypatch):
+        nu = nine_tenths()
+        report = classify_full(nu)
+        assert report.tb_witness == TotalBalanceFailure(g2.full, report.balanced_witness)
+        calls, violates = [], BalancedFamily.violates
+        monkeypatch.setattr(BalancedFamily, "violates",
+                            lambda family, game, bound: calls.append(family) or violates(family, game, bound))
+        assert verify_report(nu, report)
+        assert calls == [report.balanced_witness]
+        # another family at X is checked: one of total 27/20 passes, one of 9/10 does not
+        for weight, holds in ((F(1, 2), True), (F(0), False)):
+            other = BalancedFamily((0b01, 0b10), (F(1), weight))
+            calls.clear()
+            assert verify_report(nu, replace(report, tb_witness=TotalBalanceFailure(g2.full, other))) == holds
+            assert calls == [report.balanced_witness, other]
+
     @pytest.mark.parametrize("field, witness", [
         ("tb_witness", BalancedFamily((1,), (1,))),
         ("convex_witness", Measure(g3, (1, 0, 0))),
@@ -507,7 +529,6 @@ SIZED_ENTRIES = {
     "is_totally_balanced": is_totally_balanced,
     "bondareva_value": lambda nu: bondareva_value(nu, nu.ground.full),
     "min_core_value": lambda nu: min_core_value(nu, 1),
-    "core_lp_feasible": core_lp_feasible,
     "core_polytope": core_polytope,
 }
 

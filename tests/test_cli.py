@@ -335,6 +335,19 @@ class TestSelftestCommand:
         assert code == 1
         assert "FAIL fixture-nustar" in out
 
+    def test_passes_with_the_generic_lp_refusing_to_run(self, monkeypatch):
+        from capax.lp import _tableau_py, solver
+        from capax.selftest import run_selftest
+
+        def refuse(*args):
+            raise AssertionError("the generic LP ran")
+
+        monkeypatch.setattr(solver, "solve", refuse)
+        monkeypatch.setattr(_tableau_py.Tableau, "run", refuse)
+        monkeypatch.setattr(_tableau_py.Tableau, "set_objective", refuse)
+        lines = []
+        assert run_selftest(lines.append), lines
+
 
 class TestArgparseContract:
     def test_unknown_flag_exits_2(self, capsys):

@@ -20,9 +20,11 @@ from capax.classify import _cover_lp, is_totally_balanced
 from capax.credal import lower_envelope, random_credal
 from capax.errors import GroundMismatch, InternalInconsistency, ShapeMismatch
 from capax.ground import GroundSet, subset_indices
-from capax.lp import OPTIMAL, cover_certifies, cover_maximum, solve
+from capax.lp import cover_certifies, cover_maximum
 from capax.lp.core import shared_full_cover
 from capax.lp import _tableau_py, core, solver
+from capax.lp.model import OPTIMAL
+from capax.lp.solver import solve
 from capax.rng import SplitMix64
 
 

@@ -4,14 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from capax.errors import ShapeMismatch
-from capax.lp import (
-    LpOutcome,
-    dual_of,
-    linear_program,
-    solve,
-    solve_dualized,
-    verify_outcome,
-)
+from capax.lp.model import LpOutcome, dual_of, linear_program, verify_outcome
+from capax.lp.solver import solve, solve_dualized
 from capax.rng import SplitMix64
 
 
