@@ -9,22 +9,24 @@ none proves nothing, and reports always say "inconclusive" in that case.
 Per seed, deterministically: draw support capacities of the target class
 (exact ones as lower envelopes of random vertex credal sets, totally balanced
 ones by rejection-filtering random monotone capacities), draw a weight game
-of the same class on the index set, multiply, classify the result, and fully
-re-verify any class failure from its counterexample record before listing it:
-the very strings (tables and witness) that the machine report writes for it.
-Seeds are independent, so the worker pool splits by seed; the report is
-assembled in seed order, which makes the machine report byte-identical for
-any worker count.
+of the same class on the index set, multiply, classify the result, and
+certify any class failure by arithmetic on the objects the seed holds before
+listing it.  Seeds are independent, so the worker pool splits by seed; the
+report is assembled in seed order, which makes the machine report
+byte-identical for any worker count.  An outcome keeps the product and its
+class report, not the second-order capacity: the machine report draws a
+counterexample's members again from its seed.
 
-Re-verification checks each claim of the record by a certificate.  An exact
-member comes with the vertices whose lower envelope it is.  It is exact when
-one integer pass over one common denominator shows that every vertex sums
-to 1, that its mass table is at least the member's scaled table L v at every
-subset, and that the least of those tables meets L v at every subset: the
-member is then the vertices' envelope, with no LP and no core system, and
-no point other than the vertices counts.  The product is checked by its
-class predicate alone, whose witness is the one `classify_full` reports for
-that class, and the witness is re-checked by arithmetic.
+A failure is certified once, by `_certified`, in the live search and in the
+check of a written record alike.  An exact member comes with the vertices
+whose lower envelope it is.  It is exact when one integer pass over one
+common denominator shows that every vertex sums to 1, that its mass table is
+at least the member's scaled table L v at every subset, and that the least
+of those tables meets L v at every subset: the member is then the vertices'
+envelope, with no LP and no core system, and no point other than the
+vertices counts.  The product's class witness, the one `classify_full`
+reports for that class, is checked by arithmetic.  Only
+`verify_counterexample`, the check of a record's text, draws a seed again.
 
 The rejection filter screens each draw for superadditivity, nu(A) + nu(B) <=
 nu(A | B) over disjoint A and B, as it draws: each subset's grid value is
@@ -44,7 +46,7 @@ from math import lcm
 from operator import le, lt
 
 from .capacity import BalancedFamily, Capacity
-from .classify import ClassReport, classify_full, is_exact, is_totally_balanced
+from .classify import ClassReport, TotalBalanceFailure, classify_full, is_exact, is_totally_balanced
 # verify_report and random_monotone stay importable here for callers that check
 # a report as capax.search.verify_report and tools that hook candidate draws
 from .capacity import random_monotone  # noqa: F401
@@ -101,7 +103,6 @@ class SearchConfig:
 @dataclass(frozen=True, slots=True)
 class SeedOutcome:
     seed: int
-    second_order: SecondOrderCapacity
     multiplied: Capacity
     report: ClassReport
     class_holds: bool
@@ -109,9 +110,9 @@ class SeedOutcome:
     @property
     def verified_counterexample(self) -> bool:
         """Always `not class_holds`: a failing seed is listed only once
-        `verify_counterexample` accepts its record (`run_seed` raises
-        otherwise).  Kept only because the benchmark's search workloads read
-        it, until they stop (ROADMAP item 1(a))."""
+        `_certified` accepts the objects `run_seed` holds for it (`run_seed`
+        raises otherwise).  Kept only because the benchmark's search
+        workloads read it, until they stop (ROADMAP item 1(a))."""
         return not self.class_holds
 
 
@@ -203,43 +204,49 @@ def _second_order(config: SearchConfig, seed: int):
 
 
 def run_seed(config: SearchConfig, seed: int) -> SeedOutcome:
-    c2 = build_second_order(config, seed)
+    c2, vertex_lists = _second_order(config, seed)
     mul = monad_mul(c2)
     report = classify_full(mul)
     holds = report.exact if config.target_class == EXACT else report.totally_balanced
-    if not holds and not verify_counterexample(
-            config, seed, *_record(c2, mul, _class_witness(report, config.target_class))):
-        raise InternalInconsistency(f"seed {seed}: counterexample candidate failed re-verification")
-    return SeedOutcome(seed, c2, mul, report, holds)
+    if not holds and not _certified(c2, vertex_lists, mul,
+                                    _class_witness(report, config.target_class)):
+        raise InternalInconsistency(f"seed {seed}: counterexample candidate failed certification")
+    return SeedOutcome(seed, mul, report, holds)
 
 
 def verify_counterexample(config: SearchConfig, seed: int, tables, witness: str) -> bool:
-    """Re-verify a counterexample from its record as the machine report writes it.
+    """Check a counterexample from its record as the machine report writes it.
 
     `tables` holds the k `cx-support` tables, the `cx-game` and the `cx-mul`
     table; `witness` is the `witness=` text.  Regenerates the seed's
-    second-order capacity and checks each exact member by its envelope
-    certificate (`_envelope_certifies`, on the vertices the regeneration
-    drew); for a totally balanced member the regeneration is the member
-    check, as `_generate_member` keeps only draws that pass
-    `is_totally_balanced`.  Recomputes the product and runs the class
-    predicate on it (its witness is the one `classify_full` reports for that
-    class).  The record must be byte for byte what the machine report writes
-    for these, so a malformed or altered table or witness is False, and the
-    witness must pass its arithmetic check.
+    second-order capacity with its vertex lists, recomputes the product and
+    runs the class predicate on it (its witness is the one `classify_full`
+    reports for that class).  The record must be byte for byte what the
+    machine report writes for these, so a malformed or altered table or
+    witness is False; then `_certified` checks the members and the witness,
+    as `run_seed` does.  The one path that draws a seed again.
     """
     c2, vertex_lists = _second_order(config, seed)
-    if config.target_class == EXACT:
-        if not all(map(_envelope_certifies, (*c2.support, c2.game), vertex_lists)):
-            return False
-        predicate = is_exact
-    else:
-        predicate = is_totally_balanced
     mul = monad_mul(c2)
-    holds, w = predicate(mul)
-    if holds or _record(c2, mul, w) != (tuple(tables), witness):
+    holds, w = (is_exact if config.target_class == EXACT else is_totally_balanced)(mul)
+    return not holds and _record(c2, mul, w) == (tuple(tables), witness) and \
+        _certified(c2, vertex_lists, mul, w)
+
+
+def _certified(c2: SecondOrderCapacity, vertex_lists, mul: Capacity, w) -> bool:
+    """True when arithmetic confirms that `mul`, the product of `c2`, is a
+    counterexample with class witness `w`.
+
+    A `TotalBalanceFailure` marks a totally balanced target, whose members
+    are the draws `_generate_member` kept because `is_totally_balanced`
+    accepted them.  For an exact target every member must pass
+    `_envelope_certifies` on its own vertex list, so one without vertices
+    fails.  Then `w` must pass its check: `verify`, or for `is_exact`'s
+    witness of an empty core, a balanced family over 1 at the full set."""
+    if not isinstance(w, TotalBalanceFailure) and \
+            not all(map(_envelope_certifies, (*c2.support, c2.game), vertex_lists)):
         return False
-    if isinstance(w, BalancedFamily):  # is_exact's witness of an empty core
+    if isinstance(w, BalancedFamily):
         return w.violates(mul, mul.ground.full)
     return w.verify(mul)
 
@@ -318,7 +325,7 @@ def machine_report(report: SearchReport) -> str:
             f"holds={yn(o.class_holds)}"
         )
     for o in report.counterexamples:
-        tables, witness = _record(o.second_order, o.multiplied,
+        tables, witness = _record(build_second_order(cfg, o.seed), o.multiplied,
                                   _class_witness(o.report, cfg.target_class))
         out.append(f"counterexample seed={o.seed} witness={witness}")
         out.extend(f"cx-support seed={o.seed} index={i} table={t}"
@@ -382,33 +389,38 @@ def parse_machine_report(text: str):
 def reverify_report_text(text: str) -> bool:
     """Re-verify a machine report from its text alone.
 
-    The report must be consistent: the seeds with a counterexample record are
-    exactly those whose result line says holds=no, in order, and the summary
-    counts them.  Each record must be whole, a witness and every table, and
-    pass `verify_counterexample`.  The config and summary records, each
-    seed's counterexample record and each of its tables appear once, so no
-    repeated line can stand in for the one checked.  Any other defect, a
+    The report must be consistent: `seeds=` is exactly A..B, there is one
+    result line per seed of that range, in order, each with holds=yes or
+    holds=no, the seeds with a counterexample record are exactly those whose
+    result line says holds=no, in order, and the summary counts both the seeds
+    and the counterexamples.  Each record must be whole, a witness and every
+    table, and pass `verify_counterexample`.  The config and summary records,
+    each seed's counterexample record and each of its tables appear once, so
+    no repeated line can stand in for the one checked.  Any other defect, a
     missing or malformed field included, gives False; only a missing header
     or config record raises ValueError.
     """
     config = None
-    failing, flagged, tables, counted = [], {}, {}, None
+    results, failing, flagged, tables, counted = [], [], {}, {}, None
     records = parse_machine_report(text)
     try:
         for kind, fields in records:
             if kind == "config":
                 if config is not None:
                     return False
+                start, end = fields["seeds"].split("..")
                 config = SearchConfig(
                     n=int(fields["n"]),
                     support_size=int(fields["k"]),
                     target_class=fields["class"],
-                    seed_start=int(fields["seeds"].split("..")[0]),
-                    seed_end=int(fields["seeds"].split("..")[1]),
+                    seed_start=int(start),
+                    seed_end=int(end),
                     grid=int(fields["grid"]),
                 )
-            elif kind == "result" and fields.get("holds") == "no":
-                failing.append(int(fields["seed"]))
+            elif kind == "result":
+                results.append(int(fields["seed"]))
+                if ("yes", "no").index(fields["holds"]):
+                    failing.append(results[-1])
             elif kind == "counterexample":
                 seed = int(fields["seed"])
                 if seed in flagged:
@@ -422,12 +434,14 @@ def reverify_report_text(text: str) -> bool:
             elif kind == "summary":
                 if counted is not None:
                     return False
-                counted = int(fields["counterexamples"])
+                counted = int(fields["seeds"]), int(fields["counterexamples"])
     except (KeyError, IndexError, ValueError, ConfigOutOfRange):
         return False
     if config is None:
         raise ValueError("report has no config record")
-    if list(flagged) != failing or counted != len(failing):
+    # a slice of the range, so a long range in the text builds no long list
+    if results != list(config.seeds[:len(results) + 1]) or list(flagged) != failing or \
+            counted != (len(results), len(failing)):
         return False
     for seed, witness in flagged.items():
         record = [tables.get((seed, "cx-support", str(i))) for i in range(config.support_size)]

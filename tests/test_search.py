@@ -255,10 +255,10 @@ def table_of(text, prefix):
     return line.partition("table=")[2]
 
 
-def record_of(outcome, target_class):
+def record_of(cfg, outcome):
     """The counterexample record the machine report writes for `outcome`."""
-    return search._record(outcome.second_order, outcome.multiplied,
-                          search._class_witness(outcome.report, target_class))
+    return search._record(build_second_order(cfg, outcome.seed), outcome.multiplied,
+                          search._class_witness(outcome.report, cfg.target_class))
 
 
 # Each edit leaves a report that still parses, but whose record is wrong,
@@ -293,6 +293,11 @@ INCONSISTENT = {
     "repeated-counterexample": lambda t, s, h: repeat(t, f"counterexample seed={s} "),
     "second-config": lambda t, s, h: repeat(t, "config "),
     "second-summary": lambda t, s, h: repeat(t, "summary "),
+    "dropped-holds-yes": lambda t, s, h: "".join(
+        line for line in t.splitlines(keepends=True) if not line.startswith(f"result seed={h} ")),
+    "summary-seeds": lambda t, s, h: edit(t, "summary ", r"seeds=\d+", "seeds=99"),
+    "three-part-seed-range": lambda t, s, h: edit(t, "config ", r"seeds=(\d+\.\.\d+)",
+                                                  r"seeds=\1..7"),
 }
 
 
@@ -327,7 +332,7 @@ class TestCounterexamples:
     def test_tampered_record_fails_verification(self, found):
         cfg, report = found
         outcome = report.counterexamples[0]
-        tables, witness = record_of(outcome, cfg.target_class)
+        tables, witness = record_of(cfg, outcome)
         assert verify_counterexample(cfg, outcome.seed, tables, witness)
         # swapping two support tables keeps the record well formed but no
         # longer matches the deterministic regeneration for the seed
@@ -371,9 +376,9 @@ class TestCounterexamples:
             reverify_report_text("".join(l for l in lines if not l.startswith("config ")))
 
     def test_failing_class_really_fails(self, found):
-        _, report = found
+        cfg, report = found
         for o in report.counterexamples:
-            assert not is_exact(monad_mul(o.second_order))[0]
+            assert not is_exact(monad_mul(build_second_order(cfg, o.seed)))[0]
 
 
 # An exact capacity on four points, the lower envelope of these vertices, that
@@ -500,24 +505,48 @@ class TestEnvelopeCertificate:
         assert search._envelope_certifies(nu, vertices)
         assert not search._envelope_certifies(nu, (*vertices, heavy))
 
-    def test_verification_rejects_a_member_outside_its_certificate(self, found, monkeypatch):
-        # a vertex list with a point mass added that misses some member's
-        # core: the record is unchanged, only the certificate fails
-        cfg, report = found
-        outcome = report.counterexamples[0]
-        members = (*outcome.second_order.support, outcome.second_order.game)
-        assert any(nu[nu.ground.full ^ 1] > 0 for nu in members)
-        tables, witness = record_of(outcome, cfg.target_class)
-        assert verify_counterexample(cfg, outcome.seed, tables, witness)
+    @staticmethod
+    def with_vertex_lists(monkeypatch, change):
+        """Make `_second_order` hand out `change(vertex_lists)` with the same
+        second-order capacity."""
         regenerate = search._second_order
 
-        def with_point_mass(config, seed):
+        def changed(config, seed):
             c2, vertex_lists = regenerate(config, seed)
-            return c2, tuple((point_mass(0, vs[0].ground), *vs) for vs in vertex_lists)
+            return c2, change(vertex_lists)
 
-        monkeypatch.setattr(search, "_second_order", with_point_mass)
+        monkeypatch.setattr(search, "_second_order", changed)
+
+    @staticmethod
+    def with_point_mass(vertex_lists):
+        # a point mass misses the core of a member that is positive off {0}
+        return tuple((point_mass(0, vs[0].ground), *vs) for vs in vertex_lists)
+
+    def test_verification_rejects_a_member_outside_its_certificate(self, found, monkeypatch):
+        # the record is unchanged, only the certificate fails
+        cfg, report = found
+        outcome = report.counterexamples[0]
+        c2 = build_second_order(cfg, outcome.seed)
+        assert any(nu[nu.ground.full ^ 1] > 0 for nu in (*c2.support, c2.game))
+        tables, witness = record_of(cfg, outcome)
+        assert verify_counterexample(cfg, outcome.seed, tables, witness)
+        self.with_vertex_lists(monkeypatch, self.with_point_mass)
         assert not verify_counterexample(cfg, outcome.seed, tables, witness)
-        # the search itself refuses to list the seed
+
+    def test_run_seed_refuses_a_member_outside_its_certificate(self, found, monkeypatch):
+        cfg, report = found
+        seed = report.counterexamples[0].seed
+        self.with_vertex_lists(monkeypatch, self.with_point_mass)
+        with pytest.raises(InternalInconsistency, match=f"seed {seed}: "):
+            search.run_seed(cfg, seed)
+
+    def test_an_exact_member_without_vertices_is_refused(self, found, monkeypatch):
+        # only a totally balanced member comes without vertices
+        cfg, report = found
+        outcome = report.counterexamples[0]
+        tables, witness = record_of(cfg, outcome)
+        self.with_vertex_lists(monkeypatch, lambda vertex_lists: (None, *vertex_lists[1:]))
+        assert not verify_counterexample(cfg, outcome.seed, tables, witness)
         with pytest.raises(InternalInconsistency, match=f"seed {outcome.seed}: "):
             search.run_seed(cfg, outcome.seed)
 
@@ -549,7 +578,7 @@ class TestWitnessArithmetic:
         kinds = set()
         for outcome in report.counterexamples:
             mul = outcome.multiplied
-            tables, text = record_of(outcome, target_class)
+            tables, text = record_of(cfg, outcome)
             assert verify_counterexample(cfg, outcome.seed, tables, text)
             _, witness = honest(mul)
             kinds.add(type(witness).__name__)
@@ -564,6 +593,46 @@ class TestWitnessArithmetic:
             else {"TotalBalanceFailure"}
         assert kinds == expected
 
+    def test_run_seed_checks_the_witness_it_holds(self, found, monkeypatch):
+        # the forged gap keeps its text, so a record comparison alone passes it
+        cfg, _ = found
+        honest = search.classify_full
+
+        def forging(nu):
+            report = honest(nu)
+            return dataclasses.replace(report, exact_witness=forged(report.exact_witness, nu))
+
+        assert isinstance(search.run_seed(cfg, 1).report.exact_witness, ExactnessGap)
+        monkeypatch.setattr(search, "classify_full", forging)
+        with pytest.raises(InternalInconsistency, match="seed 1: "):
+            search.run_seed(cfg, 1)
+
+
+class TestOneCertification:
+    """`run_seed` certifies the objects it built; only the check of a
+    record's text draws a seed again."""
+
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(n=3, support_size=3, target_class="exact", seed_start=0, seed_end=9),
+        SearchConfig(n=3, support_size=2, target_class="totally_balanced",
+                     seed_start=6, seed_end=7, grid=4),
+    ], ids=["exact", "totally_balanced"])
+    def test_each_seed_is_drawn_once(self, monkeypatch, cfg):
+        drawn, regenerate = [], search._second_order
+
+        def counted(config, seed):
+            drawn.append(seed)
+            return regenerate(config, seed)
+
+        def never(*args):
+            raise AssertionError("run_seed called verify_counterexample")
+
+        monkeypatch.setattr(search, "_second_order", counted)
+        monkeypatch.setattr(search, "verify_counterexample", never)
+        outcomes = [search.run_seed(cfg, seed) for seed in cfg.seeds]
+        assert any(not o.class_holds for o in outcomes)
+        assert drawn == list(cfg.seeds)
+
 
 class TestTotallyBalancedSearch:
     def test_reverification_runs_the_predicate_on_the_product_only(self, monkeypatch):
@@ -572,7 +641,7 @@ class TestTotallyBalancedSearch:
         cfg = SearchConfig(n=3, support_size=2, target_class="totally_balanced",
                            seed_start=6, seed_end=7, grid=4)
         outcome = problem1_search(cfg).counterexamples[0]
-        tables, witness = record_of(outcome, cfg.target_class)
+        tables, witness = record_of(cfg, outcome)
         regenerated = search._second_order(cfg, outcome.seed)
         monkeypatch.setattr(search, "_second_order", lambda config, seed: regenerated)
         predicate, calls = search.is_totally_balanced, []
@@ -686,7 +755,7 @@ class TestSmallEnd:
         report = problem1_search(cfg)
         assert machine_report(report) == SEED5_RECORD
         assert reverify_report_text(SEED5_RECORD)
-        c2 = report.outcomes[0].second_order
+        c2 = build_second_order(cfg, 5)
         half = Fraction(1, 2)
         assert [nu.values for nu in c2.support] == [(0, half, half, 1, 0, half, half, 1),
                                                    (0, 0, half, half, half, half, 1, 1)]
