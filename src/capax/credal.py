@@ -4,31 +4,31 @@ envelopes, credal pushforward, and the retraction / naturality checks.
 A credal set is known through its lower envelope: `min_mass` is its one
 primitive, and the upper envelope (1 minus the lower one at complements) and
 equality derive from it.  Each form answers `min_mass` from what it holds: a
-finite vertex list answers every subset at once, in integers (each vertex an
-integer row over the vertices' common denominator, one mass table per row by
-`subset_sums`, then the least entry per subset); a
-core-style constraint system (lower bounds on subset masses over the
-probability simplex) asks its certified core LP, with no vertex enumeration;
-a lazy pushforward along a point map asks its base at the preimage.  Deciding
-full polytope equality is out of scope.
+finite vertex list answers every subset at once, in integers, by
+`ground.least_masses` of its vertices' integer rows; a core-style constraint
+system (lower bounds on subset masses over the probability simplex) asks its
+certified core LP, with no vertex enumeration; a lazy pushforward along a
+point map asks its base at the preimage.  Deciding full polytope equality is
+out of scope.
 
-`random_credal` never reads a Fraction back: it keeps each draw as the integer
-row (total, raw) of `capacity._measure_row`, in lowest terms, so equal
-measures give equal rows.  It deduplicates the rows in first-seen order, as
-`from_vertices` deduplicates measures, builds the vertices from them unchecked
-(`Measure._built`) and fills the minima table straight from the rows.
+The vertex form holds its vertices as integer rows (d, ints), weights ints / d
+in lowest terms, so equal measures give equal rows, and builds its measures
+from them unchecked (`Measure._built`).  `from_vertices` deduplicates on the
+rows of `integer_point`; `random_credal` keeps each draw as the row (total,
+raw) of `capacity._measure_row` and never reads a Fraction back.  Both keep
+first-seen order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .capacity import (Capacity, Measure, _measure_row, _rational, _row_measure,
                        measure_pushforward, pushforward)
 from .classify import is_exact
 from .errors import CoreEmpty, GroundMismatch, InfeasibleCredal, NotExact
-from .ground import ONE, ZERO, GroundSet, PointMap, _shared_ratio, check_subset, integer_point, subset_sums
+from .ground import (ONE, ZERO, GroundSet, PointMap, _shared_ratio, check_subset, integer_point,
+                     least_masses)
 from .lp.core import CoreSystem, shared_capacity_core
 # Pinned by the benchmark, which hooks them here: LinearProgram, Row and
 # solve_dualized.  Nothing here calls them.
@@ -43,13 +43,14 @@ PUSHED = "pushed"
 class CredalSet:
     """Nonempty closed convex set of probability measures on a finite ground set."""
 
-    __slots__ = ("ground", "kind", "vertices", "system", "base_map", "base_set", "_minima")
+    __slots__ = ("ground", "kind", "rows", "vertices", "system", "base_map", "base_set", "_minima")
 
-    def __init__(self, ground: GroundSet, kind: str, *, vertices=None, system=None,
+    def __init__(self, ground: GroundSet, kind: str, *, rows=None, system=None,
                  base_map=None, base_set=None):
         self.ground = ground
         self.kind = kind
-        self.vertices = vertices
+        self.rows = rows  # vertex form: distinct lowest-terms rows (d, ints)
+        self.vertices = None if rows is None else tuple(_row_measure(ground, row) for row in rows)
         self.system: CoreSystem | None = system  # constraint form
         self.base_map = base_map
         self.base_set = base_set
@@ -68,13 +69,10 @@ class CredalSet:
         if not measures:
             raise ValueError("a credal set needs at least one measure")
         ground = measures[0].ground
-        seen = []
-        for mu in measures:
-            if mu.ground != ground:
-                raise GroundMismatch("vertex measures live on different ground sets")
-            if mu not in seen:
-                seen.append(mu)
-        return cls(ground, VERTICES, vertices=tuple(seen))
+        if any(mu.ground != ground for mu in measures):
+            raise GroundMismatch("vertex measures live on different ground sets")
+        rows = (integer_point(mu.weights) for mu in measures)
+        return cls(ground, VERTICES, rows=tuple(dict.fromkeys((d, tuple(ints)) for d, ints in rows)))
 
     @classmethod
     def from_constraints(cls, ground: GroundSet, bounds) -> "CredalSet":
@@ -111,9 +109,11 @@ class CredalSet:
 
     def _vertex_minima(self) -> list[Fraction]:
         """min mu(S) over the vertices for every subset S, by subset code
-        (`_row_minima` of the vertices' integer rows)."""
+        (`least_masses` of the vertices' rows).  Equal values come back as
+        one shared Fraction object (see `_shared_ratio`)."""
         if self._minima is None:
-            self._minima = _row_minima([integer_point(mu.weights) for mu in self.vertices])
+            den, least = least_masses(self.rows)
+            self._minima = [_shared_ratio(m, den) for m in least]
         return self._minima
 
     def some_member(self) -> Measure:
@@ -123,18 +123,6 @@ class CredalSet:
         if self.kind == PUSHED:
             return measure_pushforward(self.base_map, self.base_set.some_member())
         return Measure(self.ground, self.system.minimum(0).point)
-
-
-def _row_minima(rows) -> list[Fraction]:
-    """min x(S) over the points x = ints / den of `rows`, pairs (den, ints),
-    for every subset code S.  Each row is rescaled to the rows' common
-    denominator and gets an integer mass table from one prefix walk
-    (`subset_sums`), so the least mass per subset is an integer minimum.
-    Equal values come back as one shared Fraction object (see
-    `_shared_ratio`)."""
-    den = lcm(*(d for d, _ in rows))
-    tables = [subset_sums(ints if d == den else [v * (den // d) for v in ints]) for d, ints in rows]
-    return [_shared_ratio(m, den) for m in map(min, zip(*tables))]
 
 
 def core_polytope(nu: Capacity) -> CredalSet:
@@ -210,7 +198,5 @@ def random_credal(ground: GroundSet, rng, max_vertices: int, grid: int) -> Creda
     `random_measure` draws, as integer rows deduplicated in first-seen order,
     so its vertices are those `from_vertices` gives the drawn measures."""
     count = 1 + rng.next_below(max_vertices)
-    rows = list(dict.fromkeys(_measure_row(ground, rng, grid) for _ in range(count)))
-    alpha = CredalSet(ground, VERTICES, vertices=tuple(_row_measure(ground, row) for row in rows))
-    alpha._minima = _row_minima(rows)
-    return alpha
+    return CredalSet(ground, VERTICES,
+                     rows=tuple(dict.fromkeys(_measure_row(ground, rng, grid) for _ in range(count))))

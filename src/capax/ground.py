@@ -10,7 +10,8 @@ a weighted family of subsets whose per-point loads must stay under caps.
 `scaled_masses` (with `point_masses`, its front end for Fractions, which
 `integer_point` puts over their common denominator) and `family_total` check
 the two in integers over one common denominator, and leave each caller only
-its own sign and equality rules.
+its own sign and equality rules.  `least_masses` is the lower envelope of
+finitely many such points, the least mass per subset over their integer rows.
 """
 
 from __future__ import annotations
@@ -123,6 +124,19 @@ def integer_point(x) -> tuple[int, list[int]]:
     Fractions x."""
     den = lcm(*(q.denominator for q in x))
     return den, [q.numerator * (den // q.denominator) for q in x]
+
+
+def least_masses(rows) -> tuple[int, list[int]]:
+    """(den, least) with least[S] / den = min x(S) over the points x = ints / d
+    of `rows`, pairs (d, ints) with d > 0, for every subset code S, in lowest
+    terms so equal envelopes give equal tables: each row rescaled to the rows'
+    common denominator, its mass table by `subset_sums`, then the least entry
+    per subset."""
+    den = lcm(*(d for d, _ in rows))
+    least = list(map(min, zip(*(subset_sums(ints if d == den else [v * (den // d) for v in ints])
+                                for d, ints in rows))))
+    g = gcd(den, *least)
+    return (den, least) if g == 1 else (den // g, [v // g for v in least])
 
 
 def point_masses(x, rows=()):

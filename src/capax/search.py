@@ -18,13 +18,13 @@ class report, not the second-order capacity: the machine report draws a
 counterexample's members again from its seed.
 
 A failure is certified once, by `_certified`, in the live search and in the
-check of a written record alike.  An exact member comes with the vertices
-whose lower envelope it is.  It is exact when one integer pass over one
-common denominator shows that every vertex sums to 1, that its mass table is
-at least the member's scaled table L v at every subset, and that the least
-of those tables meets L v at every subset: the member is then the vertices'
-envelope, with no LP and no core system, and no point other than the
-vertices counts.  The product's class witness, the one `classify_full`
+check of a written record alike.  An exact member comes with the integer rows
+(d, ints) of the vertices whose lower envelope it is.  It is exact when each
+row sums to its denominator and the rows' least mass table in lowest terms
+(`ground.least_masses`) is the member's scaled table L v: every vertex is
+then a core point, and every subset is attained by one, so the member is the
+vertices' envelope, with no LP and no core system, and no point other than
+the vertices counts.  The product's class witness, the one `classify_full`
 reports for that class, is checked by arithmetic.  Only
 `verify_counterexample`, the check of a record's text, draws a seed again.
 
@@ -42,8 +42,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import lcm
-from operator import le, lt
 
 from .capacity import BalancedFamily, Capacity
 from .classify import ClassReport, TotalBalanceFailure, classify_full, is_exact, is_totally_balanced
@@ -53,7 +51,7 @@ from .capacity import random_monotone  # noqa: F401
 from .classify import verify_report  # noqa: F401
 from .credal import lower_envelope, random_credal
 from .errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
-from .ground import GroundSet, _shared_ratio, format_rat, format_subset, integer_point, subset_sums
+from .ground import GroundSet, _shared_ratio, format_rat, format_subset, least_masses
 from .lp.core import shared_scaled_table
 from .monad import SecondOrderCapacity, monad_mul
 from .rng import SplitMix64
@@ -129,12 +127,12 @@ class SearchReport:
 
 def _generate_member(ground: GroundSet, target_class: str, attempt_rng: SplitMix64,
                      grid: int):
-    """(member, vertices): a capacity of the target class and, for an exact
-    one, the vertices of the credal set whose lower envelope it is (None for
-    a totally balanced one)."""
+    """(member, rows): a capacity of the target class and, for an exact one,
+    the integer rows (d, ints) of the vertices of the credal set whose lower
+    envelope it is (None for a totally balanced one)."""
     if target_class == EXACT:
         alpha = random_credal(ground, attempt_rng, ground.n + 1, grid)
-        return lower_envelope(alpha), alpha.vertices
+        return lower_envelope(alpha), alpha.rows
     for _ in range(_REJECTION_CAP):
         candidate = _screened_draw(ground, attempt_rng.next_u64(), grid)
         if candidate is not None and is_totally_balanced(candidate)[0]:
@@ -181,26 +179,33 @@ def build_second_order(config: SearchConfig, seed: int) -> SecondOrderCapacity:
 
 
 def _second_order(config: SearchConfig, seed: int):
-    """`build_second_order` with the vertex lists of its members: one per
-    support entry, then the weight game's (all None for totally balanced)."""
+    """`build_second_order` with the vertex rows of its members, the
+    certificate `_certified` checks: one list per support entry, then the
+    weight game's (all None for totally balanced).
+
+    Members are told apart by their integer table L v in lowest terms
+    (`shared_scaled_table`, which `is_totally_balanced` has just built for a
+    totally balanced one): equal tables are equal capacities, so this is the
+    dedup by `Capacity` equality, with no hash of 2^n Fractions."""
     ground = GroundSet(config.n)
     base = SplitMix64(seed)
-    support: dict[Capacity, object] = {}  # distinct members, to their vertices
+    support = {}  # L v -> (member, its vertex rows), distinct members in draw order
     for _ in range(_REJECTION_CAP):
-        candidate, vertices = _generate_member(
+        candidate, rows = _generate_member(
             ground, config.target_class, SplitMix64(base.next_u64()), config.grid
         )
-        support.setdefault(candidate, vertices)
+        support.setdefault(tuple(shared_scaled_table(candidate.values)[1]), (candidate, rows))
         if len(support) == config.support_size:
             break
     else:
         raise GeneratorExhausted(f"found {len(support)} distinct members in {_REJECTION_CAP} "
                                  f"draws, not {config.support_size}; use a smaller support size")
-    game, vertices = _generate_member(
+    game, rows = _generate_member(
         GroundSet(config.support_size), config.target_class,
         SplitMix64(base.next_u64()), config.grid,
     )
-    return SecondOrderCapacity(ground, tuple(support), game), (*support.values(), vertices)
+    members, vertex_lists = zip(*support.values())
+    return SecondOrderCapacity(ground, members, game), (*vertex_lists, rows)
 
 
 def run_seed(config: SearchConfig, seed: int) -> SeedOutcome:
@@ -240,9 +245,11 @@ def _certified(c2: SecondOrderCapacity, vertex_lists, mul: Capacity, w) -> bool:
     A `TotalBalanceFailure` marks a totally balanced target, whose members
     are the draws `_generate_member` kept because `is_totally_balanced`
     accepted them.  For an exact target every member must pass
-    `_envelope_certifies` on its own vertex list, so one without vertices
-    fails.  Then `w` must pass its check: `verify`, or for `is_exact`'s
-    witness of an empty core, a balanced family over 1 at the full set."""
+    `_envelope_certifies` on its own vertex rows, so one without rows fails:
+    each row sums to its denominator, and the rows' least table in lowest
+    terms is the member's L v.  Then `w` must pass its check: `verify`, or
+    for `is_exact`'s witness of an empty core, a balanced family over 1 at
+    the full set."""
     if not isinstance(w, TotalBalanceFailure) and \
             not all(map(_envelope_certifies, (*c2.support, c2.game), vertex_lists)):
         return False
@@ -251,31 +258,20 @@ def _certified(c2: SecondOrderCapacity, vertex_lists, mul: Capacity, w) -> bool:
     return w.verify(mul)
 
 
-def _envelope_certifies(nu: Capacity, vertices) -> bool:
-    """True when `vertices`, measures on nu's ground set, prove nu exact by
-    arithmetic: each is a core point of nu, x(X) = 1 and x(A) >= nu(A) for
-    every A (so x >= 0, as nu >= 0 at the singletons), and every subset A has
-    one with x(A) <= nu(A), hence = nu(A).  Then nu is the lower envelope of
-    core points, which is exactness.
-
-    One integer pass over one denominator D, the lcm of the vertices'
-    denominators and of L: each vertex's mass table by `subset_sums` against
-    nu's scaled table L v (`shared_scaled_table`) rescaled to D.  The minima
-    are recomputed from the vertices, never read from a credal set, and no
-    LP or core system is asked, so no point another caller kept counts."""
-    if not vertices or any(mu.ground != nu.ground for mu in vertices):
-        return False
-    scale, table = shared_scaled_table(nu.values)
-    rows = [integer_point(mu.weights) for mu in vertices]
-    den = lcm(scale, *(d for d, _ in rows))
-    floor = table if den == scale else [v * (den // scale) for v in table]
-    masses = []
-    for d, ints in rows:
-        mass = subset_sums([v * (den // d) for v in ints])
-        if mass[-1] != den or any(map(lt, mass, floor)):
-            return False
-        masses.append(mass)
-    return all(map(le, map(min, zip(*masses)), floor))
+def _envelope_certifies(nu: Capacity, rows) -> bool:
+    """True when `rows`, points x = ints / d of nu's ground set, prove nu
+    exact by arithmetic: the list is nonempty, each row has n entries and a
+    denominator d > 0 with sum(ints) = d, so x(X) = 1, and the rows' least
+    mass table in lowest terms (`least_masses`) is nu's scaled table L v
+    (`shared_scaled_table`).  Then every x has x(A) >= nu(A) for every A (so
+    x >= 0, as nu >= 0 at the singletons) and every subset A has one with
+    x(A) = nu(A): nu is the lower envelope of core points, which is
+    exactness.  The least table is recomputed from the rows, never read from
+    a credal set, and no LP or core system is asked, so no point another
+    caller kept counts."""
+    n = nu.ground.n
+    return bool(rows) and all(len(ints) == n and sum(ints) == d > 0 for d, ints in rows) and \
+        least_masses(rows) == shared_scaled_table(nu.values)
 
 
 def problem1_search(config: SearchConfig) -> SearchReport:

@@ -13,7 +13,8 @@ drawn as Fractions, as capax drew it before it drew grid numerators, and the
 lower envelope of a vertex list by Fraction sums per vertex and subset, as
 capax computed it before integer mass tables, `random_credal` from validated
 Fraction measures and the envelope certificate on a new core system, as capax
-ran both before integer rows, the superadditivity screen
+ran both before integer rows, the search's support deduplicated by `Capacity`
+equality, as capax kept it before integer-table keys, the superadditivity screen
 over a whole grid table and the monad multiplication's Fraction breakpoint
 walk, as capax ran both before the fused draw and the integer walk, and the
 core minimum and weighted cover on the dense tableau of every column, as
@@ -32,6 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from capax import search
 from capax.capacity import BalancedFamily, Capacity, Measure, random_convex_mixture, random_monotone
 from capax.classify import ConvexityViolation, ExactnessGap, TotalBalanceFailure, _core_min_lp
 from capax.credal import CredalSet, lower_envelope, random_credal
@@ -41,6 +43,7 @@ from capax.lp import _tableau_py
 from capax.lp.core import capacity_core, check_points
 from capax.lp.model import EQ, GE, INFEASIBLE, NONNEG, OPTIMAL, LinearProgram, Row
 from capax.lp.solver import solve, solve_dualized
+from capax.monad import SecondOrderCapacity
 from capax.ground import ONE, ZERO, GroundSet, subset_indices
 from capax.rng import SplitMix64
 
@@ -288,8 +291,8 @@ def vertex_envelope(ground, vertices) -> list[Fraction]:
 def fraction_random_credal(ground, rng, max_vertices: int, grid: int) -> CredalSet:
     """`random_credal` as capax drew it before integer rows: the same
     splitmix64 draws, each measure built by the public, validating `Measure`
-    from the Fractions raw / total, and deduplicated by
-    `CredalSet.from_vertices`."""
+    from the Fractions raw / total, and deduplicated by `Measure` equality
+    in first-seen order."""
     count = 1 + rng.next_below(max_vertices)
     measures = []
     for _ in range(count):
@@ -297,7 +300,24 @@ def fraction_random_credal(ground, rng, max_vertices: int, grid: int) -> CredalS
         while not sum(raw):
             raw = [rng.next_below(grid + 1) for _ in ground.points()]
         measures.append(Measure(ground, [Fraction(r, sum(raw)) for r in raw]))
-    return CredalSet.from_vertices(measures)
+    return CredalSet.from_vertices(dict.fromkeys(measures))
+
+
+def capacity_keyed_second_order(config, seed: int):
+    """`search.build_second_order` as capax built it before members were told
+    apart by their integer tables: the same `_generate_member` draws, each
+    kept unless a `Capacity` equal to it (its hash over the 2^n Fractions)
+    was kept before, in first-seen order.  Returns the second-order capacity
+    and the number of support draws."""
+    ground, base, support, draws = GroundSet(config.n), SplitMix64(seed), {}, 0
+    while len(support) < config.support_size:
+        member, _ = search._generate_member(ground, config.target_class,
+                                            SplitMix64(base.next_u64()), config.grid)
+        support.setdefault(member, None)
+        draws += 1
+    game, _ = search._generate_member(GroundSet(config.support_size), config.target_class,
+                                      SplitMix64(base.next_u64()), config.grid)
+    return SecondOrderCapacity(ground, tuple(support), game), draws
 
 
 def core_system_envelope_certifies(nu: Capacity, vertices, marginals: bool = True) -> bool:

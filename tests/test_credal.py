@@ -44,6 +44,12 @@ class TestConstruction:
         alpha = CredalSet.from_vertices([mu, mu, point_mass(1, g2)])
         assert len(alpha.vertices) == 2
 
+    def test_vertices_dedupe_in_first_seen_order_on_their_rows(self):
+        half = Measure(g2, [F(1, 2), F(1, 2)])
+        alpha = CredalSet.from_vertices([half, point_mass(0, g2), Measure(g2, [F(2, 4), F(3, 6)])])
+        assert alpha.vertices == (half, point_mass(0, g2))
+        assert alpha.rows == ((2, (1, 1)), (1, (1, 0)))
+
     def test_vertices_need_one(self):
         with pytest.raises(ValueError):
             CredalSet.from_vertices([])
@@ -136,7 +142,8 @@ class TestIntegerDraws:
             for seed in range(200):
                 rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
                 alpha = random_credal(g, rng, n + 1, grid)
-                assert alpha.vertices == fraction_random_credal(g, reference_rng, n + 1, grid).vertices
+                reference = fraction_random_credal(g, reference_rng, n + 1, grid)
+                assert (alpha.vertices, alpha.rows) == (reference.vertices, reference.rows)
                 assert rng.next_u64() == reference_rng.next_u64()  # as many draws
                 assert all(Measure(mu.ground, mu.weights) == mu for mu in alpha.vertices)
                 assert lower_envelope(alpha) == lower_envelope(CredalSet.from_vertices(list(alpha.vertices)))

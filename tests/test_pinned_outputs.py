@@ -19,6 +19,11 @@ full-set cover's certified dual point, and a `ClassReport` holds its four
 witnesses alone, which moves the core and total balancedness digests (no
 exactness or total balancedness witness moved); both search reports lose
 the `verified=` field of their counterexample records beside the header.
+
+The two broad search pins, exact n = k = 4 over seeds 0..499 and totally
+balanced n = k = 3 over seeds 0..299, were recorded under report v3 on the
+commit before the search told its support members apart by their integer
+tables instead of by `Capacity` equality.
 """
 
 import contextlib
@@ -40,21 +45,23 @@ TB_SEARCH_SHA256 = "4910c5bea00f8f545991aabc39b7855a37fa4cf991360ae60d7397fbc38c
 SELFTEST_SHA256 = "110455ba5c36cc70cf2730798aa2414e3c16adfcab4dbb342846a8840bb78f19"
 CORE_SHA256 = "793cd4ea2bad28917645f2bd37620d1d94b691c59ceb3c6553f0cd02e6301579"
 TB_SHA256 = "ac15ee9882031788d461e1b09daa9b45d16f246d985b10f90b393f582b9fa52e"
+BROAD_SEARCH_SHA256 = "c340e949df54dd9528ee023c2e7341d56a3f87aa520bc509c079ba7d34d66472"
+BROAD_TB_SEARCH_SHA256 = "079412f9ec2edad60333ed451ebd39a1d9da7f045bed31dc5bc812276469d398"
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def search_text() -> str:
+def search_text(seed_end: int = 9) -> str:
     config = SearchConfig(n=4, support_size=4, target_class="exact",
-                          seed_start=0, seed_end=9)
+                          seed_start=0, seed_end=seed_end)
     return machine_report(problem1_search(config))
 
 
-def tb_search_text() -> str:
+def tb_search_text(seed_end: int = 19) -> str:
     config = SearchConfig(n=3, support_size=3, target_class="totally_balanced",
-                          seed_start=0, seed_end=19)
+                          seed_start=0, seed_end=seed_end)
     return machine_report(problem1_search(config))
 
 
@@ -127,6 +134,14 @@ def test_search_machine_report_is_pinned():
 
 def test_totally_balanced_search_machine_report_is_pinned():
     assert _sha256(tb_search_text()) == TB_SEARCH_SHA256
+
+
+def test_search_machine_report_over_500_seeds_is_pinned():
+    assert _sha256(search_text(seed_end=499)) == BROAD_SEARCH_SHA256
+
+
+def test_totally_balanced_search_machine_report_over_300_seeds_is_pinned():
+    assert _sha256(tb_search_text(seed_end=299)) == BROAD_TB_SEARCH_SHA256
 
 
 def test_selftest_output_is_pinned():

@@ -10,16 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from oracles import core_system_envelope_certifies, random_monotone_fractions, superadditive
+from oracles import (capacity_keyed_second_order, core_system_envelope_certifies,
+                     random_monotone_fractions, superadditive)
 
 import capax
 from capax import search
-from capax.capacity import (BalancedFamily, Capacity, Measure, grid_table, point_mass,
+from capax.capacity import (BalancedFamily, Capacity, Measure, grid_table,
                             random_convex_mixture, random_monotone)
 from capax.classify import ExactnessGap, TotalBalanceFailure, is_balanced, is_exact, is_totally_balanced
 from capax.credal import CredalSet, lower_envelope, random_credal
 from capax.errors import ConfigOutOfRange, GeneratorExhausted, InternalInconsistency
-from capax.ground import GroundSet, subset_indices
+from capax.ground import GroundSet, integer_point, least_masses, subset_indices
 from capax.lp.core import capacity_core
 from capax.monad import SecondOrderCapacity, monad_mul
 from capax.rng import SplitMix64
@@ -208,6 +209,22 @@ class TestDistinctSupport:
         monkeypatch.setattr(search, "_REJECTION_CAP", 500)
         with pytest.raises(GeneratorExhausted, match="distinct members in 500 draws"):
             build_second_order(small_config(**overrides), 0)
+
+    @pytest.mark.parametrize("target_class, n, grid", [
+        ("exact", 4, 16), ("totally_balanced", 3, 16), ("exact", 2, 2), ("totally_balanced", 2, 2)])
+    def test_integer_table_keys_tell_members_apart_as_capacity_equality_does(self, target_class, n, grid):
+        # members are keyed on their scaled tables in lowest terms; on grid 2
+        # equal members are drawn often, so the dedup is exercised
+        cfg = SearchConfig(n=n, support_size=3 if n == 2 else n, target_class=target_class,
+                           seed_start=0, seed_end=299, grid=grid)
+        repeats = 0
+        for seed in cfg.seeds:
+            c2 = build_second_order(cfg, seed)
+            reference, draws = capacity_keyed_second_order(cfg, seed)
+            assert (c2.support, c2.game) == (reference.support, reference.game), seed
+            repeats += draws - cfg.support_size
+        if grid == 2:
+            assert repeats > 50
 
 
 class TestUnitSizeSearch:
@@ -398,6 +415,11 @@ def envelope_member():
     return lower_envelope(CredalSet.from_vertices(vertices)), vertices
 
 
+def certifies(nu, vertices) -> bool:
+    """`_envelope_certifies` on the integer rows of a list of measures."""
+    return search._envelope_certifies(nu, [integer_point(mu.weights) for mu in vertices])
+
+
 def tampered(vertices):
     """The vertex list with its first vertex dropped (if others remain); with
     half of that vertex's first positive weight moved to the next point; and
@@ -420,7 +442,7 @@ class TestEnvelopeCertificate:
 
     def test_accepts_every_drawn_member(self):
         nu, vertices = envelope_member()
-        assert search._envelope_certifies(nu, vertices)
+        assert certifies(nu, vertices)
         cfg = small_config(n=4, support_size=3, seed_end=5)
         for seed in cfg.seeds:
             c2, vertex_lists = search._second_order(cfg, seed)
@@ -435,14 +457,14 @@ class TestEnvelopeCertificate:
         assert all(system.admit(mu.weights) for mu in rest)  # still core points
         assert any(all(mu.mass(a) > nu[a] for mu in rest)
                    for a in nu.ground.proper_nonempty_subsets())
-        assert not search._envelope_certifies(nu, rest)
+        assert not certifies(nu, rest)
 
     def test_exactness_shown_on_the_same_object_settles_nothing(self):
         # the points is_exact pools prove every subset attained, so a
         # certificate that reused them would accept the dropped vertex
         nu, vertices = envelope_member()
         assert is_exact(nu) == (True, None)
-        assert not search._envelope_certifies(nu, vertices[:2] + vertices[3:])
+        assert not certifies(nu, vertices[:2] + vertices[3:])
 
     def test_rejects_a_raised_capacity(self):
         nu, vertices = envelope_member()
@@ -457,7 +479,7 @@ class TestEnvelopeCertificate:
         assert raised != nu
         system = capacity_core(raised.values)
         assert not all(system.admit(mu.weights) for mu in vertices)
-        assert not search._envelope_certifies(raised, vertices)
+        assert not certifies(raised, vertices)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_agrees_with_the_core_system_route(self, n):
@@ -467,9 +489,9 @@ class TestEnvelopeCertificate:
         for grid, seed in product((1, 2, 16, 97), range(200)):
             alpha = random_credal(g, SplitMix64(seed), n + 1, grid)
             nu = lower_envelope(alpha)
-            assert search._envelope_certifies(nu, alpha.vertices)
+            assert search._envelope_certifies(nu, alpha.rows)
             for vertices in (alpha.vertices, *tampered(alpha.vertices)):
-                accepted = search._envelope_certifies(nu, vertices)
+                accepted = certifies(nu, vertices)
                 assert accepted == core_system_envelope_certifies(nu, vertices, marginals=False)
                 assert not accepted or core_system_envelope_certifies(nu, vertices)
                 verdicts.add(accepted)
@@ -480,21 +502,21 @@ class TestEnvelopeCertificate:
         # (0, 1); (1, 0) alone gives 1 at {0}, where the marginal vector of
         # the ordering 0, 1 is (0, 1), a core point that is not a vertex
         nu = Capacity(g2, [0, 0, 0, 1])
-        assert search._envelope_certifies(nu, (Measure(g2, [1, 0]), Measure(g2, [0, 1])))
+        assert certifies(nu, (Measure(g2, [1, 0]), Measure(g2, [0, 1])))
         assert core_system_envelope_certifies(nu, (Measure(g2, [1, 0]),))
-        assert not search._envelope_certifies(nu, (Measure(g2, [1, 0]),))
+        assert not certifies(nu, (Measure(g2, [1, 0]),))
 
     def test_a_vertex_equal_to_the_capacity_is_a_core_point(self):
         nu = Capacity(g2, [0, Fraction(1, 3), Fraction(2, 3), 1])
-        assert search._envelope_certifies(nu, (Measure(g2, [Fraction(1, 3), Fraction(2, 3)]),))
+        assert certifies(nu, (Measure(g2, [Fraction(1, 3), Fraction(2, 3)]),))
 
     def test_rejects_a_vertex_one_unit_below(self):
         # (1/4, 3/4) is below the additive (1/2, 1/2) at {0} by one quarter,
         # one unit of the common denominator 4; (1/2, 1/2) still attains
         nu = Capacity(g2, [0, Fraction(1, 2), Fraction(1, 2), 1])
         half, low = Measure(g2, [Fraction(1, 2)] * 2), Measure(g2, [Fraction(1, 4), Fraction(3, 4)])
-        assert search._envelope_certifies(nu, (half,))
-        assert not search._envelope_certifies(nu, (half, low))
+        assert certifies(nu, (half,))
+        assert not certifies(nu, (half, low))
 
     def test_rejects_a_vertex_of_mass_above_one(self):
         # every vertex kept, so every subset is attained, and one more of
@@ -502,8 +524,38 @@ class TestEnvelopeCertificate:
         nu, vertices = envelope_member()
         *head, last = vertices[0].weights
         heavy = Measure._built(nu.ground, (*head, last + Fraction(1, 4)))
-        assert search._envelope_certifies(nu, vertices)
-        assert not search._envelope_certifies(nu, (*vertices, heavy))
+        assert certifies(nu, vertices)
+        assert not certifies(nu, (*vertices, heavy))
+
+    def test_accepts_an_envelope_below_its_rows_common_denominator(self):
+        # the rows' lcm is 6, the envelope's own denominator 3: the least
+        # table over 6, (0, 2, 2, 6), is (0, 1, 1, 3) over 3 in lowest terms
+        vertices = [Measure(g2, w) for w in ((Fraction(2, 3), Fraction(1, 3)),
+                                             (Fraction(1, 3), Fraction(2, 3)),
+                                             (Fraction(1, 2), Fraction(1, 2)))]
+        nu = Capacity(g2, [0, Fraction(1, 3), Fraction(1, 3), 1])
+        assert least_masses([integer_point(mu.weights) for mu in vertices]) == (3, [0, 1, 1, 3])
+        assert certifies(nu, vertices)
+
+    def test_rejects_a_row_of_the_wrong_length(self):
+        # (1, 1, -1) over 1 weighs 1 at X, and its masses on points 0 and 1
+        # are those of (1, 1) over 1, above (1/2, 1/2) on two points
+        nu = Capacity(g2, [0, Fraction(1, 2), Fraction(1, 2), 1])
+        rows = [(2, (1, 1)), (1, (1, 1, -1))]
+        assert least_masses(rows) == (2, [0, 1, 1, 2])
+        assert search._envelope_certifies(nu, rows[:1])
+        assert not search._envelope_certifies(nu, rows)
+
+    def test_rejects_an_empty_list(self):
+        nu = Capacity(g2, [0, 0, 0, 1])
+        assert not search._envelope_certifies(nu, [])
+        assert not search._envelope_certifies(nu, None)
+
+    def test_rejects_a_row_of_denominator_zero(self):
+        # (0, 0) over 0 sums to its denominator but is no point
+        nu = Capacity(g2, [0, Fraction(1, 2), Fraction(1, 2), 1])
+        assert not search._envelope_certifies(nu, [(0, (0, 0))])
+        assert not search._envelope_certifies(nu, [(2, (1, 1)), (0, (0, 0))])
 
     @staticmethod
     def with_vertex_lists(monkeypatch, change):
@@ -520,7 +572,7 @@ class TestEnvelopeCertificate:
     @staticmethod
     def with_point_mass(vertex_lists):
         # a point mass misses the core of a member that is positive off {0}
-        return tuple((point_mass(0, vs[0].ground), *vs) for vs in vertex_lists)
+        return tuple(((1, (1, *[0] * (len(rows[0][1]) - 1))), *rows) for rows in vertex_lists)
 
     def test_verification_rejects_a_member_outside_its_certificate(self, found, monkeypatch):
         # the record is unchanged, only the certificate fails
